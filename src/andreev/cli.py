@@ -2,7 +2,7 @@
 
 Verdict-style subcommands use the exit code for scripting: 0 means
 success, 1 a negative domain verdict (invalid complex, empty angle set,
-infeasible angles), 2 malformed input.  Output is JSON on stdout unless
+infeasible angles) or a typed realization failure, 2 malformed input.  Output is JSON on stdout unless
 --output is given.
 """
 
@@ -21,16 +21,13 @@ def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="andreev")
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("validate", "circuits", "check-angles", "feasible",
-                 "reduce", "realize", "export"):
+                 "reduce", "realize"):
         sp = sub.add_parser(name)
         sp.add_argument("--input", required=True)
         sp.add_argument("--angles")
         sp.add_argument("--output")
         sp.add_argument("--format", default="off",
                         choices=("off", "json", "ball_json"))
-        sp.add_argument("--tolerance", type=float, default=minkowski.CLASSIFY_TOL)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--max-steps", type=int, default=50)
     return p
 
 
@@ -56,9 +53,6 @@ def _load_angles(path: Optional[str]) -> angle_sets.AngleAssignment:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    if args.tolerance <= 0:
-        print("tolerance must be positive", file=sys.stderr)
-        return 2
 
     try:
         ap = _load_complex(args.input)
@@ -113,12 +107,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             r = realize.realize(ap, a)
             _emit(minkowski.export(r, args.format).decode(), args.output)
             return 0
-
-        if args.command == "export":
-            a = _load_angles(args.angles)
-            r = realize.realize(ap, a)
-            _emit(minkowski.export(r, args.format).decode(), args.output)
-            return 0
     except (OSError, ValueError) as exc:
         if isinstance(exc, angle_sets.SizeMismatch):
             print(f"bad angles: {exc}", file=sys.stderr)
@@ -131,8 +119,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 1
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except realize.InfeasibleAngles as exc:
-        _emit(json.dumps({"error": "InfeasibleAngles", "detail": str(exc)}),
+    except realize.RealizeError as exc:
+        _emit(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
               args.output)
         return 1
 

@@ -255,8 +255,10 @@ def extract_combinatorics(normals: Sequence, tol: float = CLASSIFY_TOL,
     """Rebuild the abstract polyhedron bounded by the given planes.
 
     Every triple of planes with positive-definite Gram matrix whose
-    common point lies inside all half spaces becomes a vertex; the
-    triples, read as dual triangles, determine the face structure.
+    common point lies inside all other half spaces becomes a vertex; the
+    triples, read as dual triangles, determine the face structure.  The
+    triple's own three planes hold by construction and are not tested,
+    since rounding puts far-off points slightly outside them.
     """
     vs = [unit_spacelike(v) for v in normals]
     n = len(vs)
@@ -269,7 +271,8 @@ def extract_combinatorics(normals: Sequence, tol: float = CLASSIFY_TOL,
                     p = vertex_point(vs[i], vs[j], vs[k], tol)
                 except (IdealPoint, NoCommonPoint):
                     continue
-                if all(mdot(p, v) <= tol for v in vs):
+                if all(mdot(p, vs[m]) <= tol for m in range(n)
+                       if m not in (i, j, k)):
                     triples.append((i, j, k))
                     pts.append(p)
     if not triples:

@@ -202,17 +202,38 @@ def _vertex_dets(ap: AbstractPolyhedron, X: np.ndarray) -> np.ndarray:
 def _bind(ap: AbstractPolyhedron, X: np.ndarray,
           tol: float = minkowski.CLASSIFY_TOL) -> Realization:
     """Wrap solved normals as a Realization carrying the caller's labels,
-    after checking that the planes really bound that cell structure."""
-    ext = minkowski.extract_combinatorics(list(X), tol, name=ap.name)
-    if complexes.dual(ext.complex).triangle_set != complexes.dual(ap).triangle_set:
+    after certifying that the planes bound exactly that cell structure.
+
+    The certificate is local: each vertex point, computed from its own
+    three faces, must be finite and lie inside every other half space by
+    more than tol.  That suffices.  With P the intersection of the half
+    spaces, each edge's two end points are then the two ends of P's
+    intersection with the edge's line, so every expected vertex has all
+    three of its polytope edges among the expected ones.  The graph of
+    bounded edges of a pointed polytope is connected, so these are all
+    the vertices, and P is their hull, which is compact.  The margin
+    <p, n> = -sinh(distance) is isometry invariant, so far-off
+    coordinates do not erode it.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.shape != (ap.face_count, 4):
         raise WrongCombinatorics(
-            "planes bound a different cell structure than requested")
-    points = []
-    for v in range(ap.vertex_count):
-        i, j, k = ap.vertex_faces(v)
-        points.append(tuple(float(x) for x in vertex_point(X[i], X[j], X[k], tol)))
-    normals = tuple(tuple(float(x) for x in row) for row in X)
-    return Realization(complex=ap, normals=normals, points=tuple(points))
+            f"{len(X)} planes for a complex with {ap.face_count} faces")
+    faces = np.array([ap.vertex_faces(v) for v in range(ap.vertex_count)])
+    try:
+        units = np.array([unit_spacelike(v) for v in X])
+        points = np.array([vertex_point(*units[f], tol) for f in faces])
+    except GeometryError as exc:
+        raise WrongCombinatorics(f"a vertex is not a finite point: {exc}")
+    margin = points @ _ETA @ units.T
+    np.put_along_axis(margin, faces, -np.inf, axis=1)
+    v, f = np.unravel_index(np.argmax(margin), margin.shape)
+    if not margin[v, f] < -tol:
+        raise WrongCombinatorics(
+            f"vertex {v} is not inside the half space of face {f} "
+            f"(<p, n> = {margin[v, f]:.3g})")
+    return Realization(complex=ap, normals=tuple(map(tuple, X.tolist())),
+                       points=tuple(map(tuple, points.tolist())))
 
 
 def newton_solve(ap: AbstractPolyhedron, target, initial_normals,
@@ -323,7 +344,7 @@ def continue_path(realization: Realization, target: AngleAssignment,
         start_rad = measured
     # A long Newton step can converge onto a plane arrangement with the
     # wrong combinatorics without any warning from the residual; when the
-    # endpoint fails to assemble, redo the walk with shorter strides.
+    # endpoint fails the audit, redo the walk with shorter strides.
     for max_step in (0.25, 0.05, 0.01):
         X = _continue_core(ap, np.array(realization.normals), start_rad,
                            _radians(target), max_steps=max_steps,
@@ -331,7 +352,7 @@ def continue_path(realization: Realization, target: AngleAssignment,
                            max_step=max_step)
         try:
             return _bind(ap, X)
-        except GeometryError:
+        except WrongCombinatorics:
             continue
     return _bind(ap, X)
 
@@ -385,7 +406,7 @@ def replay_whitehead(realization: Realization, move: whitehead.WhiteheadMove,
     try:
         X2 = _solve_raw(ap2, target2, seed, base_vertex=base2)
         out = _bind(ap2, X2)
-    except (RealizeError, GeometryError):
+    except RealizeError:
         # Nudge the two planes that met along the collapsed edge past
         # each other, which puts the seed on the crossed side.
         bump = float(epsilon) * 2.0 * math.pi
@@ -431,48 +452,22 @@ def _push_normals(X: np.ndarray, p: np.ndarray, delta: float) -> np.ndarray:
 
 def _truncate_normals(ap: AbstractPolyhedron, X: np.ndarray,
                       cut: Sequence[int], start_delta: float = 1e-2
-                      ) -> Tuple[AbstractPolyhedron, np.ndarray]:
+                      ) -> Realization:
     """Push all planes out until the cut vertices turn hyperideal, then
     close each of them off with the common perpendicular plane."""
     cut = sorted(set(cut))
     p = _interior_point(ap, X, set(cut))
-    keep = [v for v in range(ap.vertex_count) if v not in cut]
     new_ap = catalog.truncate_vertices(ap, cut, name=ap.name)
 
     delta = start_delta
     while delta > 1e-8:
         Y = _push_normals(X, p, delta)
-        ok = True
-        extra: List[np.ndarray] = []
-        for v in cut:
-            i, j, k = ap.vertex_faces(v)
-            rows = Y[[i, j, k]]
-            eig = np.linalg.eigvalsh(rows @ _ETA @ rows.T)
-            if eig[0] > -minkowski.CLASSIFY_TOL:
-                ok = False
-                break
-            extra.append(perp_plane(Y[i], Y[j], Y[k], interior=p))
-        if ok:
-            for v in keep:
-                i, j, k = ap.vertex_faces(v)
-                rows = Y[[i, j, k]]
-                eig = np.linalg.eigvalsh(rows @ _ETA @ rows.T)
-                if eig[0] < minkowski.CLASSIFY_TOL:
-                    ok = False
-                    break
-        if ok:
-            planes = np.vstack([Y, np.array(extra)])
-            try:
-                ext = minkowski.extract_combinatorics(list(planes), name=ap.name)
-            except GeometryError:
-                ok = False
-            else:
-                same = (complexes.dual(ext.complex).triangle_set
-                        == complexes.dual(new_ap).triangle_set)
-                ok = same
-        if ok:
-            return new_ap, planes
-        delta /= 2.0
+        try:
+            extra = [perp_plane(*Y[list(ap.vertex_faces(v))], interior=p)
+                     for v in cut]
+            return _bind(new_ap, np.vstack([Y, extra]))
+        except (GeometryError, WrongCombinatorics):
+            delta /= 2.0
     raise DeltaSearchFailed(
         f"no truncation distance below {start_delta} verifies")
 
@@ -491,8 +486,7 @@ def truncate_ideal(realization: Realization,
         vertices = [v for v in range(ap.vertex_count) if dets[v] < event_tol]
     if not vertices:
         return realization
-    new_ap, planes = _truncate_normals(ap, X, vertices, start_delta)
-    return _bind(new_ap, planes)
+    return _truncate_normals(ap, X, vertices, start_delta)
 
 
 # Staged realization of complexes whose only circuits are truncated
@@ -626,18 +620,16 @@ def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realizatio
                            expect_ideal=frozenset(group))
         if not group:
             break
-        new_ap, planes = _truncate_normals(cur_ap, X, group, start_delta=1e-3)
+        cut = _truncate_normals(cur_ap, X, group, start_delta=1e-3)
         for i, v in enumerate(sorted(group)):
             owner = frozenset(labels[f] for f in cur_ap.vertex_faces(v))
             triangle_owner[cur_ap.face_count + i] = owner
-        cur_ap, X = new_ap, planes
+        cur_ap, X = cut.complex, np.array(cut.normals)
         # Restart somewhere inside the next schedule interval.  Right at
         # the event the cut triangles sit near the sphere at infinity and
         # the system is terribly conditioned, so larger gaps come first;
-        # each candidate is audited by rebuilding the combinatorics from
-        # the solved planes before we trust it.
+        # each candidate is audited before we trust it.
         t_next = schedule[stage + 1][0] if stage + 1 < len(schedule) else Fraction(1)
-        want = complexes.dual(cur_ap).triangle_set
         rejoined = None
         for num, den in ((1, 2), (3, 4), (1, 4), (7, 8), (1, 8), (1, 16)):
             t_try = T + (t_next - T) * Fraction(num, den)
@@ -646,12 +638,11 @@ def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realizatio
             try:
                 cand = _solve_raw(cur_ap, rad, X.copy(),
                                   base_vertex=int(np.argmax(_vertex_dets(cur_ap, X))))
-                got = minkowski.extract_combinatorics(list(cand), name="rejoin")
-                if complexes.dual(got.complex).triangle_set == want:
-                    rejoined = (cand, t_try)
-                    break
-            except (RealizeError, GeometryError):
+                _bind(cur_ap, cand)
+            except RealizeError:
                 continue
+            rejoined = (cand, t_try)
+            break
         if rejoined is None:
             raise Diverged("could not rejoin the schedule after truncation")
         X, t_prev = rejoined
@@ -863,8 +854,7 @@ def glue(realizations: Sequence[Realization], plan: CompoundPlan,
 # Orchestration
 
 
-def _realize_prism(ap: AbstractPolyhedron, a: AngleAssignment,
-                   iso: Dict[int, int]) -> Realization:
+def _realize_prism(ap: AbstractPolyhedron, a: AngleAssignment) -> Realization:
     n = ap.face_count
     seed_angle = {5: Fraction(1, 4), 6: TWO_FIFTHS}.get(n, HALF)
     built = minkowski.build_prism(n, float(seed_angle) * math.pi,
@@ -905,14 +895,15 @@ def _realize_simple(ap: AbstractPolyhedron, a: AngleAssignment) -> Realization:
 def realize(ap: AbstractPolyhedron, a: AngleAssignment) -> Realization:
     """Produce the compact hyperbolic polyhedron with cell structure ap
     and the requested dihedral angles."""
+    if ap.face_count < 5:
+        raise RealizeError(f"{ap.face_count} faces: Andreev's theorem "
+                           f"needs N >= 5 faces")
     report = angle_sets.check_conditions(ap, a)
     if not report.member:
         raise InfeasibleAngles(
             f"angles violate the linear conditions: {report}")
-    iso = complexes.isomorphic(ap, catalog.prism(ap.face_count)) \
-        if ap.face_count >= 5 else None
-    if iso is not None:
-        return _realize_prism(ap, a, iso)
+    if complexes.isomorphic(ap, catalog.prism(ap.face_count)) is not None:
+        return _realize_prism(ap, a)
     if complexes.is_simple(ap):
         return _realize_simple(ap, a)
     if _essential_circuits(ap):

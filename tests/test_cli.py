@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from andreev import angles, catalog, complexes, whitehead
+from andreev import angles, catalog, complexes, realize, whitehead
 from andreev.cli import main
 
 
@@ -97,7 +97,7 @@ def test_realize_and_export(paths, capsys):
     faces = [[int(x) for x in ln.split()][1:] for ln in lines[2 + nv:2 + nv + nf]]
     assert faces == [list(f) for f in catalog.dodecahedron().faces]
 
-    assert main(["export", "--input", paths["dodeca"],
+    assert main(["realize", "--input", paths["dodeca"],
                  "--angles", paths["a25"], "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert len(data["normals"]) == 12
@@ -113,9 +113,15 @@ def test_realize_infeasible(paths, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "InfeasibleAngles"
 
 
-def test_bad_tolerance(paths):
-    assert main(["validate", "--input", paths["dodeca"],
-                 "--tolerance", "-1"]) == 2
+def test_realize_failure_is_typed(paths, capsys, monkeypatch):
+    def diverge(ap, a):
+        raise realize.Diverged("no convergence in 50 steps")
+
+    monkeypatch.setattr(realize, "realize", diverge)
+    assert main(["realize", "--input", paths["dodeca"],
+                 "--angles", paths["a25"]]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "Diverged", "detail": "no convergence in 50 steps"}
 
 
 def test_deterministic_output(paths, capsys):

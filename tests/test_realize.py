@@ -22,6 +22,19 @@ def dodeca_two_fifths():
     return realize.realize(ap, uniform(ap, Fraction(2, 5)))
 
 
+@functools.lru_cache(maxsize=None)
+def near_ideal_event():
+    """Walk the 2*pi/5 dodecahedron toward pi/3 on vertex 0's edges,
+    which turns that vertex ideal just before the endpoint."""
+    r = dodeca_two_fifths()
+    vals = [Fraction(2, 5)] * r.complex.edge_count
+    for e in r.complex.vertex_edges(0):
+        vals[e] = Fraction(1, 3)
+    with pytest.raises(realize.EventDetected) as exc:
+        realize.continue_path(r, AngleAssignment(tuple(vals)))
+    return exc.value
+
+
 def angle_error(r, a):
     return max(abs(got - float(want) * math.pi)
                for got, want in zip(r.edge_angles(), a))
@@ -76,14 +89,7 @@ class TestContinuePath:
             realize.continue_path(seed, uniform(ap, Fraction(2, 5)))
 
     def test_event_near_degeneration(self):
-        r = dodeca_two_fifths()
-        ap = r.complex
-        vals = [Fraction(2, 5)] * ap.edge_count
-        for e in ap.vertex_edges(0):
-            vals[e] = Fraction(1, 3)
-        with pytest.raises(realize.EventDetected) as exc:
-            realize.continue_path(r, AngleAssignment(tuple(vals)))
-        ev = exc.value
+        ev = near_ideal_event()
         assert ev.vertices == (0,)
         assert ev.t > 0.95
 
@@ -116,15 +122,8 @@ class TestTruncateIdeal:
         assert realize.truncate_ideal(r) is r
 
     def test_truncation_after_event(self):
-        r = dodeca_two_fifths()
-        ap = r.complex
-        vals = [Fraction(2, 5)] * ap.edge_count
-        for e in ap.vertex_edges(0):
-            vals[e] = Fraction(1, 3)
-        with pytest.raises(realize.EventDetected) as exc:
-            realize.continue_path(r, AngleAssignment(tuple(vals)))
-        cut = realize.truncate_ideal(exc.value.realization,
-                                     vertices=exc.value.vertices)
+        ev = near_ideal_event()
+        cut = realize.truncate_ideal(ev.realization, vertices=ev.vertices)
         assert cut.complex.face_count == 13
         tri = next(f for f in range(13) if len(cut.complex.faces[f]) == 3
                    and f >= 12)
@@ -189,6 +188,11 @@ class TestRealize:
         r = realize.realize(ap, a)
         assert angle_error(r, a) < 1e-9
 
+    def test_too_few_faces(self):
+        ap = catalog.tetrahedron()
+        with pytest.raises(realize.RealizeError, match="N >= 5"):
+            realize.realize(ap, uniform(ap, Fraction(2, 5)))
+
     def test_infeasible_rejected(self):
         ap = catalog.alternately_truncated_cube()
         with pytest.raises(realize.InfeasibleAngles):
@@ -211,6 +215,15 @@ class TestRealize:
         ap = complexes.primal(dc)
         a = uniform(ap, Fraction(2, 5))
         r = realize.realize(ap, a)
+        assert angle_error(r, a) < 1e-8
+
+    def test_random_simple_sixteen_faces(self):
+        # Vertex coordinates reach ~3.6e3 during the replay, where
+        # rounding is ~1e-9 and must not read as leaving a plane.
+        ap = complexes.primal(whitehead.random_simple(16, seed=2, moves=30))
+        a = uniform(ap, Fraction(2, 5))
+        r = realize.realize(ap, a)
+        assert gram_residual(r, a) < 1e-10
         assert angle_error(r, a) < 1e-8
 
     def test_truncated_triangle_pipeline(self):
@@ -258,3 +271,79 @@ class TestRealize:
         out = realize.continue_path(r, uniform(r.complex, Fraction(1, 2)))
         lengths = out.edge_lengths()
         assert max(lengths) - min(lengths) < 1e-9
+
+
+def _two_fifths(ap):
+    r = realize.realize(ap, uniform(ap, Fraction(2, 5)))
+    return r.complex, r.normals
+
+
+def _witness(ap):
+    r = realize.realize(ap, angles.feasible(ap).witness)
+    return r.complex, r.normals
+
+
+def _boosted_dodecahedron(rapidity):
+    r = dodeca_two_fifths()
+    L = np.eye(4)
+    L[0, 0] = L[1, 1] = math.cosh(rapidity)
+    L[0, 1] = L[1, 0] = math.sinh(rapidity)
+    X = np.array(r.normals) @ L.T
+    assert np.abs(X).max() > 2e3
+    return r.complex, X
+
+
+def _pushed_dodecahedron():
+    # Push face 0 inward until it passes the five vertices one edge away.
+    r = dodeca_two_fifths()
+    X = np.array(r.normals)
+    centre = minkowski.unit_timelike(np.sum(r.points, axis=0))
+    X[0] = realize._push_normals(X[:1], centre, -0.9)[0]
+    return r.complex, X
+
+
+def _realization(r):
+    return r.complex, r.normals
+
+
+# name -> (builder of (complex, normals), whether the audits accept)
+AUDIT_CASES = {
+    "dodecahedron": (lambda: _realization(dodeca_two_fifths()), True),
+    "cube": (lambda: _two_fifths(catalog.cube()), True),
+    "random8": (lambda: _two_fifths(
+        complexes.primal(whitehead.random_simple(8, seed=11))), True),
+    "prism7": (lambda: _realization(
+        minkowski.build_prism(7, math.pi / 3, 0.04)), True),
+    "split_prism10": (lambda: _realization(
+        minkowski.build_split_prism(10)), True),
+    "corner_truncated_cube": (lambda: _witness(
+        catalog.corner_truncated_cube()), True),
+    "truncated_tetrahedron": (lambda: _witness(
+        catalog.truncated_tetrahedron()), True),
+    "corner_doubled_cube": (lambda: _witness(
+        catalog.corner_doubled_cube()), True),
+    "near_ideal": (lambda: _realization(near_ideal_event().realization), True),
+    "truncated_after_event": (lambda: _realization(realize.truncate_ideal(
+        near_ideal_event().realization, vertices=(0,))), True),
+    "boosted7": (lambda: _boosted_dodecahedron(7), True),
+    "boosted8": (lambda: _boosted_dodecahedron(8), True),
+    "plane_pushed_past_vertex": (_pushed_dodecahedron, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AUDIT_CASES))
+def test_bind_agrees_with_extraction(case):
+    build, accepted = AUDIT_CASES[case]
+    ap, normals = build()
+    try:
+        realize._bind(ap, normals)
+        bound = True
+    except realize.WrongCombinatorics:
+        bound = False
+    try:
+        ext = minkowski.extract_combinatorics(list(normals))
+        rebuilt = (complexes.dual(ext.complex).triangle_set
+                   == complexes.dual(ap).triangle_set)
+    except minkowski.GeometryError:
+        rebuilt = False
+    assert bound == rebuilt == accepted
