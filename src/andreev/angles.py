@@ -264,9 +264,15 @@ def to_json(a: AngleAssignment) -> str:
 
 
 def from_json(text: str) -> AngleAssignment:
+    """Read the format of to_json; ValueError on any other shape."""
     data = json.loads(text)
-    table = data["angles"]
-    values = [Fraction(table[str(i)]) for i in range(len(table))]
+    table = data.get("angles") if isinstance(data, dict) else None
+    if not isinstance(table, dict):
+        raise ValueError('expected {"angles": {"0": r_0, "1": r_1, ...}}')
+    try:
+        values = [Fraction(table[str(i)]) for i in range(len(table))]
+    except (KeyError, TypeError, OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad angle table entry: {exc!r}")
     return AngleAssignment(tuple(values))
 
 

@@ -24,10 +24,12 @@ def _parser() -> argparse.ArgumentParser:
                  "reduce", "realize"):
         sp = sub.add_parser(name)
         sp.add_argument("--input", required=True)
-        sp.add_argument("--angles")
         sp.add_argument("--output")
-        sp.add_argument("--format", default="off",
-                        choices=("off", "json", "ball_json"))
+        if name in ("check-angles", "realize"):
+            sp.add_argument("--angles", required=True)
+        if name == "realize":
+            sp.add_argument("--format", default="off",
+                            choices=("off", "json", "ball_json"))
     return p
 
 
@@ -44,9 +46,7 @@ def _load_complex(path: str) -> complexes.AbstractPolyhedron:
         return complexes.from_json(fh.read())
 
 
-def _load_angles(path: Optional[str]) -> angle_sets.AngleAssignment:
-    if not path:
-        raise ValueError("this command needs --angles")
+def _load_angles(path: str) -> angle_sets.AngleAssignment:
     with open(path) as fh:
         return angle_sets.from_json(fh.read())
 
@@ -56,7 +56,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         ap = _load_complex(args.input)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         if args.command == "validate" and isinstance(exc, complexes.ComplexError):
             _emit(json.dumps({"valid": False, "reason": str(exc)}), args.output)
             return 1

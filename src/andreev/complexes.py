@@ -581,9 +581,17 @@ def to_json(ap: AbstractPolyhedron) -> str:
 
 
 def from_json(text: str) -> AbstractPolyhedron:
+    """Read the format of to_json; ValueError on any other shape."""
     data = json.loads(text)
-    return build(int(data["vertex_count"]), data["faces"],
-                 name=str(data.get("name", "complex")))
+    if not isinstance(data, dict):
+        data = {}
+    count, faces = data.get("vertex_count"), data.get("faces")
+    if not (isinstance(count, int) and isinstance(faces, list)
+            and all(isinstance(f, list) and all(isinstance(v, int) for v in f)
+                    for f in faces)):
+        raise ValueError('expected {"vertex_count": int, '
+                         '"faces": [[int, ...], ...]}')
+    return build(count, faces, name=str(data.get("name", "complex")))
 
 
 def circuits_to_json(circuits: Sequence[Circuit]) -> str:

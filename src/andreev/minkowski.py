@@ -72,15 +72,6 @@ def mdot(x, y) -> float:
     return float(-x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3])
 
 
-def classify(x, tol: float = CLASSIFY_TOL) -> str:
-    q = mdot(x, x)
-    if q < -tol:
-        return "timelike"
-    if q > tol:
-        return "spacelike"
-    return "lightlike"
-
-
 def unit_spacelike(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     q = mdot(v, v)

@@ -28,12 +28,14 @@ from . import angles as angle_sets
 from . import catalog, complexes, minkowski, whitehead
 from .angles import HALF, AngleAssignment
 from .complexes import AbstractPolyhedron
-from .minkowski import (GeometryError, Realization, mdot, unit_spacelike,
-                        unit_timelike, vertex_point, perp_plane)
+from .minkowski import (CLASSIFY_TOL, GeometryError, Realization, mdot,
+                        unit_spacelike, unit_timelike, vertex_point,
+                        perp_plane)
 
 _ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 RESIDUAL_TOL = 1e-10
+NEWTON_STEPS = 50
 EVENT_TOL = 1e-7
 STEP_FLOOR = 1e-6
 REPLAY_EPSILON = Fraction(1, 60)
@@ -74,10 +76,6 @@ class EventDetected(RealizeError):
         self.t = t
         self.vertices = vertices
         self.realization = realization
-
-
-class DeltaSearchFailed(RealizeError):
-    pass
 
 
 class NoEssentialCircuits(RealizeError):
@@ -132,8 +130,7 @@ def _pregauge(normals: np.ndarray, fa: int, fb: int, fc: int) -> np.ndarray:
 
 
 def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
-               seed: Sequence, base_vertex: int = 0,
-               max_steps: int = 50, tol: float = RESIDUAL_TOL) -> np.ndarray:
+               seed: Sequence, base_vertex: int = 0) -> np.ndarray:
     """Solve the Gram system for the face normals, without extracting
     combinatorics.  Returns an (N,4) array."""
     N, E = ap.face_count, ap.edge_count
@@ -157,14 +154,14 @@ def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
         return F
 
     F = residual(X)
-    for step in range(max_steps + 1):
+    for step in range(NEWTON_STEPS + 1):
         res = np.max(np.abs(F))
         if not np.isfinite(res) or res > 1e8:
             raise Diverged(f"residual blew up at step {step}")
-        if res < tol:
+        if res < RESIDUAL_TOL:
             break
-        if step == max_steps:
-            raise Diverged(f"no convergence in {max_steps} steps "
+        if step == NEWTON_STEPS:
+            raise Diverged(f"no convergence in {NEWTON_STEPS} steps "
                            f"(residual {res:.3e})")
         J = np.zeros((n_unknown, n_unknown))
         eX = X @ _ETA
@@ -199,17 +196,16 @@ def _vertex_dets(ap: AbstractPolyhedron, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bind(ap: AbstractPolyhedron, X: np.ndarray,
-          tol: float = minkowski.CLASSIFY_TOL) -> Realization:
+def _bind(ap: AbstractPolyhedron, X: np.ndarray) -> Realization:
     """Wrap solved normals as a Realization carrying the caller's labels,
     after certifying that the planes bound exactly that cell structure.
 
     The certificate is local: each vertex point, computed from its own
     three faces, must be finite and lie inside every other half space by
-    more than tol.  That suffices.  With P the intersection of the half
-    spaces, each edge's two end points are then the two ends of P's
-    intersection with the edge's line, so every expected vertex has all
-    three of its polytope edges among the expected ones.  The graph of
+    more than CLASSIFY_TOL.  That suffices.  With P the intersection of
+    the half spaces, each edge's two end points are then the two ends of
+    P's intersection with the edge's line, so every expected vertex has
+    all three of its polytope edges among the expected ones.  The graph of
     bounded edges of a pointed polytope is connected, so these are all
     the vertices, and P is their hull, which is compact.  The margin
     <p, n> = -sinh(distance) is isometry invariant, so far-off
@@ -222,13 +218,13 @@ def _bind(ap: AbstractPolyhedron, X: np.ndarray,
     faces = np.array([ap.vertex_faces(v) for v in range(ap.vertex_count)])
     try:
         units = np.array([unit_spacelike(v) for v in X])
-        points = np.array([vertex_point(*units[f], tol) for f in faces])
+        points = np.array([vertex_point(*units[f]) for f in faces])
     except GeometryError as exc:
         raise WrongCombinatorics(f"a vertex is not a finite point: {exc}")
     margin = points @ _ETA @ units.T
     np.put_along_axis(margin, faces, -np.inf, axis=1)
     v, f = np.unravel_index(np.argmax(margin), margin.shape)
-    if not margin[v, f] < -tol:
+    if not margin[v, f] < -CLASSIFY_TOL:
         raise WrongCombinatorics(
             f"vertex {v} is not inside the half space of face {f} "
             f"(<p, n> = {margin[v, f]:.3g})")
@@ -236,14 +232,11 @@ def _bind(ap: AbstractPolyhedron, X: np.ndarray,
                        points=tuple(map(tuple, points.tolist())))
 
 
-def newton_solve(ap: AbstractPolyhedron, target, initial_normals,
-                 base_vertex: int = 0, max_steps: int = 50,
-                 tol: float = RESIDUAL_TOL) -> Realization:
+def newton_solve(ap: AbstractPolyhedron, target,
+                 initial_normals) -> Realization:
     """Solve for the realization of ap with the given edge angles from a
-    caller-supplied seed, then audit the extracted combinatorics."""
-    X = _solve_raw(ap, _radians(target), initial_normals,
-                   base_vertex=base_vertex, max_steps=max_steps, tol=tol)
-    return _bind(ap, X)
+    caller-supplied seed, then certify its combinatorics."""
+    return _bind(ap, _solve_raw(ap, _radians(target), initial_normals))
 
 
 # Continuation along straight angle paths
@@ -252,26 +245,21 @@ def newton_solve(ap: AbstractPolyhedron, target, initial_normals,
 def _continue_core(ap: AbstractPolyhedron, X0: np.ndarray,
                    start_rad: np.ndarray, target_rad: np.ndarray,
                    expect_ideal: FrozenSet[int] = frozenset(),
-                   base_vertex: Optional[int] = None,
-                   max_steps: int = 50, event_tol: float = EVENT_TOL,
-                   floor: float = STEP_FLOOR,
                    max_step: float = 0.25) -> np.ndarray:
+    """Step from start_rad to target_rad, halving the step on a failed
+    solve (down to STEP_FLOOR) and doubling it back after a success."""
     watched = [v for v in range(ap.vertex_count) if v not in expect_ideal]
 
     def solve_at(t: float, seed: np.ndarray) -> np.ndarray:
         rad = (1.0 - t) * start_rad + t * target_rad
-        if base_vertex is not None:
-            base = base_vertex
-        else:
-            # Gauge on the fattest vertex of the seed: pinning a nearly
-            # degenerate corner at the origin wrecks the conditioning.
-            base = int(np.argmax(_vertex_dets(ap, seed)))
-        return _solve_raw(ap, rad, seed, base_vertex=base,
-                          max_steps=max_steps)
+        # Gauge on the fattest vertex of the seed: pinning a nearly
+        # degenerate corner at the origin wrecks the conditioning.
+        base = int(np.argmax(_vertex_dets(ap, seed)))
+        return _solve_raw(ap, rad, seed, base_vertex=base)
 
     def bad_vertices(X: np.ndarray) -> Tuple[int, ...]:
         dets = _vertex_dets(ap, X)
-        return tuple(v for v in watched if dets[v] < event_tol)
+        return tuple(v for v in watched if dets[v] < EVENT_TOL)
 
     t, X, step = 0.0, X0, max_step
     while t < 1.0:
@@ -280,9 +268,9 @@ def _continue_core(ap: AbstractPolyhedron, X0: np.ndarray,
             Xn = solve_at(tn, X)
         except (Diverged, SingularJacobian, WrongCombinatorics):
             step /= 2.0
-            if step < floor:
+            if step < STEP_FLOOR:
                 raise StepFloorReached(
-                    f"step size fell below {floor} at t={t:.6f}")
+                    f"step size fell below {STEP_FLOOR} at t={t:.6f}")
             continue
         bad = bad_vertices(Xn)
         if bad:
@@ -310,9 +298,7 @@ def _continue_core(ap: AbstractPolyhedron, X0: np.ndarray,
 
 
 def continue_path(realization: Realization, target: AngleAssignment,
-                  start: Optional[AngleAssignment] = None,
-                  max_steps: int = 50, event_tol: float = EVENT_TOL,
-                  floor: float = STEP_FLOOR) -> Realization:
+                  start: Optional[AngleAssignment] = None) -> Realization:
     """Walk the realization along the straight angle segment to target.
 
     Both rational endpoints are checked exactly against the angle
@@ -342,44 +328,41 @@ def continue_path(realization: Realization, target: AngleAssignment,
                 f"declared start is {drift:.2e} away from the measured angles")
     else:
         start_rad = measured
-    # A long Newton step can converge onto a plane arrangement with the
-    # wrong combinatorics without any warning from the residual; when the
-    # endpoint fails the audit, redo the walk with shorter strides.
-    for max_step in (0.25, 0.05, 0.01):
-        X = _continue_core(ap, np.array(realization.normals), start_rad,
-                           _radians(target), max_steps=max_steps,
-                           event_tol=event_tol, floor=floor,
-                           max_step=max_step)
-        try:
-            return _bind(ap, X)
-        except WrongCombinatorics:
-            continue
-    return _bind(ap, X)
+    X0, target_rad = np.array(realization.normals), _radians(target)
+    try:
+        return _bind(ap, _continue_core(ap, X0, start_rad, target_rad))
+    except WrongCombinatorics:
+        # A long Newton step can converge onto a plane arrangement with
+        # the wrong combinatorics without any warning from the residual;
+        # redo the walk once with shorter strides.
+        return _bind(ap, _continue_core(ap, X0, start_rad, target_rad,
+                                        max_step=0.05))
 
 
 # Whitehead move replay
 
 
-def _collapse_profile(ap: AbstractPolyhedron, edge: int,
-                      epsilon: Fraction) -> AngleAssignment:
-    """The angle profile that pinches the given edge: epsilon there,
-    pi/2 on the four surrounding edges, 2*pi/5 elsewhere.  Relies on the
-    edge-collapse precondition that ap is simple."""
+def _collapse_profile(ap: AbstractPolyhedron, edge: int) -> AngleAssignment:
+    """The angle profile that pinches the given edge: REPLAY_EPSILON
+    there, pi/2 on the four surrounding edges, 2*pi/5 elsewhere.  Relies
+    on the edge-collapse precondition that ap is simple."""
     con = complexes.collapse_edge(ap, edge)
     values = [TWO_FIFTHS] * ap.edge_count
     for s in con.surrounding_edges:
         values[s] = HALF
-    values[edge] = epsilon
+    values[edge] = REPLAY_EPSILON
     return AngleAssignment(tuple(values))
 
 
-def replay_whitehead(realization: Realization, move: whitehead.WhiteheadMove,
-                     epsilon: Fraction = REPLAY_EPSILON) -> Realization:
+def replay_whitehead(realization: Realization,
+                     move: whitehead.WhiteheadMove) -> Realization:
     """Carry a realization across one Whitehead move.
 
-    Three phases: pinch the disappearing edge down to epsilon, re-seed
-    the four flanking planes in the crossed configuration and solve on
-    the moved complex, then relax to the all-2*pi/5 interior point.
+    Three phases: pinch the disappearing edge down to REPLAY_EPSILON
+    with its four flanking edges at pi/2; solve the moved complex once at
+    its own pinch profile (REPLAY_EPSILON on the inserted edge), seeded
+    with the pinched normals unchanged; then relax to the all-2*pi/5
+    interior point.
     """
     ap = realization.complex
     dc = complexes.dual(ap)
@@ -389,31 +372,21 @@ def replay_whitehead(realization: Realization, move: whitehead.WhiteheadMove,
         raise whitehead.EdgeMissing(
             f"faces {a_node} and {b_node} share no edge")
 
-    pinch = _collapse_profile(ap, edge, epsilon)
+    pinch = _collapse_profile(ap, edge)
     squeezed = continue_path(realization, pinch)
 
     dc2 = whitehead.apply_move(dc, move)
     ap2 = complexes.primal(dc2, name=ap.name)
     edge2 = ap2.edge_between_faces(*move.inserted_edge)
-    profile2 = _collapse_profile(ap2, edge2, epsilon)
+    profile2 = _collapse_profile(ap2, edge2)
     target2 = _radians(profile2)
 
     # The new edge's endpoints are the least robust vertices right after
     # the swap; keep the gauge base away from them.
     u2, v2 = ap2.edges[edge2][:2]
     base2 = min(x for x in range(ap2.vertex_count) if x not in (u2, v2))
-    seed = np.array(squeezed.normals)
-    try:
-        X2 = _solve_raw(ap2, target2, seed, base_vertex=base2)
-        out = _bind(ap2, X2)
-    except RealizeError:
-        # Nudge the two planes that met along the collapsed edge past
-        # each other, which puts the seed on the crossed side.
-        bump = float(epsilon) * 2.0 * math.pi
-        va, vb = seed[a_node].copy(), seed[b_node]
-        w = unit_spacelike(vb - mdot(va, vb) * va)
-        seed[a_node] = math.cos(bump) * va - math.sin(bump) * w
-        out = _bind(ap2, _solve_raw(ap2, target2, seed, base_vertex=base2))
+    out = _bind(ap2, _solve_raw(ap2, target2, np.array(squeezed.normals),
+                                base_vertex=base2))
 
     rest = AngleAssignment.uniform(ap2.edge_count, TWO_FIFTHS)
     return continue_path(out, rest, start=profile2)
@@ -451,31 +424,24 @@ def _push_normals(X: np.ndarray, p: np.ndarray, delta: float) -> np.ndarray:
 
 
 def _truncate_normals(ap: AbstractPolyhedron, X: np.ndarray,
-                      cut: Sequence[int], start_delta: float = 1e-2
-                      ) -> Realization:
-    """Push all planes out until the cut vertices turn hyperideal, then
-    close each of them off with the common perpendicular plane."""
+                      cut: Sequence[int], delta: float) -> Realization:
+    """Push all planes out by delta so the cut vertices turn hyperideal,
+    then close each of them off with the common perpendicular plane."""
     cut = sorted(set(cut))
     p = _interior_point(ap, X, set(cut))
     new_ap = catalog.truncate_vertices(ap, cut, name=ap.name)
-
-    delta = start_delta
-    while delta > 1e-8:
-        Y = _push_normals(X, p, delta)
-        try:
-            extra = [perp_plane(*Y[list(ap.vertex_faces(v))], interior=p)
-                     for v in cut]
-            return _bind(new_ap, np.vstack([Y, extra]))
-        except (GeometryError, WrongCombinatorics):
-            delta /= 2.0
-    raise DeltaSearchFailed(
-        f"no truncation distance below {start_delta} verifies")
+    Y = _push_normals(X, p, delta)
+    try:
+        extra = [perp_plane(*Y[list(ap.vertex_faces(v))], interior=p)
+                 for v in cut]
+    except GeometryError as exc:
+        raise WrongCombinatorics(
+            f"a push of {delta} leaves no cutting plane: {exc}")
+    return _bind(new_ap, np.vstack([Y, extra]))
 
 
 def truncate_ideal(realization: Realization,
-                   vertices: Optional[Sequence[int]] = None,
-                   start_delta: float = 1e-2,
-                   event_tol: float = EVENT_TOL) -> Realization:
+                   vertices: Optional[Sequence[int]] = None) -> Realization:
     """Cut off the (near-)ideal vertices of a realization with planes
     perpendicular to their three faces; with no such vertex this is the
     identity."""
@@ -483,10 +449,10 @@ def truncate_ideal(realization: Realization,
     X = np.array(realization.normals)
     if vertices is None:
         dets = _vertex_dets(ap, X)
-        vertices = [v for v in range(ap.vertex_count) if dets[v] < event_tol]
+        vertices = [v for v in range(ap.vertex_count) if dets[v] < EVENT_TOL]
     if not vertices:
         return realization
-    return _truncate_normals(ap, X, vertices, start_delta)
+    return _truncate_normals(ap, X, vertices, 1e-2)
 
 
 # Staged realization of complexes whose only circuits are truncated
@@ -620,32 +586,21 @@ def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realizatio
                            expect_ideal=frozenset(group))
         if not group:
             break
-        cut = _truncate_normals(cur_ap, X, group, start_delta=1e-3)
+        cut = _truncate_normals(cur_ap, X, group, 1e-3)
         for i, v in enumerate(sorted(group)):
             owner = frozenset(labels[f] for f in cur_ap.vertex_faces(v))
             triangle_owner[cur_ap.face_count + i] = owner
         cur_ap, X = cut.complex, np.array(cut.normals)
-        # Restart somewhere inside the next schedule interval.  Right at
-        # the event the cut triangles sit near the sphere at infinity and
-        # the system is terribly conditioned, so larger gaps come first;
-        # each candidate is audited before we trust it.
+        # Rejoin the schedule midway to the next event, audited by _bind.
+        # Right at the event the cut triangles sit near the sphere at
+        # infinity and the system is terribly conditioned.
         t_next = schedule[stage + 1][0] if stage + 1 < len(schedule) else Fraction(1)
-        rejoined = None
-        for num, den in ((1, 2), (3, 4), (1, 4), (7, 8), (1, 8), (1, 16)):
-            t_try = T + (t_next - T) * Fraction(num, den)
-            rad = np.array([float(value_at(cur_ap, e, t_try)) * math.pi
-                            for e in range(cur_ap.edge_count)])
-            try:
-                cand = _solve_raw(cur_ap, rad, X.copy(),
-                                  base_vertex=int(np.argmax(_vertex_dets(cur_ap, X))))
-                _bind(cur_ap, cand)
-            except RealizeError:
-                continue
-            rejoined = (cand, t_try)
-            break
-        if rejoined is None:
-            raise Diverged("could not rejoin the schedule after truncation")
-        X, t_prev = rejoined
+        t_prev = (T + t_next) / 2
+        rad = np.array([float(value_at(cur_ap, e, t_prev)) * math.pi
+                        for e in range(cur_ap.edge_count)])
+        X = _solve_raw(cur_ap, rad, X,
+                       base_vertex=int(np.argmax(_vertex_dets(cur_ap, X))))
+        _bind(cur_ap, X)
 
     # Map the staged complex back onto the caller's labels and finish
     # with an exact-endpoint continuation to the requested angles.

@@ -47,6 +47,39 @@ def test_missing_file_is_usage_error(tmp_path):
     assert main(["validate", "--input", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"foo": 1}',
+    '{"angles": {"1": "2/5"}}',
+    '{"angles": ["2/5"]}',
+    '{"angles": {"0": null}}',
+])
+def test_malformed_angles_are_usage_errors(paths, text):
+    bad = paths["dir"] / "bad_angles.json"
+    bad.write_text(text)
+    assert main(["check-angles", "--input", paths["dodeca"],
+                 "--angles", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("text", ['{"vertex_count": 4, "faces": 5}', "[1, 2]"])
+def test_malformed_complexes_are_usage_errors(tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["validate", "--input", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--format", "json"],
+    ["validate", "--angles", "a.json"],
+    ["check-angles", "--angles", "a.json", "--format", "json"],
+    ["realize"],
+])
+def test_unread_or_missing_flags_are_usage_errors(paths, argv):
+    argv = argv[:1] + ["--input", paths["dodeca"]] + argv[1:]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_circuits(paths, capsys):
     assert main(["circuits", "--input", paths["prism5"]]) == 0
     found = json.loads(capsys.readouterr().out)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -114,6 +115,52 @@ class TestReplay:
         mv = whitehead.move_on(dc, a, b)
         with pytest.raises(complexes.NotSimple):
             realize.replay_whitehead(seed, mv)
+
+
+def _replay_first_move():
+    r = dodeca_two_fifths()
+    trace = whitehead.reduce_to_dn(complexes.dual(r.complex))
+    return realize.replay_whitehead(r, trace.moves[0])
+
+
+def _truncate_near_ideal():
+    ev = near_ideal_event()
+    return realize.truncate_ideal(ev.realization, vertices=ev.vertices)
+
+
+def _staged_pipeline():
+    ap = catalog.corner_truncated_cube()
+    return realize.realize(ap, angles.feasible(ap).witness)
+
+
+# site -> (function patched in realize, its caller at the site or None
+# for any caller, the error it raises, the run that reaches the site)
+SINGLE_ATTEMPT_SITES = {
+    "crossed_solve": ("_solve_raw", "replay_whitehead",
+                      realize.Diverged("forced"), _replay_first_move),
+    "truncation_push": ("perp_plane", None,
+                        minkowski.OutOfRange("forced"), _truncate_near_ideal),
+    "rejoin": ("_solve_raw", "_realize_truncated",
+               realize.Diverged("forced"), _staged_pipeline),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SINGLE_ATTEMPT_SITES))
+def test_single_attempt_sites_fail_typed(site, monkeypatch):
+    name, caller, error, run = SINGLE_ATTEMPT_SITES[site]
+    original = getattr(realize, name)
+    calls = []
+
+    def failing(*args, **kwargs):
+        if caller is None or sys._getframe(1).f_code.co_name == caller:
+            calls.append(args)
+            raise error
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(realize, name, failing)
+    with pytest.raises(realize.RealizeError):
+        run()
+    assert len(calls) == 1
 
 
 class TestTruncateIdeal:
