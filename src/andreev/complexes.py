@@ -382,9 +382,14 @@ def primal(dc: DualComplex, name: str = "complex") -> AbstractPolyhedron:
 
 
 def _simple_cycles(dc: DualComplex, k: int) -> List[Tuple[int, ...]]:
-    """All simple k-cycles of the dual graph, canonical and sorted, k in {3,4}."""
+    """All simple k-cycles of the dual graph, canonical and sorted, k in {3,4}.
+
+    A 4-cycle is found from its least node a and the node c opposite it:
+    every pair of common neighbors b < d of a and c, both above a, closes
+    the cycle (a, b, c, d), so the scan costs the sum of squared degrees.
+    """
     adj = dc.adjacency()
-    found = set()
+    found = []
     nodes = range(dc.node_count)
     if k == 3:
         for a in nodes:
@@ -393,18 +398,28 @@ def _simple_cycles(dc: DualComplex, k: int) -> List[Tuple[int, ...]]:
                     continue
                 for c in adj[b]:
                     if c > b and c in adj[a]:
-                        found.add((a, b, c))
+                        found.append((a, b, c))
     elif k == 4:
-        import itertools
-        for quad in itertools.combinations(nodes, 4):
-            a, b, c, d = quad
-            for order in ((a, b, c, d), (a, b, d, c), (a, c, b, d)):
-                ok = all(order[(i + 1) % 4] in adj[order[i]] for i in range(4))
-                if ok:
-                    found.add(_canonical_cycle(order))
+        for a in nodes:
+            mids: Dict[int, List[int]] = {}
+            for b in adj[a]:
+                if b > a:
+                    for c in adj[b]:
+                        if c > a:
+                            mids.setdefault(c, []).append(b)
+            for c, bs in mids.items():
+                bs.sort()
+                for i, b in enumerate(bs):
+                    for d in bs[i + 1:]:
+                        found.append((a, b, c, d))
     else:
         raise ValueError("k must be 3 or 4")
-    return sorted(found, key=lambda c: tuple(sorted(c)))
+    # Cycles sharing a node set (the three 4-cycles of a K4) are not
+    # ordered by the sort; they keep the order of a set filled in scan
+    # order, by node set and then cycle.  That order fixes the row order,
+    # and hence the witness, of the angle LP.
+    found.sort(key=lambda c: (tuple(sorted(c)), c))
+    return sorted(set(found), key=lambda c: tuple(sorted(c)))
 
 
 def _canonical_cycle(cycle: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -520,15 +535,21 @@ def collapse_edge(ap: AbstractPolyhedron, edge: int) -> ContractedComplex:
 
 def _canonical_form(dc: DualComplex):
     """Canonical trace of the rotation system, with the labeling achieving
-    it.  Two duals are isomorphic iff their traces are equal."""
+    it.  Two duals are isomorphic iff their traces are equal.
+
+    A trace opens with the row (1, ..., deg a) of its start node a, so the
+    least trace starts at a node of least degree; only those are tried.
+    """
     rotation = _oriented_rotation(dc)
     n = dc.node_count
+    least = min(len(cyc) for cyc in rotation.values())
+    starts = [a for a in range(n) if len(rotation[a]) == least]
     best = None
     best_labels = None
     for chirality in (1, -1):
         rot = {a: (cyc if chirality == 1 else cyc[::-1]) for a, cyc in rotation.items()}
         pos = {a: {x: i for i, x in enumerate(cyc)} for a, cyc in rot.items()}
-        for a in range(n):
+        for a in starts:
             for v0 in rot[a]:
                 labels = {a: 0}
                 order = [a]
@@ -553,6 +574,15 @@ def _canonical_form(dc: DualComplex):
     return best, best_labels
 
 
+def _degrees(dc: DualComplex) -> List[int]:
+    """The sorted degree sequence of the dual graph."""
+    deg = [0] * dc.node_count
+    for a, b in dc.edges:
+        deg[a] += 1
+        deg[b] += 1
+    return sorted(deg)
+
+
 def isomorphic(a, b) -> Optional[Dict[int, int]]:
     """Incidence-preserving relabeling between two complexes, or None.
 
@@ -562,6 +592,8 @@ def isomorphic(a, b) -> Optional[Dict[int, int]]:
     da = a if isinstance(a, DualComplex) else dual(a)
     db = b if isinstance(b, DualComplex) else dual(b)
     if da.node_count != db.node_count or len(da.triangles) != len(db.triangles):
+        return None
+    if _degrees(da) != _degrees(db):
         return None
     ta, la = _canonical_form(da)
     tb, lb = _canonical_form(db)

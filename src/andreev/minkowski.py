@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -67,9 +66,21 @@ class DegenerateFace(GeometryError):
 
 
 def mdot(x, y) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     return float(-x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3])
+
+
+def _mdot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """mdot of matching rows, with the same rounding as mdot."""
+    return (-x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
+            + x[..., 2] * y[..., 2] + x[..., 3] * y[..., 3])
+
+
+def _unit_rows(V: np.ndarray) -> np.ndarray:
+    """unit_spacelike applied to every row."""
+    q = _mdot_rows(V, V)
+    if not np.all(q > 0):
+        raise OutOfRange("normal vector is not spacelike")
+    return V / np.sqrt(q)[..., None]
 
 
 def unit_spacelike(v) -> np.ndarray:
@@ -166,6 +177,33 @@ def vertex_point(v1, v2, v3, tol: float = CLASSIFY_TOL) -> np.ndarray:
     raise NoCommonPoint("planes have no common point")
 
 
+def vertex_points(units: np.ndarray, triples, tol: float = CLASSIFY_TOL
+                  ) -> np.ndarray:
+    """vertex_point of the planes units[i], units[j], units[k] for every
+    row (i, j, k) of triples, stacked into a (V,4) array with identical
+    rounding.  Raises IdealPoint or NoCommonPoint for the first triple
+    that vertex_point would refuse."""
+    vs = _unit_rows(np.asarray(units, dtype=float)[np.asarray(triples)])
+    gram = np.empty(vs.shape[:-1] + (3,))
+    for i in range(3):
+        for j in range(3):
+            gram[:, i, j] = _mdot_rows(vs[:, i], vs[:, j])
+    least = np.linalg.eigvalsh(gram)[:, 0]
+    bad = np.flatnonzero(~(least > tol))
+    if bad.size:
+        t = bad[0]
+        if least[t] >= -tol:
+            raise IdealPoint(f"planes {tuple(triples[t])} meet on the "
+                             f"sphere at infinity")
+        raise NoCommonPoint(f"planes {tuple(triples[t])} have no common point")
+    p = np.linalg.svd(vs @ _METRIC)[2][:, -1]
+    q = _mdot_rows(p, p)
+    if not np.all(q < 0):
+        raise OutOfRange("point vector is not timelike")
+    p = p / np.sqrt(-q)[:, None]
+    return np.where(p[:, :1] > 0, p, -p)
+
+
 def perp_plane(v1, v2, v3, interior=(1.0, 0.0, 0.0, 0.0),
                tol: float = CLASSIFY_TOL) -> np.ndarray:
     """The plane meeting all three given planes at right angles, which
@@ -192,34 +230,38 @@ def right_triangle_legs(s1: float, s2: float, s3: float) -> Tuple[float, float, 
     return tuple(math.acosh(math.sqrt(v)) for v in vals)
 
 
-@dataclass(frozen=True)
+def _frozen(x) -> np.ndarray:
+    a = np.array(x, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class Realization:
     """A compact polyhedron given by outward unit face normals, with the
     combinatorics extracted from them.  Vertex ids follow the complex;
-    points[v] is the hyperboloid position of vertex v."""
+    normals[f] is the normal of face f and points[v] the hyperboloid
+    position of vertex v, as read-only float64 arrays of shape (N,4)
+    and (V,4)."""
 
     complex: AbstractPolyhedron
-    normals: Tuple[Tuple[float, float, float, float], ...]
-    points: Tuple[Tuple[float, float, float, float], ...]
+    normals: np.ndarray
+    points: np.ndarray
 
-    @cached_property
-    def normal_arrays(self) -> Tuple[np.ndarray, ...]:
-        return tuple(np.array(v) for v in self.normals)
-
-    @cached_property
-    def point_arrays(self) -> Tuple[np.ndarray, ...]:
-        return tuple(np.array(p) for p in self.points)
+    def __post_init__(self):
+        object.__setattr__(self, "normals", _frozen(self.normals))
+        object.__setattr__(self, "points", _frozen(self.points))
 
     def edge_angles(self) -> List[float]:
         out = []
         for (_, _, fa, fb) in self.complex.edges:
-            out.append(dihedral(self.normal_arrays[fa], self.normal_arrays[fb]))
+            out.append(dihedral(self.normals[fa], self.normals[fb]))
         return out
 
     def edge_lengths(self) -> List[float]:
         out = []
         for (u, v, _, _) in self.complex.edges:
-            c = -mdot(self.point_arrays[u], self.point_arrays[v])
+            c = -mdot(self.points[u], self.points[v])
             out.append(math.acosh(max(c, 1.0)))
         return out
 
@@ -230,15 +272,52 @@ class Realization:
         for f, cycle in enumerate(self.complex.faces):
             n = len(cycle)
             for i, v in enumerate(cycle):
-                p = self.point_arrays[v]
+                p = self.points[v]
                 angles = []
                 for w in (cycle[(i - 1) % n], cycle[(i + 1) % n]):
-                    q = self.point_arrays[w]
+                    q = self.points[w]
                     t = q + mdot(q, p) * p
                     angles.append(t / math.sqrt(mdot(t, t)))
                 out[(f, v)] = math.acos(
                     max(-1.0, min(1.0, mdot(angles[0], angles[1]))))
         return out
+
+
+class WrongCells(GeometryError):
+    """The planes do not bound the requested cell structure."""
+
+
+def certify(ap: AbstractPolyhedron, normals,
+            tol: float = CLASSIFY_TOL) -> Realization:
+    """Wrap plane normals as a Realization of ap, after certifying that
+    the planes bound exactly that cell structure.
+
+    The certificate is local: each vertex point, computed from its own
+    three faces, must be finite and lie inside every other half space by
+    more than tol.  That suffices.  With P the intersection of the half
+    spaces, each edge's two end points are then the two ends of P's
+    intersection with the edge's line, so every expected vertex has all
+    three of its polytope edges among the expected ones.  The graph of
+    bounded edges of a pointed polytope is connected, so these are all
+    the vertices, and P is their hull, which is compact.  The margin
+    <p, n> = -sinh(distance) is isometry invariant, so far-off
+    coordinates do not erode it.
+    """
+    X = np.array(normals, dtype=float)
+    if X.shape != (ap.face_count, 4):
+        raise WrongCells(
+            f"{len(X)} planes for a complex with {ap.face_count} faces")
+    faces = np.array([ap.vertex_faces(v) for v in range(ap.vertex_count)])
+    units = _unit_rows(X)
+    points = vertex_points(units, faces, tol)
+    margin = points @ _METRIC @ units.T
+    np.put_along_axis(margin, faces, -np.inf, axis=1)
+    v, f = np.unravel_index(np.argmax(margin), margin.shape)
+    if not margin[v, f] < -tol:
+        raise WrongCells(
+            f"vertex {v} is not inside the half space of face {f} "
+            f"(<p, n> = {margin[v, f]:.3g})")
+    return Realization(complex=ap, normals=X, points=points)
 
 
 def extract_combinatorics(normals: Sequence, tol: float = CLASSIFY_TOL,
@@ -280,15 +359,22 @@ def extract_combinatorics(normals: Sequence, tol: float = CLASSIFY_TOL,
         ap = complexes.primal(dc, name=name)
     except complexes.ComplexError as exc:
         raise DegenerateFace(f"planes do not bound a polyhedron: {exc}")
-    # primal() numbers vertices by the rank of their sorted dual triple.
-    order = {t: i for i, t in enumerate(sorted(triples))}
-    points: List[Optional[np.ndarray]] = [None] * len(triples)
-    for t, p in zip(triples, pts):
-        points[order[t]] = p
-    return Realization(
-        complex=ap,
-        normals=tuple(tuple(float(x) for x in v) for v in vs),
-        points=tuple(tuple(float(x) for x in p) for p in points))
+    # primal() numbers vertices by the rank of their sorted dual triple,
+    # which is the order the scan found them in.
+    return Realization(complex=ap, normals=vs, points=pts)
+
+
+def _certify_triangles(normals: Sequence, triangles, name: str,
+                       tol: float) -> Realization:
+    """Certify that the planes of a construction bound exactly the
+    complex its known dual triangles span, and return it with unit
+    normals."""
+    dc = complexes.DualComplex(
+        node_count=len(normals),
+        triangles=tuple(sorted(tuple(sorted(t)) for t in triangles)))
+    checked = certify(complexes.primal(dc, name=name), normals, tol)
+    return Realization(complex=checked.complex, points=checked.points,
+                       normals=[unit_spacelike(v) for v in normals])
 
 
 def build_prism(n: int, polygon_angle: float, gap: float = 0.1,
@@ -319,8 +405,9 @@ def build_prism(n: int, polygon_angle: float, gap: float = 0.1,
                                math.cosh(d) * math.sin(phi), 0.0]))
     top = np.array([math.sinh(t), 0.0, 0.0, math.cosh(t)])
     bottom = np.array([math.sinh(t), 0.0, 0.0, -math.cosh(t)])
-    return extract_combinatorics(sides + [top, bottom], tol,
-                                 name=f"prism_{n}_realized")
+    triangles = [(i, (i + 1) % k, cap) for i in range(k) for cap in (k, k + 1)]
+    return _certify_triangles(sides + [top, bottom], triangles,
+                              f"prism_{n}_realized", tol)
 
 
 def reflect(x, mirror) -> np.ndarray:
@@ -369,16 +456,30 @@ def build_split_prism(n: int, tol: float = CLASSIFY_TOL) -> Realization:
     glued = realize.continue_path(seed, AngleAssignment(tuple(target)),
                                   start=start)
 
-    b = np.array(glued.normals[bottom_face])
+    # Every face but the bottom keeps its plane; the two faces that do not
+    # meet the bottom at a right angle, the top and the quarter edge's
+    # side, also get their mirror image, listed right after them.
+    b = glued.normals[bottom_face]
+    quarter_side = sum(ap.edges[quarter_edge][2:]) - bottom_face
     out: List[np.ndarray] = []
+    at: Dict[int, int] = {}       # face -> its plane in out
+    mirror: Dict[int, int] = {}   # face -> its mirror image in out
     for f, v in enumerate(glued.normals):
         if f == bottom_face:
             continue
-        v = np.array(v)
+        at[f] = len(out)
         out.append(v)
-        if abs(mdot(v, b)) > 1e-7:
+        if f in (quarter_side, top_face):
+            mirror[f] = len(out)
             out.append(reflect(v, b))
-    return extract_combinatorics(out, tol, name=f"split_prism_{n}_realized")
+    lower = {**at, quarter_side: mirror[quarter_side]}
+    triangles = [(at[quarter_side], mirror[quarter_side],
+                  at[(quarter_side + d) % k]) for d in (-1, 1)]
+    for i in range(k):
+        j = (i + 1) % k
+        triangles.append((at[i], at[j], at[top_face]))
+        triangles.append((lower[i], lower[j], mirror[top_face]))
+    return _certify_triangles(out, triangles, f"split_prism_{n}_realized", tol)
 
 
 # Export
@@ -391,7 +492,7 @@ def export(r: Realization, fmt: str = "off") -> bytes:
     if fmt == "off":
         lines = ["OFF", f"{r.complex.vertex_count} {r.complex.face_count} "
                         f"{r.complex.edge_count}"]
-        for p in r.points:
+        for p in r.points.tolist():
             lines.append(" ".join(f"{c:.17g}" for c in _ball(p)))
         for cycle in r.complex.faces:
             lines.append(" ".join([str(len(cycle))] + [str(v) for v in cycle]))
@@ -401,7 +502,7 @@ def export(r: Realization, fmt: str = "off") -> bytes:
             "name": r.complex.name,
             "vertex_count": r.complex.vertex_count,
             "faces": [list(f) for f in r.complex.faces],
-            "normals": [[repr(c) for c in v] for v in r.normals],
+            "normals": [[repr(c) for c in v] for v in r.normals.tolist()],
             "dihedral_angles": r.edge_angles(),
             "edge_lengths": r.edge_lengths(),
         }
@@ -409,7 +510,7 @@ def export(r: Realization, fmt: str = "off") -> bytes:
     if fmt == "ball_json":
         data = {
             "name": r.complex.name,
-            "vertices": [list(_ball(p)) for p in r.points],
+            "vertices": [list(_ball(p)) for p in r.points.tolist()],
             "faces": [list(f) for f in r.complex.faces],
         }
         return (json.dumps(data, indent=2) + "\n").encode()

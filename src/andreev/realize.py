@@ -137,20 +137,30 @@ def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
     if len(target_rad) != E:
         raise ValueError("target has wrong number of angles")
     fa, fb, fc = ap.vertex_faces(base_vertex)
-    X = _pregauge(np.array([np.asarray(v, dtype=float) for v in seed]), fa, fb, fc)
+    X = _pregauge(np.array(seed, dtype=float), fa, fb, fc)
     cos_t = np.cos(target_rad)
-    pairs = [(ea, eb) for (_, _, ea, eb) in ap.edges]
+    ia = np.array([e[2] for e in ap.edges])
+    ib = np.array([e[3] for e in ap.edges])
     n_unknown = 4 * N
     # Gauge rows: the constrained (face, coordinate) entries.
-    gauge = [(fa, 0), (fa, 1), (fa, 2), (fb, 0), (fb, 2), (fc, 0)]
+    gf = np.array([fa, fa, fa, fb, fb, fc])
+    gc = np.array([0, 1, 2, 0, 2, 0])
+    # Jacobian sparsity: per face row its four coordinates, per edge row
+    # the coordinates of both faces, per gauge row one entry.
+    quad = np.arange(4)
+    face_rows = np.repeat(np.arange(N), 4)
+    edge_rows = np.repeat(np.arange(N, N + E), 4)
+    cols_a = (4 * ia[:, None] + quad).ravel()
+    cols_b = (4 * ib[:, None] + quad).ravel()
 
     def residual(Y: np.ndarray) -> np.ndarray:
         F = np.empty(n_unknown)
         F[:N] = np.einsum("ij,jk,ik->i", Y, _ETA, Y) - 1.0
-        for r, (i, j) in enumerate(pairs):
-            F[N + r] = Y[i] @ _ETA @ Y[j] + cos_t[r]
-        for r, (f, c) in enumerate(gauge):
-            F[N + E + r] = Y[f, c]
+        # matmul of stacked rows rounds like Y[i] @ _ETA @ Y[j]; einsum
+        # and sum(axis=1) do not, and Newton sits on the float64 floor.
+        eY = Y @ _ETA
+        F[N:N + E] = np.matmul(eY[ia][:, None, :], Y[ib][:, :, None])[:, 0, 0] + cos_t
+        F[N + E:] = Y[gf, gc]
         return F
 
     F = residual(X)
@@ -165,13 +175,10 @@ def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
                            f"(residual {res:.3e})")
         J = np.zeros((n_unknown, n_unknown))
         eX = X @ _ETA
-        for i in range(N):
-            J[i, 4 * i:4 * i + 4] = 2.0 * eX[i]
-        for r, (i, j) in enumerate(pairs):
-            J[N + r, 4 * i:4 * i + 4] = eX[j]
-            J[N + r, 4 * j:4 * j + 4] = eX[i]
-        for r, (f, c) in enumerate(gauge):
-            J[N + E + r, 4 * f + c] = 1.0
+        J[face_rows, np.arange(4 * N)] = 2.0 * eX.ravel()
+        J[edge_rows, cols_a] = eX[ib].ravel()
+        J[edge_rows, cols_b] = eX[ia].ravel()
+        J[np.arange(N + E, n_unknown), 4 * gf + gc] = 1.0
         try:
             delta = np.linalg.solve(J, -F).reshape(N, 4)
         except np.linalg.LinAlgError:
@@ -189,47 +196,18 @@ def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
 
 
 def _vertex_dets(ap: AbstractPolyhedron, X: np.ndarray) -> np.ndarray:
-    out = np.empty(ap.vertex_count)
-    for v in range(ap.vertex_count):
-        rows = X[list(ap.vertex_faces(v))]
-        out[v] = np.linalg.det(rows @ _ETA @ rows.T)
-    return out
+    rows = X[np.array([ap.vertex_faces(v) for v in range(ap.vertex_count)])]
+    return np.linalg.det(rows @ _ETA @ rows.transpose(0, 2, 1))
 
 
 def _bind(ap: AbstractPolyhedron, X: np.ndarray) -> Realization:
     """Wrap solved normals as a Realization carrying the caller's labels,
-    after certifying that the planes bound exactly that cell structure.
-
-    The certificate is local: each vertex point, computed from its own
-    three faces, must be finite and lie inside every other half space by
-    more than CLASSIFY_TOL.  That suffices.  With P the intersection of
-    the half spaces, each edge's two end points are then the two ends of
-    P's intersection with the edge's line, so every expected vertex has
-    all three of its polytope edges among the expected ones.  The graph of
-    bounded edges of a pointed polytope is connected, so these are all
-    the vertices, and P is their hull, which is compact.  The margin
-    <p, n> = -sinh(distance) is isometry invariant, so far-off
-    coordinates do not erode it.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.shape != (ap.face_count, 4):
-        raise WrongCombinatorics(
-            f"{len(X)} planes for a complex with {ap.face_count} faces")
-    faces = np.array([ap.vertex_faces(v) for v in range(ap.vertex_count)])
+    after minkowski.certify has certified that the planes bound exactly
+    that cell structure."""
     try:
-        units = np.array([unit_spacelike(v) for v in X])
-        points = np.array([vertex_point(*units[f]) for f in faces])
+        return minkowski.certify(ap, X)
     except GeometryError as exc:
-        raise WrongCombinatorics(f"a vertex is not a finite point: {exc}")
-    margin = points @ _ETA @ units.T
-    np.put_along_axis(margin, faces, -np.inf, axis=1)
-    v, f = np.unravel_index(np.argmax(margin), margin.shape)
-    if not margin[v, f] < -CLASSIFY_TOL:
-        raise WrongCombinatorics(
-            f"vertex {v} is not inside the half space of face {f} "
-            f"(<p, n> = {margin[v, f]:.3g})")
-    return Realization(complex=ap, normals=tuple(map(tuple, X.tolist())),
-                       points=tuple(map(tuple, points.tolist())))
+        raise WrongCombinatorics(str(exc))
 
 
 def newton_solve(ap: AbstractPolyhedron, target,

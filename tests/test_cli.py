@@ -1,10 +1,14 @@
 """Command-line behavior: exit codes, files, and round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import andreev
 from andreev import angles, catalog, complexes, realize, whitehead
 from andreev.cli import main
 
@@ -162,3 +166,15 @@ def test_deterministic_output(paths, capsys):
     first = capsys.readouterr().out
     main(["feasible", "--input", paths["dodeca"]])
     assert capsys.readouterr().out == first
+
+
+def test_module_entry_point(paths):
+    # `python -m andreev` runs the CLI from a checkout, with src on the path
+    src = os.path.dirname(os.path.dirname(andreev.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "andreev", "validate", "--input", paths["cube"]],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["faces"] == 6

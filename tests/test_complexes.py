@@ -85,7 +85,9 @@ class TestCircuits:
         assert len(crossed) == 12  # the twelve original cube edges
 
     def test_matches_brute_force(self, corpus):
-        for ap in corpus:
+        randoms = [complexes.primal(whitehead.random_simple(n, 0))
+                   for n in (16, 24, 32)]
+        for ap in list(corpus) + randoms:
             for k in (3, 4):
                 ours = {(tuple(c.dual_nodes), tuple(c.crossed_edges))
                         for c in complexes.prismatic_circuits(ap, k)}
@@ -246,6 +248,30 @@ class TestIsomorphic:
         d8 = catalog.split_prism_dual(8)
         pr8 = complexes.dual(catalog.prism(8))
         assert complexes.isomorphic(d8, pr8) is None
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_relabelled_map_is_valid(self, seed):
+        import random
+        for ap in (catalog.truncated_tetrahedron(),
+                   complexes.primal(whitehead.random_simple(16, seed))):
+            dc = complexes.dual(ap)
+            perm = list(range(dc.node_count))
+            random.Random(seed).shuffle(perm)
+            moved = complexes.primal(complexes.DualComplex(
+                node_count=dc.node_count,
+                triangles=tuple(sorted(tuple(sorted(perm[x] for x in t))
+                                       for t in dc.triangles))))
+            m = complexes.isomorphic(ap, moved)
+            assert m is not None
+            assert sorted(m) == sorted(m.values()) == list(range(dc.node_count))
+            image = {tuple(sorted(m[x] for x in t)) for t in dc.triangles}
+            assert image == complexes.dual(moved).triangle_set
+
+    def test_equal_degrees_not_isomorphic(self):
+        a = whitehead.random_simple(10, 0)
+        b = whitehead.random_simple(10, 2)
+        assert complexes._degrees(a) == complexes._degrees(b)
+        assert complexes.isomorphic(a, b) is None
 
 
 def test_json_round_trip():

@@ -138,6 +138,40 @@ class TestVertexPoint:
             minkowski.vertex_point(*_corner_triple(math.pi / 3))
 
 
+def test_vertex_points_match_vertex_point():
+    import itertools
+    r = minkowski.build_prism(8, math.pi / 2, 0.05)
+    units = r.normals
+    kinds = {}
+    finite, want = [], []
+    for t in itertools.combinations(range(len(units)), 3):
+        try:
+            p = minkowski.vertex_point(*units[list(t)])
+        except minkowski.GeometryError as exc:
+            kinds[type(exc)] = kinds.get(type(exc), 0) + 1
+            with pytest.raises(type(exc)):
+                minkowski.vertex_points(units, [t])
+            continue
+        finite.append(t)
+        want.append(p)
+    assert finite and kinds.get(minkowski.NoCommonPoint)
+    # identical rounding, not just agreement within a tolerance
+    assert np.array_equal(minkowski.vertex_points(units, finite),
+                          np.array(want))
+    ideal = _corner_triple(math.pi / 3)
+    with pytest.raises(minkowski.IdealPoint):
+        minkowski.vertex_point(*ideal)
+    mixed = np.vstack([units, ideal])
+    n = len(units)
+    with pytest.raises(minkowski.IdealPoint):
+        minkowski.vertex_points(mixed, [finite[0], (n, n + 1, n + 2)])
+    apart = _vertical_triple(0.5)
+    with pytest.raises(minkowski.NoCommonPoint):
+        minkowski.vertex_point(*apart)
+    with pytest.raises(minkowski.NoCommonPoint):
+        minkowski.vertex_points(apart, [(0, 1, 2)])
+
+
 def _corner_triple(alpha):
     """Three planes through (1,0,0,0) whose pairwise dihedral angles are
     alpha; at alpha = pi/3 the configuration is ideal instead."""
@@ -240,6 +274,31 @@ class TestSplitPrism:
     def test_too_small(self):
         with pytest.raises(minkowski.BadParameters):
             minkowski.build_split_prism(6)
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_builders_match_extraction(n):
+    """The prism builders certify the complex their construction predicts
+    instead of extracting it; extraction must find the same one."""
+    angle = {5: math.pi / 4, 6: 2 * math.pi / 5}.get(n, math.pi / 2)
+    built = [minkowski.build_prism(n, angle, math.pi / 10)]
+    if n >= 7:
+        built.append(minkowski.build_split_prism(n))
+    for r in built:
+        ext = minkowski.extract_combinatorics(r.normals)
+        assert ext.complex.vertex_count == r.complex.vertex_count
+        assert ext.complex.faces == r.complex.faces
+        assert np.allclose(ext.points, r.points, rtol=1e-9, atol=1e-9)
+
+
+def test_realization_arrays_are_read_only():
+    r = minkowski.build_prism(5, math.pi / 4, 0.01)
+    assert r.normals.shape == (5, 4) and r.points.shape == (6, 4)
+    assert r.normals.dtype == r.points.dtype == np.float64
+    with pytest.raises(ValueError):
+        r.normals[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        r.points[0, 0] = 1.0
 
 
 def test_extract_rejects_open_sets():
