@@ -183,7 +183,8 @@ def vertex_points(units: np.ndarray, triples, tol: float = CLASSIFY_TOL
     row (i, j, k) of triples, stacked into a (V,4) array with identical
     rounding.  Raises IdealPoint or NoCommonPoint for the first triple
     that vertex_point would refuse."""
-    vs = _unit_rows(np.asarray(units, dtype=float)[np.asarray(triples)])
+    triples = np.asarray(triples)
+    vs = _unit_rows(np.asarray(units, dtype=float)[triples])
     gram = np.empty(vs.shape[:-1] + (3,))
     for i in range(3):
         for j in range(3):
@@ -193,9 +194,9 @@ def vertex_points(units: np.ndarray, triples, tol: float = CLASSIFY_TOL
     if bad.size:
         t = bad[0]
         if least[t] >= -tol:
-            raise IdealPoint(f"planes {tuple(triples[t])} meet on the "
+            raise IdealPoint(f"planes {triples[t].tolist()} meet on the "
                              f"sphere at infinity")
-        raise NoCommonPoint(f"planes {tuple(triples[t])} have no common point")
+        raise NoCommonPoint(f"planes {triples[t].tolist()} have no common point")
     p = np.linalg.svd(vs @ _METRIC)[2][:, -1]
     q = _mdot_rows(p, p)
     if not np.all(q < 0):
@@ -238,8 +239,8 @@ def _frozen(x) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Realization:
-    """A compact polyhedron given by outward unit face normals, with the
-    combinatorics extracted from them.  Vertex ids follow the complex;
+    """A compact polyhedron given by outward unit face normals and the
+    cell structure they bound.  Vertex ids follow the complex;
     normals[f] is the normal of face f and points[v] the hyperboloid
     position of vertex v, as read-only float64 arrays of shape (N,4)
     and (V,4)."""
@@ -303,7 +304,7 @@ def certify(ap: AbstractPolyhedron, normals,
     <p, n> = -sinh(distance) is isometry invariant, so far-off
     coordinates do not erode it.
     """
-    X = np.array(normals, dtype=float)
+    X = np.asarray(normals, dtype=float)
     if X.shape != (ap.face_count, 4):
         raise WrongCells(
             f"{len(X)} planes for a complex with {ap.face_count} faces")
@@ -456,9 +457,9 @@ def build_split_prism(n: int, tol: float = CLASSIFY_TOL) -> Realization:
     glued = realize.continue_path(seed, AngleAssignment(tuple(target)),
                                   start=start)
 
-    # Every face but the bottom keeps its plane; the two faces that do not
-    # meet the bottom at a right angle, the top and the quarter edge's
-    # side, also get their mirror image, listed right after them.
+    # Every face but the bottom keeps its plane.  The two faces not
+    # perpendicular to the bottom, the top and the quarter edge's side,
+    # also get their mirror images, listed right after them.
     b = glued.normals[bottom_face]
     quarter_side = sum(ap.edges[quarter_edge][2:]) - bottom_face
     out: List[np.ndarray] = []

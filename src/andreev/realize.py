@@ -28,9 +28,8 @@ from . import angles as angle_sets
 from . import catalog, complexes, minkowski, whitehead
 from .angles import HALF, AngleAssignment
 from .complexes import AbstractPolyhedron
-from .minkowski import (CLASSIFY_TOL, GeometryError, Realization, mdot,
-                        unit_spacelike, unit_timelike, vertex_point,
-                        perp_plane)
+from .minkowski import (GeometryError, Realization, mdot, unit_spacelike,
+                        unit_timelike, vertex_point, perp_plane)
 
 _ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -147,11 +146,11 @@ def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
     gc = np.array([0, 1, 2, 0, 2, 0])
     # Jacobian sparsity: per face row its four coordinates, per edge row
     # the coordinates of both faces, per gauge row one entry.
-    quad = np.arange(4)
     face_rows = np.repeat(np.arange(N), 4)
     edge_rows = np.repeat(np.arange(N, N + E), 4)
-    cols_a = (4 * ia[:, None] + quad).ravel()
-    cols_b = (4 * ib[:, None] + quad).ravel()
+    cols_a = (4 * ia[:, None] + np.arange(4)).ravel()
+    cols_b = (4 * ib[:, None] + np.arange(4)).ravel()
+    gauge_rows = np.arange(N + E, n_unknown)
 
     def residual(Y: np.ndarray) -> np.ndarray:
         F = np.empty(n_unknown)
@@ -159,7 +158,8 @@ def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
         # matmul of stacked rows rounds like Y[i] @ _ETA @ Y[j]; einsum
         # and sum(axis=1) do not, and Newton sits on the float64 floor.
         eY = Y @ _ETA
-        F[N:N + E] = np.matmul(eY[ia][:, None, :], Y[ib][:, :, None])[:, 0, 0] + cos_t
+        pair = np.matmul(eY[ia][:, None, :], Y[ib][:, :, None])[:, 0, 0]
+        F[N:N + E] = pair + cos_t
         F[N + E:] = Y[gf, gc]
         return F
 
@@ -178,7 +178,7 @@ def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
         J[face_rows, np.arange(4 * N)] = 2.0 * eX.ravel()
         J[edge_rows, cols_a] = eX[ib].ravel()
         J[edge_rows, cols_b] = eX[ia].ravel()
-        J[np.arange(N + E, n_unknown), 4 * gf + gc] = 1.0
+        J[gauge_rows, 4 * gf + gc] = 1.0
         try:
             delta = np.linalg.solve(J, -F).reshape(N, 4)
         except np.linalg.LinAlgError:
