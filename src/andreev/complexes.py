@@ -384,7 +384,9 @@ def primal(dc: DualComplex, name: str = "complex") -> AbstractPolyhedron:
 def _simple_cycles(dc: DualComplex, k: int) -> List[Tuple[int, ...]]:
     """All simple k-cycles of the dual graph, canonical and sorted, k in {3,4}.
 
-    A 4-cycle is found from its least node a and the node c opposite it:
+    A canonical cycle starts at its least node, followed by the smaller of
+    that node's two cycle neighbors.  A 4-cycle is found from its least
+    node a and the node c opposite it:
     every pair of common neighbors b < d of a and c, both above a, closes
     the cycle (a, b, c, d), so the scan costs the sum of squared degrees.
     """
@@ -422,16 +424,6 @@ def _simple_cycles(dc: DualComplex, k: int) -> List[Tuple[int, ...]]:
     return sorted(set(found), key=lambda c: tuple(sorted(c)))
 
 
-def _canonical_cycle(cycle: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Rotate and reflect so the cycle starts at its minimum node and the
-    second entry is the smaller of that node's two cycle neighbors."""
-    n = len(cycle)
-    i = cycle.index(min(cycle))
-    fwd = tuple(cycle[(i + j) % n] for j in range(n))
-    rev = tuple(cycle[(i - j) % n] for j in range(n))
-    return fwd if fwd[1] <= rev[1] else rev
-
-
 def prismatic_circuits(ap: AbstractPolyhedron, k: int) -> List[Circuit]:
     """Prismatic k-circuits: k-cycles of the dual whose crossed primal
     edges have pairwise distinct endpoints (2k vertices in all)."""
@@ -451,7 +443,7 @@ def prismatic_circuits(ap: AbstractPolyhedron, k: int) -> List[Circuit]:
                 ends.update((u, v))
             if len(ends) == 2 * k:
                 out.append(Circuit(kind=f"prismatic{k}",
-                                   dual_nodes=_canonical_cycle(cycle),
+                                   dual_nodes=cycle,
                                    crossed_edges=tuple(crossed)))
     return out
 

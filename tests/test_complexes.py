@@ -1,6 +1,7 @@
 """Cell-complex validation, duality, and circuit enumeration."""
 
 import json
+import random
 
 import pytest
 
@@ -251,7 +252,6 @@ class TestIsomorphic:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_relabelled_map_is_valid(self, seed):
-        import random
         for ap in (catalog.truncated_tetrahedron(),
                    complexes.primal(whitehead.random_simple(16, seed))):
             dc = complexes.dual(ap)

@@ -142,19 +142,19 @@ def test_vertex_points_match_vertex_point():
     import itertools
     r = minkowski.build_prism(8, math.pi / 2, 0.05)
     units = r.normals
-    kinds = {}
+    refused = set()
     finite, want = [], []
     for t in itertools.combinations(range(len(units)), 3):
         try:
             p = minkowski.vertex_point(*units[list(t)])
         except minkowski.GeometryError as exc:
-            kinds[type(exc)] = kinds.get(type(exc), 0) + 1
+            refused.add(type(exc))
             with pytest.raises(type(exc)):
                 minkowski.vertex_points(units, [t])
             continue
         finite.append(t)
         want.append(p)
-    assert finite and kinds.get(minkowski.NoCommonPoint)
+    assert finite and minkowski.NoCommonPoint in refused
     # identical rounding, not just agreement within a tolerance
     assert np.array_equal(minkowski.vertex_points(units, finite),
                           np.array(want))
