@@ -75,6 +75,68 @@ class TestNewtonSolve:
         assert gram_residual(again, uniform(ap, Fraction(2, 5))) < 1e-10
 
 
+ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+
+def loop_solve(ap, target_rad, seed, base_vertex):
+    """The gauge-fixed Newton solve with per-face and per-edge loops: the
+    reference the index-array assembly of _solve_raw must match bit for
+    bit, since Newton sits on the float64 floor and any change of
+    rounding can flip an input."""
+    N, E = ap.face_count, ap.edge_count
+    fa, fb, fc = ap.vertex_faces(base_vertex)
+    X = realize._pregauge(np.array(seed, dtype=float), fa, fb, fc)
+    cos_t = np.cos(target_rad)
+    pairs = [(ea, eb) for (_, _, ea, eb) in ap.edges]
+    gauge = [(fa, 0), (fa, 1), (fa, 2), (fb, 0), (fb, 2), (fc, 0)]
+
+    def residual(Y):
+        F = np.empty(4 * N)
+        F[:N] = np.einsum("ij,jk,ik->i", Y, ETA, Y) - 1.0
+        for r, (i, j) in enumerate(pairs):
+            F[N + r] = Y[i] @ ETA @ Y[j] + cos_t[r]
+        for r, (f, c) in enumerate(gauge):
+            F[N + E + r] = Y[f, c]
+        return F
+
+    F = residual(X)
+    steps = 0
+    while np.max(np.abs(F)) >= realize.RESIDUAL_TOL:
+        J = np.zeros((4 * N, 4 * N))
+        eX = X @ ETA
+        for i in range(N):
+            J[i, 4 * i:4 * i + 4] = 2.0 * eX[i]
+        for r, (i, j) in enumerate(pairs):
+            J[N + r, 4 * i:4 * i + 4] = eX[j]
+            J[N + r, 4 * j:4 * j + 4] = eX[i]
+        for r, (f, c) in enumerate(gauge):
+            J[N + E + r, 4 * f + c] = 1.0
+        X = X + np.linalg.solve(J, -F).reshape(N, 4)
+        F = residual(X)
+        steps += 1
+    return X, steps
+
+
+@pytest.mark.parametrize("which", ["dodecahedron", "random"])
+def test_newton_assembly_matches_loops(which):
+    if which == "dodecahedron":
+        r = dodeca_two_fifths()
+    else:
+        ap = complexes.primal(whitehead.random_simple(12, 0), name="r12")
+        r = realize.realize(ap, uniform(ap, Fraction(2, 5)))
+    ap = r.complex
+    # 2*pi/5 moved by up to 5% per edge: a few full Newton steps away
+    target = 0.4 * math.pi * np.linspace(1.0, 1.05, ap.edge_count)
+    for base in (0, ap.vertex_count - 1):
+        want, steps = loop_solve(ap, target, r.normals, base)
+        assert steps >= 3
+        got = realize._solve_raw(ap, target, r.normals, base_vertex=base)
+        assert np.array_equal(got, want)
+        dets = [np.linalg.det(got[list(f)] @ ETA @ got[list(f)].T)
+                for f in map(ap.vertex_faces, range(ap.vertex_count))]
+        assert np.array_equal(realize._vertex_dets(ap, got), dets)
+
+
 class TestContinuePath:
     def test_to_right_angles(self):
         r = dodeca_two_fifths()
