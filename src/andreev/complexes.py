@@ -416,10 +416,13 @@ def _simple_cycles(dc: DualComplex, k: int) -> List[Tuple[int, ...]]:
                         found.append((a, b, c, d))
     else:
         raise ValueError("k must be 3 or 4")
-    # Cycles sharing a node set (the three 4-cycles of a K4) are not
-    # ordered by the sort; they keep the order of a set filled in scan
-    # order, by node set and then cycle.  That order fixes the row order,
-    # and hence the witness, of the angle LP.
+    # found has no duplicates.  The set() is there only to keep the order
+    # the earlier C(N,4) scan gave cycles sharing a node set (the three
+    # 4-cycles of a K4): the order of a set filled by node set and then
+    # cycle, which depends on the set implementation.  It fixes the row
+    # order, and hence the witness, of the angle LP; a plain sort by
+    # (node set, cycle) would be the rule to adopt once a one-time change
+    # of LP witness is accepted.
     found.sort(key=lambda c: (tuple(sorted(c)), c))
     return sorted(set(found), key=lambda c: tuple(sorted(c)))
 

@@ -3,8 +3,10 @@
 Vectors live in R^4 with the indefinite form <x,y> = -x0 y0 + x1 y1 +
 x2 y2 + x3 y3.  Hyperbolic space is the sheet <x,x> = -1, x0 > 0, and
 a plane is the orthogonal complement of a unit spacelike normal v,
-bounding the half space <w,v> <= 0.  All tolerances are overridable;
-the defaults are 1e-10 for residuals and 1e-9 for sign classification.
+bounding the half space <w,v> <= 0.  Tolerances are 1e-10 for
+residuals and 1e-9 (CLASSIFY_TOL) for sign classification; the scalar
+helpers take theirs as a default, the stacked kernels and the
+certificate always use CLASSIFY_TOL.
 """
 
 from __future__ import annotations
@@ -65,18 +67,23 @@ class DegenerateFace(GeometryError):
     pass
 
 
+def _form(x, y):
+    """The form over the first axis, so one formula (and one rounding)
+    serves single vectors, tuples included, and stacked ones."""
+    return -x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
+
+
 def mdot(x, y) -> float:
-    return float(-x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3])
+    return float(_form(x, y))
 
 
 def _mdot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """mdot of matching rows, with the same rounding as mdot."""
-    return (-x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
-            + x[..., 2] * y[..., 2] + x[..., 3] * y[..., 3])
+    """mdot of matching vectors along the last axis."""
+    return _form(x.T, y.T).T
 
 
 def _unit_rows(V: np.ndarray) -> np.ndarray:
-    """unit_spacelike applied to every row."""
+    """Scale every vector along the last axis to <v,v> = 1."""
     q = _mdot_rows(V, V)
     if not np.all(q > 0):
         raise OutOfRange("normal vector is not spacelike")
@@ -84,11 +91,7 @@ def _unit_rows(V: np.ndarray) -> np.ndarray:
 
 
 def unit_spacelike(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    q = mdot(v, v)
-    if q <= 0:
-        raise OutOfRange("normal vector is not spacelike")
-    return v / math.sqrt(q)
+    return _unit_rows(np.asarray(v, dtype=float))
 
 
 def unit_timelike(p) -> np.ndarray:
@@ -177,8 +180,7 @@ def vertex_point(v1, v2, v3, tol: float = CLASSIFY_TOL) -> np.ndarray:
     raise NoCommonPoint("planes have no common point")
 
 
-def vertex_points(units: np.ndarray, triples, tol: float = CLASSIFY_TOL
-                  ) -> np.ndarray:
+def vertex_points(units: np.ndarray, triples) -> np.ndarray:
     """vertex_point of the planes units[i], units[j], units[k] for every
     row (i, j, k) of triples, stacked into a (V,4) array with identical
     rounding.  Raises IdealPoint or NoCommonPoint for the first triple
@@ -190,10 +192,10 @@ def vertex_points(units: np.ndarray, triples, tol: float = CLASSIFY_TOL
         for j in range(3):
             gram[:, i, j] = _mdot_rows(vs[:, i], vs[:, j])
     least = np.linalg.eigvalsh(gram)[:, 0]
-    bad = np.flatnonzero(~(least > tol))
+    bad = np.flatnonzero(~(least > CLASSIFY_TOL))
     if bad.size:
         t = bad[0]
-        if least[t] >= -tol:
+        if least[t] >= -CLASSIFY_TOL:
             raise IdealPoint(f"planes {triples[t].tolist()} meet on the "
                              f"sphere at infinity")
         raise NoCommonPoint(f"planes {triples[t].tolist()} have no common point")
@@ -288,14 +290,13 @@ class WrongCells(GeometryError):
     """The planes do not bound the requested cell structure."""
 
 
-def certify(ap: AbstractPolyhedron, normals,
-            tol: float = CLASSIFY_TOL) -> Realization:
+def certify(ap: AbstractPolyhedron, normals) -> Realization:
     """Wrap plane normals as a Realization of ap, after certifying that
     the planes bound exactly that cell structure.
 
     The certificate is local: each vertex point, computed from its own
     three faces, must be finite and lie inside every other half space by
-    more than tol.  That suffices.  With P the intersection of the half
+    more than CLASSIFY_TOL.  That suffices.  With P the intersection of the half
     spaces, each edge's two end points are then the two ends of P's
     intersection with the edge's line, so every expected vertex has all
     three of its polytope edges among the expected ones.  The graph of
@@ -310,11 +311,11 @@ def certify(ap: AbstractPolyhedron, normals,
             f"{len(X)} planes for a complex with {ap.face_count} faces")
     faces = np.array([ap.vertex_faces(v) for v in range(ap.vertex_count)])
     units = _unit_rows(X)
-    points = vertex_points(units, faces, tol)
+    points = vertex_points(units, faces)
     margin = points @ _METRIC @ units.T
     np.put_along_axis(margin, faces, -np.inf, axis=1)
     v, f = np.unravel_index(np.argmax(margin), margin.shape)
-    if not margin[v, f] < -tol:
+    if not margin[v, f] < -CLASSIFY_TOL:
         raise WrongCells(
             f"vertex {v} is not inside the half space of face {f} "
             f"(<p, n> = {margin[v, f]:.3g})")
@@ -365,21 +366,21 @@ def extract_combinatorics(normals: Sequence, tol: float = CLASSIFY_TOL,
     return Realization(complex=ap, normals=vs, points=pts)
 
 
-def _certify_triangles(normals: Sequence, triangles, name: str,
-                       tol: float) -> Realization:
+def _certify_triangles(normals: Sequence, triangles, name: str
+                       ) -> Realization:
     """Certify that the planes of a construction bound exactly the
     complex its known dual triangles span, and return it with unit
     normals."""
     dc = complexes.DualComplex(
         node_count=len(normals),
         triangles=tuple(sorted(tuple(sorted(t)) for t in triangles)))
-    checked = certify(complexes.primal(dc, name=name), normals, tol)
+    checked = certify(complexes.primal(dc, name=name), normals)
     return Realization(complex=checked.complex, points=checked.points,
                        normals=[unit_spacelike(v) for v in normals])
 
 
-def build_prism(n: int, polygon_angle: float, gap: float = 0.1,
-                tol: float = CLASSIFY_TOL) -> Realization:
+def build_prism(n: int, polygon_angle: float, gap: float = 0.1
+                ) -> Realization:
     """The prism with n faces over a regular (n-2)-gon whose vertex
     angle is polygon_angle; the top and bottom faces meet the sides at
     pi/2 - gap."""
@@ -408,7 +409,7 @@ def build_prism(n: int, polygon_angle: float, gap: float = 0.1,
     bottom = np.array([math.sinh(t), 0.0, 0.0, -math.cosh(t)])
     triangles = [(i, (i + 1) % k, cap) for i in range(k) for cap in (k, k + 1)]
     return _certify_triangles(sides + [top, bottom], triangles,
-                              f"prism_{n}_realized", tol)
+                              f"prism_{n}_realized")
 
 
 def reflect(x, mirror) -> np.ndarray:
@@ -418,7 +419,7 @@ def reflect(x, mirror) -> np.ndarray:
     return x - 2 * mdot(x, m) * m
 
 
-def build_split_prism(n: int, tol: float = CLASSIFY_TOL) -> Realization:
+def build_split_prism(n: int) -> Realization:
     """The split prism with n faces: a prism with n-1 faces carrying
     ring angles pi/3 on top, pi/2 on the verticals and the glued ring
     except for one pi/4 edge, doubled across its bottom plane.  The
@@ -428,7 +429,7 @@ def build_split_prism(n: int, tol: float = CLASSIFY_TOL) -> Realization:
         raise BadParameters("the split prism needs at least 7 faces")
     if n == 7:
         # Combinatorially the 7-face split prism is the prism itself.
-        return build_prism(7, math.pi / 3, math.pi / 10, tol)
+        return build_prism(7, math.pi / 3, math.pi / 10)
 
     from fractions import Fraction
 
@@ -437,7 +438,7 @@ def build_split_prism(n: int, tol: float = CLASSIFY_TOL) -> Realization:
 
     m = n - 1
     k = m - 2
-    seed = build_prism(m, math.pi / 2, math.pi / 10, tol)
+    seed = build_prism(m, math.pi / 2, math.pi / 10)
     ap = seed.complex
     top_face, bottom_face = k, k + 1
     quarter_edge = min(e for e, (_, _, fa, fb) in enumerate(ap.edges)
@@ -480,7 +481,7 @@ def build_split_prism(n: int, tol: float = CLASSIFY_TOL) -> Realization:
         j = (i + 1) % k
         triangles.append((at[i], at[j], at[top_face]))
         triangles.append((lower[i], lower[j], mirror[top_face]))
-    return _certify_triangles(out, triangles, f"split_prism_{n}_realized", tol)
+    return _certify_triangles(out, triangles, f"split_prism_{n}_realized")
 
 
 # Export
