@@ -296,10 +296,10 @@ def certify(ap: AbstractPolyhedron, normals) -> Realization:
 
     The certificate is local: each vertex point, computed from its own
     three faces, must be finite and lie inside every other half space by
-    more than CLASSIFY_TOL.  That suffices.  With P the intersection of the half
-    spaces, each edge's two end points are then the two ends of P's
-    intersection with the edge's line, so every expected vertex has all
-    three of its polytope edges among the expected ones.  The graph of
+    more than CLASSIFY_TOL.  That suffices.  With P the intersection of
+    the half spaces, each edge's two end points are then the two ends of
+    P's intersection with the edge's line, so every expected vertex has
+    all three of its polytope edges among the expected ones.  The graph of
     bounded edges of a pointed polytope is connected, so these are all
     the vertices, and P is their hull, which is compact.  The margin
     <p, n> = -sinh(distance) is isometry invariant, so far-off
