@@ -382,7 +382,8 @@ def primal(dc: DualComplex, name: str = "complex") -> AbstractPolyhedron:
 
 
 def _simple_cycles(dc: DualComplex, k: int) -> List[Tuple[int, ...]]:
-    """All simple k-cycles of the dual graph, canonical and sorted, k in {3,4}.
+    """All simple k-cycles of the dual graph, k in {3,4}, canonical and
+    sorted by node set, then by cycle.
 
     A canonical cycle starts at its least node, followed by the smaller of
     that node's two cycle neighbors.  A 4-cycle is found from its least
@@ -416,15 +417,7 @@ def _simple_cycles(dc: DualComplex, k: int) -> List[Tuple[int, ...]]:
                         found.append((a, b, c, d))
     else:
         raise ValueError("k must be 3 or 4")
-    # found has no duplicates.  The set() is there only to keep the order
-    # the earlier C(N,4) scan gave cycles sharing a node set (the three
-    # 4-cycles of a K4): the order of a set filled by node set and then
-    # cycle, which depends on the set implementation.  It fixes the row
-    # order, and hence the witness, of the angle LP; a plain sort by
-    # (node set, cycle) would be the rule to adopt once a one-time change
-    # of LP witness is accepted.
-    found.sort(key=lambda c: (tuple(sorted(c)), c))
-    return sorted(set(found), key=lambda c: tuple(sorted(c)))
+    return sorted(found, key=lambda c: (tuple(sorted(c)), c))
 
 
 def prismatic_circuits(ap: AbstractPolyhedron, k: int) -> List[Circuit]:

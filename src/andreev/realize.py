@@ -3,10 +3,13 @@ angles.
 
 The solver works on outward unit face normals in Minkowski space.  The
 square Newton system has one unit-norm equation per face, one inner
-product equation per edge, and six gauge equations pinning the three
-faces around a base vertex; continuation moves the target angles along
-straight lines inside the angle polytope, whose membership is checked
-exactly at rational endpoints.  On top of that sit the combinatorial
+product equation per edge, and six slice rows that keep each step
+orthogonal to the orbit of the Lorentz group; the seed of each
+continuation or one-off solve is first boosted so that the mean of its
+vertex points is the origin, so coordinates stay the size of the
+polyhedron.  Continuation moves the target angles along straight lines
+inside the angle polytope, whose membership is checked exactly at
+rational endpoints.  On top of that sit the combinatorial
 pipelines: prisms are built directly, simple complexes are reached by
 replaying a Whitehead reduction backwards from the split prism,
 complexes whose only prismatic 3-circuits are truncated triangles go
@@ -28,8 +31,8 @@ from . import angles as angle_sets
 from . import catalog, complexes, minkowski, whitehead
 from .angles import HALF, AngleAssignment
 from .complexes import AbstractPolyhedron
-from .minkowski import (GeometryError, Realization, mdot, unit_spacelike,
-                        unit_timelike, vertex_point, perp_plane)
+from .minkowski import (GeometryError, Realization, mdot, unit_timelike,
+                        vertex_point, perp_plane)
 
 _ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -37,6 +40,7 @@ RESIDUAL_TOL = 1e-10
 NEWTON_STEPS = 50
 EVENT_TOL = 1e-7
 STEP_FLOOR = 1e-6
+GLUE_TOL = 1e-8
 REPLAY_EPSILON = Fraction(1, 60)
 TWO_FIFTHS = Fraction(2, 5)
 
@@ -99,68 +103,65 @@ def _radians(target) -> np.ndarray:
     return np.asarray(target, dtype=float)
 
 
-# Newton iteration with gauge fixing
+# Newton iteration in a slice of the Lorentz group
 
 
-def _pregauge(normals: np.ndarray, fa: int, fb: int, fc: int) -> np.ndarray:
-    """Lorentz-transform the normals so the gauge equations nearly hold:
-    face fa onto the x3 axis, fb into the x1/x3 plane, fc orthogonal to
-    the base vertex, which lands at (1,0,0,0)."""
-    va, vb, vc = normals[fa], normals[fb], normals[fc]
-    try:
-        p = vertex_point(va, vb, vc)
-    except GeometryError:
-        return normals
-    u0 = p
+def _so31() -> np.ndarray:
+    """A basis of so(3,1): the three rotations and the three boosts."""
+    gens = np.zeros((6, 4, 4))
+    for k, (i, j) in enumerate(((1, 2), (1, 3), (2, 3))):
+        gens[k, i, j], gens[k, j, i] = -1.0, 1.0
+    for k in range(3):
+        gens[3 + k, 0, k + 1] = gens[3 + k, k + 1, 0] = 1.0
+    return gens
 
-    def strip(x, basis):
-        for u in basis:
-            x = x - (mdot(x, u) / mdot(u, u)) * u
-        return x
 
-    try:
-        u3 = unit_spacelike(strip(va, [u0]))
-        u1 = unit_spacelike(strip(vb, [u0, u3]))
-        u2 = unit_spacelike(strip(vc, [u0, u3, u1]))
-    except GeometryError:
-        return normals
-    frame = np.stack([-_ETA @ u0, _ETA @ u1, _ETA @ u2, _ETA @ u3])
-    return normals @ frame.T
+_SO31 = _so31()
+
+
+def _centred(normals, points) -> np.ndarray:
+    """The normals boosted so that the mean of the vertex points lands at
+    (1,0,0,0), which keeps every coordinate near the size of the
+    polyhedron itself."""
+    c = unit_timelike(np.mean(points, axis=0))
+    boost = np.empty((4, 4))
+    boost[0, 0], boost[0, 1:], boost[1:, 0] = c[0], -c[1:], -c[1:]
+    boost[1:, 1:] = np.eye(3) + np.outer(c[1:], c[1:]) / (1.0 + c[0])
+    return np.asarray(normals) @ boost
 
 
 def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
-               seed: Sequence, base_vertex: int = 0) -> np.ndarray:
+               seed: Sequence) -> np.ndarray:
     """Solve the Gram system for the face normals, without extracting
-    combinatorics.  Returns an (N,4) array."""
+    combinatorics.  Returns an (N,4) array.
+
+    The unit-norm and edge rows leave the six directions of the Lorentz
+    group free; six slice rows <X G_k^T, delta> = 0 take every step
+    orthogonal to that orbit, so the solution stays in the seed's frame
+    and the callers' centring keeps its coordinates small."""
     N, E = ap.face_count, ap.edge_count
     if len(target_rad) != E:
         raise ValueError("target has wrong number of angles")
-    fa, fb, fc = ap.vertex_faces(base_vertex)
-    X = _pregauge(np.array(seed, dtype=float), fa, fb, fc)
+    X = np.array(seed, dtype=float)
     cos_t = np.cos(target_rad)
     ia = np.array([e[2] for e in ap.edges])
     ib = np.array([e[3] for e in ap.edges])
     n_unknown = 4 * N
-    # Gauge rows: the constrained (face, coordinate) entries.
-    gf = np.array([fa, fa, fa, fb, fb, fc])
-    gc = np.array([0, 1, 2, 0, 2, 0])
     # Jacobian sparsity: per face row its four coordinates, per edge row
-    # the coordinates of both faces, per gauge row one entry.
+    # the coordinates of both faces; the slice rows are dense.
     face_rows = np.repeat(np.arange(N), 4)
     edge_rows = np.repeat(np.arange(N, N + E), 4)
     cols_a = (4 * ia[:, None] + np.arange(4)).ravel()
     cols_b = (4 * ib[:, None] + np.arange(4)).ravel()
-    gauge_rows = np.arange(N + E, n_unknown)
 
     def residual(Y: np.ndarray) -> np.ndarray:
-        F = np.empty(n_unknown)
+        F = np.zeros(n_unknown)
         F[:N] = np.einsum("ij,jk,ik->i", Y, _ETA, Y) - 1.0
         # matmul of stacked rows rounds like Y[i] @ _ETA @ Y[j]; einsum
         # and sum(axis=1) do not, and Newton sits on the float64 floor.
         eY = Y @ _ETA
         pair = np.matmul(eY[ia][:, None, :], Y[ib][:, :, None])[:, 0, 0]
         F[N:N + E] = pair + cos_t
-        F[N + E:] = Y[gf, gc]
         return F
 
     F = residual(X)
@@ -178,20 +179,17 @@ def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
         J[face_rows, np.arange(4 * N)] = 2.0 * eX.ravel()
         J[edge_rows, cols_a] = eX[ib].ravel()
         J[edge_rows, cols_b] = eX[ia].ravel()
-        J[gauge_rows, 4 * gf + gc] = 1.0
+        J[N + E:] = (X @ _SO31.transpose(0, 2, 1)).reshape(6, n_unknown)
         try:
             delta = np.linalg.solve(J, -F).reshape(N, 4)
         except np.linalg.LinAlgError:
-            raise SingularJacobian("gauge-fixed Jacobian is singular")
+            raise SingularJacobian("slice-gauged Jacobian is singular")
         # Plain full steps.  Monotone damping looks tempting but creeps
         # along curved valleys near ill-conditioned stages (a tiny face
         # right after a truncation, say), where the full step converges
         # through a short residual excursion.
         X = X + delta
         F = residual(X)
-
-    if not (X[fa, 3] > 0 and X[fb, 1] > 0 and X[fc, 2] > 0):
-        raise WrongCombinatorics("converged to a mirror configuration")
     return X
 
 
@@ -213,33 +211,38 @@ def _bind(ap: AbstractPolyhedron, X: np.ndarray) -> Realization:
 def newton_solve(ap: AbstractPolyhedron, target,
                  initial_normals) -> Realization:
     """Solve for the realization of ap with the given edge angles from a
-    caller-supplied seed, then certify its combinatorics."""
-    return _bind(ap, _solve_raw(ap, _radians(target), initial_normals))
+    caller-supplied seed, then certify its combinatorics.  A seed whose
+    corners are all finite points is centred first."""
+    X = np.array(initial_normals, dtype=float)
+    faces = [ap.vertex_faces(v) for v in range(ap.vertex_count)]
+    try:
+        X = _centred(X, minkowski.vertex_points(X, faces))
+    except GeometryError:
+        pass
+    return _bind(ap, _solve_raw(ap, _radians(target), X))
 
 
 # Continuation along straight angle paths
 
 
-def _continue_core(ap: AbstractPolyhedron, X0: np.ndarray,
-                   start_rad: np.ndarray, target_rad: np.ndarray,
+def _continue_core(r: Realization, start_rad: np.ndarray,
+                   target_rad: np.ndarray,
                    expect_ideal: FrozenSet[int] = frozenset(),
                    max_step: float = 0.25) -> np.ndarray:
-    """Step from start_rad to target_rad, halving the step on a failed
-    solve (down to STEP_FLOOR) and doubling it back after a success."""
+    """Step r, centred once, from start_rad to target_rad, halving the
+    step on a failed solve (down to STEP_FLOOR) and doubling it back
+    after a success."""
+    ap = r.complex
     watched = [v for v in range(ap.vertex_count) if v not in expect_ideal]
 
     def solve_at(t: float, seed: np.ndarray) -> np.ndarray:
-        rad = (1.0 - t) * start_rad + t * target_rad
-        # Gauge on the fattest vertex of the seed: pinning a nearly
-        # degenerate corner at the origin wrecks the conditioning.
-        base = int(np.argmax(_vertex_dets(ap, seed)))
-        return _solve_raw(ap, rad, seed, base_vertex=base)
+        return _solve_raw(ap, (1.0 - t) * start_rad + t * target_rad, seed)
 
     def bad_vertices(X: np.ndarray) -> Tuple[int, ...]:
         dets = _vertex_dets(ap, X)
         return tuple(v for v in watched if dets[v] < EVENT_TOL)
 
-    t, X, step = 0.0, X0, max_step
+    t, X, step = 0.0, _centred(r.normals, r.points), max_step
     while t < 1.0:
         tn = min(1.0, t + step)
         try:
@@ -306,14 +309,14 @@ def continue_path(realization: Realization, target: AngleAssignment,
                 f"declared start is {drift:.2e} away from the measured angles")
     else:
         start_rad = measured
-    X0, target_rad = np.array(realization.normals), _radians(target)
+    target_rad = _radians(target)
     try:
-        return _bind(ap, _continue_core(ap, X0, start_rad, target_rad))
+        return _bind(ap, _continue_core(realization, start_rad, target_rad))
     except WrongCombinatorics:
         # A long Newton step can converge onto a plane arrangement with
         # the wrong combinatorics without any warning from the residual;
         # redo the walk once with shorter strides.
-        return _bind(ap, _continue_core(ap, X0, start_rad, target_rad,
+        return _bind(ap, _continue_core(realization, start_rad, target_rad,
                                         max_step=0.05))
 
 
@@ -359,12 +362,8 @@ def replay_whitehead(realization: Realization,
     profile2 = _collapse_profile(ap2, edge2)
     target2 = _radians(profile2)
 
-    # The new edge's endpoints are the least robust vertices right after
-    # the swap; keep the gauge base away from them.
-    u2, v2 = ap2.edges[edge2][:2]
-    base2 = min(x for x in range(ap2.vertex_count) if x not in (u2, v2))
-    out = _bind(ap2, _solve_raw(ap2, target2, np.array(squeezed.normals),
-                                base_vertex=base2))
+    out = _bind(ap2, _solve_raw(ap2, target2,
+                                _centred(squeezed.normals, squeezed.points)))
 
     rest = AngleAssignment.uniform(ap2.edge_count, TWO_FIFTHS)
     return continue_path(out, rest, start=profile2)
@@ -542,11 +541,8 @@ def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realizatio
         return (1 - t) * gamma[e0] + t * beta[base_to_ap_edge(e0)]
 
     cur_ap = base
-    X = np.array(current.normals)
     t_prev = Fraction(0)
     triangle_owner: Dict[int, FrozenSet[int]] = {}  # new face -> ap triple
-    base_triples = {frozenset(labels[f] for f in base.vertex_faces(v)): v
-                    for v in range(base.vertex_count)}
 
     for stage, (T, group_base) in enumerate(schedule + [(Fraction(1), [])]):
         start_rad = np.array([float(value_at(cur_ap, e, t_prev)) * math.pi
@@ -560,7 +556,7 @@ def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realizatio
             faces = base.vertex_faces(v0)
             group.append(next(v for v in range(cur_ap.vertex_count)
                               if cur_ap.vertex_faces(v) == faces))
-        X = _continue_core(cur_ap, X, start_rad, target_rad,
+        X = _continue_core(current, start_rad, target_rad,
                            expect_ideal=frozenset(group))
         if not group:
             break
@@ -568,7 +564,7 @@ def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realizatio
         for i, v in enumerate(sorted(group)):
             owner = frozenset(labels[f] for f in cur_ap.vertex_faces(v))
             triangle_owner[cur_ap.face_count + i] = owner
-        cur_ap, X = cut.complex, np.array(cut.normals)
+        cur_ap = cut.complex
         # Rejoin the schedule midway to the next event, audited by _bind.
         # Right at the event the cut triangles sit near the sphere at
         # infinity and the system is terribly conditioned.
@@ -576,9 +572,8 @@ def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realizatio
         t_prev = (T + t_next) / 2
         rad = np.array([float(value_at(cur_ap, e, t_prev)) * math.pi
                         for e in range(cur_ap.edge_count)])
-        X = _solve_raw(cur_ap, rad, X,
-                       base_vertex=int(np.argmax(_vertex_dets(cur_ap, X))))
-        _bind(cur_ap, X)
+        seed = _centred(cut.normals, cut.points)
+        current = _bind(cur_ap, _solve_raw(cur_ap, rad, seed))
 
     # Map the staged complex back onto the caller's labels and finish
     # with an exact-endpoint continuation to the requested angles.
@@ -720,8 +715,8 @@ def _triangle_frame(spec: PieceSpec, normals: np.ndarray, l: int
     return w, corners
 
 
-def glue(realizations: Sequence[Realization], plan: CompoundPlan,
-         tol: float = 1e-8) -> List[np.ndarray]:
+def glue(realizations: Sequence[Realization], plan: CompoundPlan
+         ) -> List[np.ndarray]:
     """Fit the piece realizations together across their paired fill
     triangles and return the merged normals indexed by original face."""
     k = len(plan.circuits)
@@ -777,9 +772,10 @@ def glue(realizations: Sequence[Realization], plan: CompoundPlan,
             v = T @ normals[f]
             if merged[orig] is None:
                 merged[orig] = v
-            elif np.max(np.abs(merged[orig] - v)) > tol:
+            elif np.max(np.abs(merged[orig] - v)) > GLUE_TOL:
                 raise IncongruentTriangles(
-                    f"face {orig} disagrees across the glue by more than {tol}")
+                    f"face {orig} disagrees across the glue by more than "
+                    f"{GLUE_TOL}")
     assert all(v is not None for v in merged)
     return merged
 
