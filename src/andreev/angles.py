@@ -4,6 +4,15 @@ satisfies them all.
 
 Angles are stored as fractions r with the dihedral angle meaning r*pi,
 so every comparison below is exact integer arithmetic.
+
+The program has integer data, and `_simplex_max` solves it with a dense
+tableau of Python ints under Bland's rule.  Each stored row is the
+exact tableau row times a positive scale that is never written down;
+pivoting cross-multiplies instead of dividing and then removes the
+row's gcd.  Every pivoting decision reads only signs and ratios within
+one row, which the scale leaves alone, so the pivots, the optimum and
+the optimizer are exactly those of the same tableau kept in Fractions.
+The witness is still rechecked with `check_conditions`.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import complexes
@@ -32,15 +42,16 @@ class NotMember(AngleError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AngleAssignment:
     """Per-edge dihedral angles r_i, meaning alpha_i = r_i * pi."""
 
     values: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values",
-                           tuple(Fraction(v) for v in self.values))
+        # Fractions are immutable, so given ones are kept, not copied.
+        object.__setattr__(self, "values", tuple(
+            v if type(v) is Fraction else Fraction(v) for v in self.values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -86,7 +97,7 @@ class ConditionReport:
                     or self.heavy_4circuits or self.heavy_quads)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeasibilityReport:
     nonempty: bool
     max_slack: Fraction
@@ -126,20 +137,34 @@ def check_conditions(ap: AbstractPolyhedron, a: AngleAssignment) -> ConditionRep
                            tuple(heavy_quads))
 
 
-def _simplex_max(c: Sequence[Fraction], rows: Sequence[Sequence[Fraction]],
-                 rhs: Sequence[Fraction]) -> Tuple[Fraction, List[Fraction]]:
-    """Maximize c.x subject to rows.x <= rhs, x >= 0, all rhs >= 0.
+def _simplex_max(c: Sequence[int], rows: Sequence[Sequence[int]],
+                 rhs: Sequence[int]) -> Tuple[Fraction, List[Fraction]]:
+    """Maximize c.x subject to rows.x <= rhs, x >= 0, all rhs >= 0, for
+    integer data.  Returns (optimal value, optimizer) as exact fractions.
+    Problems fed in here are always bounded; an unbounded pivot column
+    raises ArithmeticError.
 
-    Dense tableau with Bland's rule, so no cycling and no tolerances.
-    Returns (optimal value, optimizer).  Problems fed in here are always
-    bounded, an unbounded pivot column raises ArithmeticError.
+    Dense tableau with Bland's rule, so no cycling and no tolerances,
+    kept fraction-free: each stored row is an integer vector standing
+    for the exact tableau row times a positive scale that is not kept.
+    Pivoting on p = row_k[col] > 0 replaces every other row whose entry
+    f in that column is not 0 by p*row - f*row_k (p and f first divided
+    by their gcd), divided by the gcd of its entries; row_k stays as it
+    is, the exact pivoted row times p.  Every decision reads only signs
+    and ratios within one row, which a positive scale leaves alone: the
+    entering column is the first negative entry of the objective row,
+    and the ratio test compares rhs_i/a_i by cross-multiplying,
+    b_i*a_best < b_best*a_i, with ties going to the smaller basis
+    index.  So the pivots are exactly those of the same tableau kept in
+    Fractions.  At the end the basic variable of row i is rhs_i over
+    its own coefficient in that row, and the optimum is c.x.
     """
     m, n = len(rows), len(c)
-    # Tableau: each row is [a_1..a_n, s_1..s_m, rhs]; last row is the
+    # Each row is [a_1..a_n, s_1..s_m, rhs]; the last row is the
     # objective in the form z - c.x = 0.
-    tab = [list(rows[i]) + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]]
+    tab = [list(rows[i]) + [int(i == j) for j in range(m)] + [rhs[i]]
            for i in range(m)]
-    tab.append([-ci for ci in c] + [Fraction(0)] * (m + 1))
+    tab.append([-ci for ci in c] + [0] * (m + 1))
     basis = list(range(n, n + m))
 
     while True:
@@ -147,28 +172,84 @@ def _simplex_max(c: Sequence[Fraction], rows: Sequence[Sequence[Fraction]],
         col = next((j for j in range(n + m) if obj[j] < 0), None)
         if col is None:
             break
-        pivot_row, best = None, None
+        pivot_row = None
         for i in range(m):
-            if tab[i][col] > 0:
-                ratio = tab[i][-1] / tab[i][col]
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[pivot_row]):
-                    pivot_row, best = i, ratio
+            a = tab[i][col]
+            if a > 0:
+                if pivot_row is None:
+                    pivot_row, b_best, a_best = i, tab[i][-1], a
+                    continue
+                lhs, rhs_best = tab[i][-1] * a_best, b_best * a
+                if lhs < rhs_best or (lhs == rhs_best
+                                      and basis[i] < basis[pivot_row]):
+                    pivot_row, b_best, a_best = i, tab[i][-1], a
         if pivot_row is None:
             raise ArithmeticError("unbounded objective")
         piv = tab[pivot_row][col]
-        tab[pivot_row] = [v / piv for v in tab[pivot_row]]
+        # Pivot rows are sparse: update only where the pivot row is not 0.
+        support = [(j, w) for j, w in enumerate(tab[pivot_row]) if w]
         for i in range(m + 1):
-            if i != pivot_row and tab[i][col] != 0:
-                factor = tab[i][col]
-                tab[i] = [v - factor * p for v, p in zip(tab[i], tab[pivot_row])]
+            row = tab[i]
+            f = row[col]
+            if i == pivot_row or f == 0:
+                continue
+            g = gcd(piv, f)
+            p, f = piv // g, f // g
+            if p != 1:
+                row = [p * v for v in row]
+            for j, w in support:
+                row[j] -= f * w
+            g = gcd(*row)
+            if g > 1:
+                row = [v // g for v in row]
+            tab[i] = row
         basis[pivot_row] = col
 
+    # Equal values share one Fraction: optimizers repeat a few values
+    # (often 1/3 on most edges), and callers keep them in witnesses.
     x = [Fraction(0)] * n
+    values: Dict[Fraction, Fraction] = {}
     for i, b in enumerate(basis):
         if b < n:
-            x[b] = tab[i][-1]
-    return tab[m][-1], x
+            v = Fraction(tab[i][-1], tab[i][b])
+            x[b] = values.setdefault(v, v)
+    return sum((ci * xi for ci, xi in zip(c, x)), Fraction(0)), x
+
+
+def _program(ap: AbstractPolyhedron) -> Tuple[List[int], List[List[int]],
+                                              List[int]]:
+    """The max-slack program of `feasible` as integer data (c, rows, rhs)
+    for `_simplex_max`, in u = t + 1 over the variables r_0..r_{E-1}, u.
+    """
+    E = ap.edge_count
+    n = E + 1
+    rows: List[List[int]] = []
+    rhs: List[int] = []
+
+    def row(edges, sign: int, bound: int):
+        vec = [0] * n
+        vec[E] = 1
+        for e in edges:
+            vec[e] += sign
+        rows.append(vec)
+        rhs.append(bound)
+
+    for i in range(E):
+        row((i,), -1, 1)                      # u - r_i <= 1
+        vec = [0] * n
+        vec[i] = 2
+        rows.append(vec)                      # 2 r_i <= 1
+        rhs.append(1)
+    for v in range(ap.vertex_count):          # u - sum <= 0
+        row(ap.vertex_edges(v), -1, 0)
+    for c in complexes.prismatic_circuits(ap, 3):
+        row(c.crossed_edges, 1, 2)            # u + sum <= 2
+    for c in complexes.prismatic_circuits(ap, 4):
+        row(c.crossed_edges, 1, 3)            # u + sum <= 3
+    for f, boundary, entering in complexes.quadrilateral_contexts(ap):
+        for d in (0, 1):                      # u + sum <= 4
+            row(entering + (boundary[d], boundary[d + 2]), 1, 4)
+    return [0] * E + [1], rows, rhs
 
 
 def feasible(ap: AbstractPolyhedron) -> FeasibilityReport:
@@ -182,50 +263,12 @@ def feasible(ap: AbstractPolyhedron) -> FeasibilityReport:
     The angle set is nonempty exactly when the optimum is positive.  To
     keep every variable nonnegative the program is solved in u = t + 1;
     the optimum t never goes below -1/2 (take all r_i = 1/2), so the
-    substitution loses nothing.
+    substitution loses nothing.  The bound r_i <= 1/2 enters as
+    2 r_i <= 1 so that all data are integers.  A witness is rechecked
+    with `check_conditions` before it is returned.
     """
     E = ap.edge_count
-    n = E + 1  # r_0..r_{E-1}, u
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-
-    def row(coeffs: Dict[int, Fraction], bound: Fraction):
-        vec = [zero] * n
-        for j, v in coeffs.items():
-            vec[j] = v
-        rows.append(vec)
-        rhs.append(bound)
-
-    for i in range(E):
-        row({i: -one, E: one}, one)           # u - r_i <= 1
-        row({i: one}, HALF)                   # r_i <= 1/2
-    for v in range(ap.vertex_count):          # u - sum <= 0
-        coeffs = {E: one}
-        for e in ap.vertex_edges(v):
-            coeffs[e] = coeffs.get(e, zero) - one
-        row(coeffs, zero)
-    for c in complexes.prismatic_circuits(ap, 3):
-        coeffs = {E: one}
-        for e in c.crossed_edges:
-            coeffs[e] = coeffs.get(e, zero) + one
-        row(coeffs, Fraction(2))
-    for c in complexes.prismatic_circuits(ap, 4):
-        coeffs = {E: one}
-        for e in c.crossed_edges:
-            coeffs[e] = coeffs.get(e, zero) + one
-        row(coeffs, Fraction(3))
-    for f, boundary, entering in complexes.quadrilateral_contexts(ap):
-        for d in (0, 1):
-            coeffs = {E: one}
-            for e in entering + (boundary[d], boundary[d + 2]):
-                coeffs[e] = coeffs.get(e, zero) + one
-            row(coeffs, Fraction(4))
-
-    objective = [zero] * E + [one]
-    value, x = _simplex_max(objective, rows, rhs)
+    value, x = _simplex_max(*_program(ap))
     slack = value - 1
     if slack <= 0:
         return FeasibilityReport(False, slack, None)

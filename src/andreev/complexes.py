@@ -527,6 +527,11 @@ def _canonical_form(dc: DualComplex):
 
     A trace opens with the row (1, ..., deg a) of its start node a, so the
     least trace starts at a node of least degree; only those are tried.
+    Traces are compared row by row as they grow: one is abandoned at its
+    first row above the same row of the best trace so far, and after its
+    first row below it the rest is built without comparing.  That finds
+    the same least trace, and the same first labeling reaching it, as
+    comparing whole traces.
     """
     rotation = _oriented_rotation(dc)
     n = dc.node_count
@@ -543,6 +548,7 @@ def _canonical_form(dc: DualComplex):
                 order = [a]
                 entry = {a: v0}
                 trace = []
+                tied = best is not None  # equal to best so far
                 for cur in order:
                     cyc = rot[cur]
                     i0 = pos[cur][entry[cur]]
@@ -554,11 +560,17 @@ def _canonical_form(dc: DualComplex):
                             order.append(x)
                             entry[x] = cur
                         row.append(labels[x])
-                    trace.append(tuple(row))
-                key = tuple(trace)
-                if best is None or key < best:
-                    best = key
-                    best_labels = dict(labels)
+                    row = tuple(row)
+                    if tied:
+                        other = best[len(trace)]
+                        if row > other:
+                            break
+                        tied = row == other
+                    trace.append(row)
+                else:
+                    if not tied:
+                        best = tuple(trace)
+                        best_labels = labels
     return best, best_labels
 
 

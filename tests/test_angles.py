@@ -13,6 +13,48 @@ from andreev import angles, catalog, complexes, whitehead
 from andreev.angles import AngleAssignment
 
 
+def reference_simplex_max(c, rows, rhs):
+    """The dense Fraction tableau with Bland's rule that `feasible` used
+    before its integer-row tableau, kept as the oracle: same rows, same
+    entering column and ratio test, every entry an exact Fraction."""
+    c = [Fraction(v) for v in c]
+    rows = [[Fraction(v) for v in r] for r in rows]
+    rhs = [Fraction(v) for v in rhs]
+    m, n = len(rows), len(c)
+    tab = [list(rows[i]) + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]]
+           for i in range(m)]
+    tab.append([-ci for ci in c] + [Fraction(0)] * (m + 1))
+    basis = list(range(n, n + m))
+
+    while True:
+        obj = tab[m]
+        col = next((j for j in range(n + m) if obj[j] < 0), None)
+        if col is None:
+            break
+        pivot_row, best = None, None
+        for i in range(m):
+            if tab[i][col] > 0:
+                ratio = tab[i][-1] / tab[i][col]
+                if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[pivot_row]):
+                    pivot_row, best = i, ratio
+        if pivot_row is None:
+            raise ArithmeticError("unbounded objective")
+        piv = tab[pivot_row][col]
+        tab[pivot_row] = [v / piv for v in tab[pivot_row]]
+        for i in range(m + 1):
+            if i != pivot_row and tab[i][col] != 0:
+                factor = tab[i][col]
+                tab[i] = [v - factor * p for v, p in zip(tab[i], tab[pivot_row])]
+        basis[pivot_row] = col
+
+    x = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = tab[i][-1]
+    return tab[m][-1], x
+
+
 def uniform(ap, r):
     return AngleAssignment.uniform(ap.edge_count, Fraction(r))
 
@@ -105,6 +147,72 @@ class TestFeasible:
             vals = tuple(Fraction(rng.randint(1, 50), 100)
                          for _ in range(ap.edge_count))
             assert not angles.check_conditions(ap, AngleAssignment(vals)).member
+
+
+ORACLE_CASES = ([(ap.name, ap) for ap in catalog.corpus()]
+                + [(f"random_simple({n},{s})", (n, s))
+                   for n in (8, 10, 12, 14, 16) for s in range(3)])
+
+
+@pytest.mark.parametrize("name,case", ORACLE_CASES,
+                         ids=[name for name, _ in ORACLE_CASES])
+def test_simplex_matches_fraction_tableau(name, case):
+    ap = (complexes.primal(whitehead.random_simple(*case, moves=30))
+          if isinstance(case, tuple) else case)
+    program = angles._program(ap)
+    assert angles._simplex_max(*program) == reference_simplex_max(*program)
+
+
+@st.composite
+def bounded_lps(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    coef = st.integers(-3, 3)
+    c = draw(st.lists(coef, min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(coef, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    rhs = draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))
+    # sum(x) <= bound keeps the problem bounded
+    rows.append([draw(st.integers(1, 3)) for _ in range(n)])
+    rhs.append(draw(st.integers(0, 6)))
+    return c, rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp=bounded_lps())
+def test_simplex_matches_fraction_tableau_on_small_lps(lp):
+    value, x = angles._simplex_max(*lp)
+    assert (value, x) == reference_simplex_max(*lp)
+    c, rows, rhs = lp
+    assert all(v >= 0 for v in x)
+    assert all(sum(a * v for a, v in zip(r, x)) <= b
+               for r, b in zip(rows, rhs))
+    assert value == sum(a * v for a, v in zip(c, x))
+
+
+HIGHS_CASES = {
+    "random_simple(20,0)":
+        lambda: complexes.primal(whitehead.random_simple(20, 0)),
+    "random_simple(24,0)":
+        lambda: complexes.primal(whitehead.random_simple(24, 0)),
+    "alternately_truncated_cube": catalog.alternately_truncated_cube,
+}
+
+
+@pytest.mark.parametrize("name", list(HIGHS_CASES))
+def test_max_slack_matches_highs(name):
+    optimize = pytest.importorskip("scipy.optimize")
+    ap = HIGHS_CASES[name]()
+    rep = angles.feasible(ap)
+    c, rows, rhs = angles._program(ap)
+    res = optimize.linprog([-v for v in c], A_ub=rows, b_ub=rhs,
+                           bounds=(0, None), method="highs")
+    assert res.status == 0
+    assert abs(float(rep.max_slack) - (-res.fun - 1)) <= 1e-9
+    if rep.nonempty:
+        assert angles.check_conditions(ap, rep.witness).member
+    else:
+        assert name == "alternately_truncated_cube" and rep.witness is None
 
 
 class TestInteriorPath:

@@ -255,12 +255,7 @@ class TestIsomorphic:
         for ap in (catalog.truncated_tetrahedron(),
                    complexes.primal(whitehead.random_simple(16, seed))):
             dc = complexes.dual(ap)
-            perm = list(range(dc.node_count))
-            random.Random(seed).shuffle(perm)
-            moved = complexes.primal(complexes.DualComplex(
-                node_count=dc.node_count,
-                triangles=tuple(sorted(tuple(sorted(perm[x] for x in t))
-                                       for t in dc.triangles))))
+            moved = relabelled(ap, seed)
             m = complexes.isomorphic(ap, moved)
             assert m is not None
             assert sorted(m) == sorted(m.values()) == list(range(dc.node_count))
@@ -272,6 +267,84 @@ class TestIsomorphic:
         b = whitehead.random_simple(10, 2)
         assert complexes._degrees(a) == complexes._degrees(b)
         assert complexes.isomorphic(a, b) is None
+
+    def test_maps_match_full_traces(self):
+        pairs = []
+        shapes = catalog.corpus() + [catalog.corner_truncated_cube(),
+                                     catalog.corner_doubled_cube()]
+        pairs += [(a, b) for a in shapes for b in shapes]
+        pairs += [(ap, relabelled(ap, 3)) for ap in shapes]
+        for n in range(8, 25):
+            ap = complexes.primal(whitehead.random_simple(n, 0))
+            pairs += [(ap, relabelled(ap, n)), (relabelled(ap, 1), ap)]
+        unlike = 0
+        for n in (10, 12, 14):
+            duals = [whitehead.random_simple(n, s) for s in range(6)]
+            for i, a in enumerate(duals):
+                for b in duals[i + 1:]:
+                    if complexes._degrees(a) == complexes._degrees(b):
+                        pairs.append((a, b))
+                        unlike += reference_isomorphic(a, b) is None
+        assert unlike >= 3
+        for a, b in pairs:
+            assert complexes.isomorphic(a, b) == reference_isomorphic(a, b)
+
+
+def relabelled(ap, seed):
+    """ap with its faces renumbered by a seeded random permutation."""
+    dc = complexes.dual(ap)
+    perm = list(range(dc.node_count))
+    random.Random(seed).shuffle(perm)
+    return complexes.primal(complexes.DualComplex(
+        node_count=dc.node_count,
+        triangles=tuple(sorted(tuple(sorted(perm[x] for x in t))
+                               for t in dc.triangles))))
+
+
+def reference_canonical_form(dc):
+    """`complexes._canonical_form` without stopping traces early: every
+    trace is built in full and the least whole trace wins."""
+    rotation = complexes._oriented_rotation(dc)
+    least = min(len(cyc) for cyc in rotation.values())
+    starts = [a for a in range(dc.node_count) if len(rotation[a]) == least]
+    best = best_labels = None
+    for chirality in (1, -1):
+        rot = {a: (cyc if chirality == 1 else cyc[::-1])
+               for a, cyc in rotation.items()}
+        pos = {a: {x: i for i, x in enumerate(cyc)} for a, cyc in rot.items()}
+        for a in starts:
+            for v0 in rot[a]:
+                labels, order, entry, trace = {a: 0}, [a], {a: v0}, []
+                for cur in order:
+                    cyc = rot[cur]
+                    i0 = pos[cur][entry[cur]]
+                    row = []
+                    for j in range(len(cyc)):
+                        x = cyc[(i0 + j) % len(cyc)]
+                        if x not in labels:
+                            labels[x] = len(labels)
+                            order.append(x)
+                            entry[x] = cur
+                        row.append(labels[x])
+                    trace.append(tuple(row))
+                if best is None or tuple(trace) < best:
+                    best, best_labels = tuple(trace), dict(labels)
+    return best, best_labels
+
+
+def reference_isomorphic(a, b):
+    da = a if isinstance(a, complexes.DualComplex) else complexes.dual(a)
+    db = b if isinstance(b, complexes.DualComplex) else complexes.dual(b)
+    if (da.node_count != db.node_count
+            or len(da.triangles) != len(db.triangles)
+            or complexes._degrees(da) != complexes._degrees(db)):
+        return None
+    ta, la = reference_canonical_form(da)
+    tb, lb = reference_canonical_form(db)
+    if ta != tb:
+        return None
+    inv_b = {lab: node for node, lab in lb.items()}
+    return {node: inv_b[lab] for node, lab in la.items()}
 
 
 def test_json_round_trip():
