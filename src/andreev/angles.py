@@ -1,18 +1,25 @@
-"""Exact rational checking of the five linear angle conditions and the
-max-slack feasibility program that decides whether any angle vector
-satisfies them all.
+"""The five linear angle conditions as one table of integer rows, checked
+exactly, and the max-slack feasibility program that decides whether any
+angle vector satisfies them all.
 
-Angles are stored as fractions r with the dihedral angle meaning r*pi,
-so every comparison below is exact integer arithmetic.
+Angles are stored as fractions r with the dihedral angle meaning r*pi.
+`_conditions` lists every strict condition once, as a row
+(report field, label, sign, edges, bound) meaning
+sign * sum(r_e for e in edges) < bound: the vertices, then the
+prismatic 3- and 4-circuits, then the quadrilaterals.
+`check_conditions` evaluates the table in Python ints: with D the
+common denominator of the assignment and R = r*D, a row is violated
+when sign * sum(R_e) >= bound * D.
 
-The program has integer data, and `_simplex_max` solves it with a dense
-tableau of Python ints under Bland's rule.  Each stored row is the
-exact tableau row times a positive scale that is never written down;
-pivoting cross-multiplies instead of dividing and then removes the
-row's gcd.  Every pivoting decision reads only signs and ratios within
-one row, which the scale leaves alone, so the pivots, the optimum and
-the optimizer are exactly those of the same tableau kept in Fractions.
-The witness is still rechecked with `check_conditions`.
+The feasibility program is the same table plus two rows per edge, with
+integer data, and `_simplex_max` solves it with a dense tableau of
+Python ints under Bland's rule.  Each stored row is the exact tableau
+row times a positive scale that is never written down; pivoting
+cross-multiplies instead of dividing and then removes the row's gcd.
+Every pivoting decision reads only signs and ratios within one row,
+which the scale leaves alone, so the pivots, the optimum and the
+optimizer are exactly those of the same tableau kept in Fractions.
+The witness is rechecked against the same table.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import complexes
@@ -108,33 +115,48 @@ class FeasibilityReport:
         return "nonempty" if self.nonempty else "empty"
 
 
+# One strict condition: sign * sum(r_e for e in edges) < bound, reported
+# under `label` in the ConditionReport field named first.
+Condition = Tuple[str, object, int, Tuple[int, ...], int]
+
+
+def _conditions(ap: AbstractPolyhedron) -> List[Condition]:
+    """Conditions (2)-(5) of every vertex, prismatic circuit and
+    quadrilateral of ap, in the row order of the feasibility program."""
+    table: List[Condition] = [
+        ("low_vertices", v, -1, ap.vertex_edges(v), -1)
+        for v in range(ap.vertex_count)]
+    for k, bound in ((3, 1), (4, 2)):
+        table += [(f"heavy_{k}circuits", c.dual_nodes, 1, c.crossed_edges, bound)
+                  for c in complexes.prismatic_circuits(ap, k)]
+    for f, boundary, entering in complexes.quadrilateral_contexts(ap):
+        for d in (0, 1):
+            table.append(("heavy_quads", (f, d), 1,
+                          entering + (boundary[d], boundary[d + 2]), 3))
+    return table
+
+
 def check_conditions(ap: AbstractPolyhedron, a: AngleAssignment) -> ConditionReport:
     if len(a) != ap.edge_count:
         raise SizeMismatch(
             f"assignment has {len(a)} angles, complex has {ap.edge_count} edges")
-    r = a.values
+    return _evaluate(_conditions(ap), a)
 
-    nonpositive = tuple(i for i, v in enumerate(r) if v <= 0)
-    obtuse = tuple(i for i, v in enumerate(r) if v > HALF)
 
-    low = tuple(v for v in range(ap.vertex_count)
-                if sum(r[e] for e in ap.vertex_edges(v)) <= 1)
-
-    heavy3 = tuple(c.dual_nodes for c in complexes.prismatic_circuits(ap, 3)
-                   if sum(r[e] for e in c.crossed_edges) >= 1)
-    heavy4 = tuple(c.dual_nodes for c in complexes.prismatic_circuits(ap, 4)
-                   if sum(r[e] for e in c.crossed_edges) >= 2)
-
-    heavy_quads: List[Tuple[int, int]] = []
-    for f, boundary, entering in complexes.quadrilateral_contexts(ap):
-        base = sum(r[e] for e in entering)
-        if base + r[boundary[0]] + r[boundary[2]] >= 3:
-            heavy_quads.append((f, 0))
-        if base + r[boundary[1]] + r[boundary[3]] >= 3:
-            heavy_quads.append((f, 1))
-
-    return ConditionReport(nonpositive, obtuse, low, heavy3, heavy4,
-                           tuple(heavy_quads))
+def _evaluate(table: Sequence[Condition], a: AngleAssignment) -> ConditionReport:
+    """The violations of a among the edge bounds and the table's rows,
+    decided in integers over the common denominator of a."""
+    D = lcm(*{v.denominator for v in a.values})
+    R = [v.numerator * (D // v.denominator) for v in a.values]
+    hits: Dict[str, list] = {"low_vertices": [], "heavy_3circuits": [],
+                             "heavy_4circuits": [], "heavy_quads": []}
+    for field, label, sign, edges, bound in table:
+        if sign * sum(map(R.__getitem__, edges)) >= bound * D:
+            hits[field].append(label)
+    return ConditionReport(
+        nonpositive_edges=tuple(i for i, v in enumerate(R) if v <= 0),
+        obtuse_edges=tuple(i for i, v in enumerate(R) if 2 * v > D),
+        **{field: tuple(labels) for field, labels in hits.items()})
 
 
 def _simplex_max(c: Sequence[int], rows: Sequence[Sequence[int]],
@@ -216,12 +238,14 @@ def _simplex_max(c: Sequence[int], rows: Sequence[Sequence[int]],
     return sum((ci * xi for ci, xi in zip(c, x)), Fraction(0)), x
 
 
-def _program(ap: AbstractPolyhedron) -> Tuple[List[int], List[List[int]],
-                                              List[int]]:
+def _program(edge_count: int, table: Sequence[Condition]) -> Tuple[
+        List[int], List[List[int]], List[int]]:
     """The max-slack program of `feasible` as integer data (c, rows, rhs)
-    for `_simplex_max`, in u = t + 1 over the variables r_0..r_{E-1}, u.
+    for `_simplex_max`, in u = t + 1 over the variables r_0..r_{E-1}, u:
+    two rows per edge, then one row sign * sum + u <= bound + 1 per
+    condition of the table.
     """
-    E = ap.edge_count
+    E = edge_count
     n = E + 1
     rows: List[List[int]] = []
     rhs: List[int] = []
@@ -240,15 +264,8 @@ def _program(ap: AbstractPolyhedron) -> Tuple[List[int], List[List[int]],
         vec[i] = 2
         rows.append(vec)                      # 2 r_i <= 1
         rhs.append(1)
-    for v in range(ap.vertex_count):          # u - sum <= 0
-        row(ap.vertex_edges(v), -1, 0)
-    for c in complexes.prismatic_circuits(ap, 3):
-        row(c.crossed_edges, 1, 2)            # u + sum <= 2
-    for c in complexes.prismatic_circuits(ap, 4):
-        row(c.crossed_edges, 1, 3)            # u + sum <= 3
-    for f, boundary, entering in complexes.quadrilateral_contexts(ap):
-        for d in (0, 1):                      # u + sum <= 4
-            row(entering + (boundary[d], boundary[d + 2]), 1, 4)
+    for _, _, sign, edges, bound in table:
+        row(edges, sign, bound + 1)
     return [0] * E + [1], rows, rhs
 
 
@@ -265,15 +282,16 @@ def feasible(ap: AbstractPolyhedron) -> FeasibilityReport:
     the optimum t never goes below -1/2 (take all r_i = 1/2), so the
     substitution loses nothing.  The bound r_i <= 1/2 enters as
     2 r_i <= 1 so that all data are integers.  A witness is rechecked
-    with `check_conditions` before it is returned.
+    against the same condition table before it is returned.
     """
     E = ap.edge_count
-    value, x = _simplex_max(*_program(ap))
+    table = _conditions(ap)
+    value, x = _simplex_max(*_program(E, table))
     slack = value - 1
     if slack <= 0:
         return FeasibilityReport(False, slack, None)
     witness = AngleAssignment(tuple(x[:E]))
-    report = check_conditions(ap, witness)
+    report = _evaluate(table, witness)
     assert report.member, "feasibility witness failed the exact recheck"
     return FeasibilityReport(True, slack, witness)
 

@@ -160,19 +160,78 @@ class DualComplex:
             es.update({(a, b), (a, c), (b, c)})
         return tuple(sorted(es))
 
-    def adjacency(self) -> Dict[int, set]:
+    def adjacency(self) -> Dict[int, FrozenSet[int]]:
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> Dict[int, FrozenSet[int]]:
         adj: Dict[int, set] = {i: set() for i in range(self.node_count)}
         for a, b in self.edges:
             adj[a].add(b)
             adj[b].add(a)
-        return adj
+        return {i: frozenset(nbrs) for i, nbrs in adj.items()}
 
     @property
     def triangle_set(self) -> FrozenSet[Tuple[int, int, int]]:
         return frozenset(self.triangles)
 
-    def edge_triangles(self, a: int, b: int) -> List[Tuple[int, int, int]]:
-        return [t for t in self.triangles if a in t and b in t]
+    @cached_property
+    def rotation(self) -> Dict[int, Tuple[int, ...]]:
+        """Globally consistent rotation system: every node's link cycle,
+        with one orientation for all of them.
+
+        Triangle orientations are propagated from triangle 0 across
+        shared edges, then each node's link cycle is ordered by the
+        successor rule of its oriented triangles, starting at its least
+        neighbor.  Raises ComplexError when a dual edge does not lie on
+        exactly two triangles, the triangles are not connected, or a
+        link does not close into one cycle.
+        """
+        tri = list(self.triangles)
+        by_edge: Dict[Tuple[int, int], List[int]] = {}
+        for i, (a, b, c) in enumerate(tri):
+            for e in ((a, b), (a, c), (b, c)):
+                by_edge.setdefault(e, []).append(i)
+        for e, ts in by_edge.items():
+            if len(ts) != 2:
+                raise ComplexError(f"dual edge {e} lies on {len(ts)} triangles")
+
+        orient: Dict[int, Tuple[int, int, int]] = {0: tri[0]}
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            a, b, c = orient[i]
+            for u, v in ((a, b), (b, c), (c, a)):
+                e = (u, v) if u < v else (v, u)
+                j = by_edge[e][0] if by_edge[e][0] != i else by_edge[e][1]
+                if j in orient:
+                    continue
+                w = next(x for x in tri[j] if x not in (u, v))
+                orient[j] = (v, u, w)  # shared edge reversed in the neighbor
+                stack.append(j)
+        if len(orient) != len(tri):
+            raise ComplexError("triangle adjacency graph is disconnected")
+
+        succ: Dict[int, Dict[int, int]] = {n: {} for n in range(self.node_count)}
+        for a, b, c in orient.values():
+            succ[a][b] = c
+            succ[b][c] = a
+            succ[c][a] = b
+        rotation = {}
+        for n in range(self.node_count):
+            start = min(succ[n])
+            cycle = [start]
+            while True:
+                nxt = succ[n][cycle[-1]]
+                if nxt == start:
+                    break
+                cycle.append(nxt)
+                if len(cycle) > len(succ[n]):
+                    raise ComplexError(f"rotation at node {n} does not close up")
+            if len(cycle) != len(succ[n]):
+                raise ComplexError(f"rotation at node {n} misses neighbors")
+            rotation[n] = tuple(cycle)
+        return rotation
 
 
 def build(vertex_count: int, faces: Sequence[Sequence[int]], name: str = "complex") -> AbstractPolyhedron:
@@ -276,96 +335,13 @@ def dual(ap: AbstractPolyhedron) -> DualComplex:
     return dc
 
 
-def _link_cycles(dc: DualComplex) -> Dict[int, List[int]]:
-    """Unoriented link cycle of every node: neighbors in rotation order."""
-    adj = dc.adjacency()
-    tri = dc.triangle_set
-    cycles = {}
-    for a in range(dc.node_count):
-        nbrs = sorted(adj[a])
-        if len(nbrs) < 3:
-            raise ComplexError(f"dual node {a} has degree {len(nbrs)}")
-        partner: Dict[int, List[int]] = {x: [] for x in nbrs}
-        for x in nbrs:
-            for y in nbrs:
-                if x < y and tuple(sorted((a, x, y))) in tri:
-                    partner[x].append(y)
-                    partner[y].append(x)
-        for x in nbrs:
-            if len(partner[x]) != 2:
-                raise ComplexError(f"link of node {a} is not a cycle at {x}")
-        cycle = [nbrs[0], partner[nbrs[0]][0]]
-        while len(cycle) < len(nbrs):
-            prev, cur = cycle[-2], cycle[-1]
-            nxt = partner[cur][0] if partner[cur][0] != prev else partner[cur][1]
-            cycle.append(nxt)
-        if partner[cycle[-1]][0] != cycle[0] and partner[cycle[-1]][1] != cycle[0]:
-            raise ComplexError(f"link of node {a} does not close up")
-        cycles[a] = cycle
-    return cycles
-
-
-def _oriented_rotation(dc: DualComplex) -> Dict[int, List[int]]:
-    """Globally consistent rotation system (link cycles with one orientation).
-
-    Triangle orientations are propagated from triangle 0 across shared
-    edges, then each node's link cycle is ordered by the successor rule
-    of its oriented triangles.
-    """
-    tri = list(dc.triangles)
-    by_edge: Dict[Tuple[int, int], List[int]] = {}
-    for i, (a, b, c) in enumerate(tri):
-        for e in ((a, b), (a, c), (b, c)):
-            by_edge.setdefault(e, []).append(i)
-    for e, ts in by_edge.items():
-        if len(ts) != 2:
-            raise ComplexError(f"dual edge {e} lies on {len(ts)} triangles")
-
-    orient: Dict[int, Tuple[int, int, int]] = {0: tri[0]}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        a, b, c = orient[i]
-        for u, v in ((a, b), (b, c), (c, a)):
-            e = (u, v) if u < v else (v, u)
-            j = by_edge[e][0] if by_edge[e][0] != i else by_edge[e][1]
-            if j in orient:
-                continue
-            w = next(x for x in tri[j] if x not in (u, v))
-            orient[j] = (v, u, w)  # shared edge reversed in the neighbor
-            stack.append(j)
-    if len(orient) != len(tri):
-        raise ComplexError("triangle adjacency graph is disconnected")
-
-    succ: Dict[int, Dict[int, int]] = {n: {} for n in range(dc.node_count)}
-    for a, b, c in orient.values():
-        succ[a][b] = c
-        succ[b][c] = a
-        succ[c][a] = b
-    rotation = {}
-    for n in range(dc.node_count):
-        start = min(succ[n])
-        cycle = [start]
-        while True:
-            nxt = succ[n][cycle[-1]]
-            if nxt == start:
-                break
-            cycle.append(nxt)
-            if len(cycle) > len(succ[n]):
-                raise ComplexError(f"rotation at node {n} does not close up")
-        if len(cycle) != len(succ[n]):
-            raise ComplexError(f"rotation at node {n} misses neighbors")
-        rotation[n] = cycle
-    return rotation
-
-
 def primal(dc: DualComplex, name: str = "complex") -> AbstractPolyhedron:
     """Reconstruct the abstract polyhedron whose dual is dc.
 
     Primal vertices are the dual triangles, numbered by lexicographic
     order of their sorted node triples.  Faces are the rotation cycles.
     """
-    rotation = _oriented_rotation(dc)
+    rotation = dc.rotation
     tri_ids = {t: i for i, t in enumerate(sorted(dc.triangle_set))}
     faces = []
     for n in range(dc.node_count):
@@ -374,11 +350,7 @@ def primal(dc: DualComplex, name: str = "complex") -> AbstractPolyhedron:
         face = tuple(
             tri_ids[tuple(sorted((n, cyc[i], cyc[(i + 1) % k])))] for i in range(k))
         faces.append(face)
-    try:
-        return build(len(tri_ids), faces, name=name)
-    except EdgeNotInTwoFaces:
-        # The propagated orientation may be globally mirrored; flip it.
-        return build(len(tri_ids), [f[::-1] for f in faces], name=name)
+    return build(len(tri_ids), faces, name=name)
 
 
 def _simple_cycles(dc: DualComplex, k: int) -> List[Tuple[int, ...]]:
@@ -426,21 +398,17 @@ def prismatic_circuits(ap: AbstractPolyhedron, k: int) -> List[Circuit]:
     dc = dual(ap)
     out = []
     for cycle in _simple_cycles(dc, k):
-        crossed = []
-        for i in range(k):
-            e = ap.edge_between_faces(cycle[i], cycle[(i + 1) % k])
-            if e is None:
-                break
-            crossed.append(e)
-        else:
-            ends = set()
-            for e in crossed:
-                u, v, _, _ = ap.edges[e]
-                ends.update((u, v))
-            if len(ends) == 2 * k:
-                out.append(Circuit(kind=f"prismatic{k}",
-                                   dual_nodes=cycle,
-                                   crossed_edges=tuple(crossed)))
+        # Consecutive nodes of a dual cycle are adjacent, so each pair
+        # shares a primal edge.
+        crossed = tuple(ap.edge_between_faces(cycle[i], cycle[(i + 1) % k])
+                        for i in range(k))
+        ends = set()
+        for e in crossed:
+            u, v, _, _ = ap.edges[e]
+            ends.update((u, v))
+        if len(ends) == 2 * k:
+            out.append(Circuit(kind=f"prismatic{k}", dual_nodes=cycle,
+                               crossed_edges=crossed))
     return out
 
 
@@ -533,7 +501,7 @@ def _canonical_form(dc: DualComplex):
     the same least trace, and the same first labeling reaching it, as
     comparing whole traces.
     """
-    rotation = _oriented_rotation(dc)
+    rotation = dc.rotation
     n = dc.node_count
     least = min(len(cyc) for cyc in rotation.values())
     starts = [a for a in range(n) if len(rotation[a]) == least]

@@ -4,9 +4,8 @@ Vectors live in R^4 with the indefinite form <x,y> = -x0 y0 + x1 y1 +
 x2 y2 + x3 y3.  Hyperbolic space is the sheet <x,x> = -1, x0 > 0, and
 a plane is the orthogonal complement of a unit spacelike normal v,
 bounding the half space <w,v> <= 0.  Tolerances are 1e-10 for
-residuals and 1e-9 (CLASSIFY_TOL) for sign classification; the scalar
-helpers take theirs as a default, the stacked kernels and the
-certificate always use CLASSIFY_TOL.
+residuals and 1e-9 (CLASSIFY_TOL) for sign classification, which every
+helper, stacked kernel and the certificate use.
 """
 
 from __future__ import annotations
@@ -103,10 +102,10 @@ def unit_timelike(p) -> np.ndarray:
     return p if p[0] > 0 else -p
 
 
-def dihedral(v, w, tol: float = CLASSIFY_TOL) -> float:
+def dihedral(v, w) -> float:
     """Angle between intersecting planes: arccos(-<v,w>)."""
     c = mdot(v, w)
-    if c * c >= 1 - tol:
+    if c * c >= 1 - CLASSIFY_TOL:
         raise NotIntersecting(f"<v,w> = {c}, planes tangent or disjoint")
     return math.acos(-c)
 
@@ -127,26 +126,24 @@ def coseqn_product(a: float, b: float, g: float) -> float:
                  * math.cos((a + b - g) / 2) * math.cos((-a + b + g) / 2))
 
 
-def triple_class(a: float, b: float, g: float,
-                 tol: float = CLASSIFY_TOL) -> TripleClass:
+def triple_class(a: float, b: float, g: float) -> TripleClass:
     """Whether planes meeting pairwise at these angles share a finite
     vertex (angle sum above pi), an ideal one (exactly pi), or none."""
     for x in (a, b, g):
-        if not (0 < x <= math.pi / 2 + tol):
+        if not (0 < x <= math.pi / 2 + CLASSIFY_TOL):
             raise OutOfRange(f"angle {x} outside (0, pi/2]")
     d = coseqn_determinant(a, b, g)
-    if d > tol:
+    if d > CLASSIFY_TOL:
         return TripleClass("finite_vertex", d)
-    if d < -tol:
+    if d < -CLASSIFY_TOL:
         return TripleClass("no_vertex", d)
     return TripleClass("ideal_vertex", d)
 
 
-def face_angle(ai: float, aj: float, ak: float,
-               tol: float = CLASSIFY_TOL) -> float:
+def face_angle(ai: float, aj: float, ak: float) -> float:
     """Face angle opposite edge i at a finite trivalent vertex, by the
     spherical law of cosines from the three dihedral angles."""
-    if triple_class(ai, aj, ak, tol).kind != "finite_vertex":
+    if triple_class(ai, aj, ak).kind != "finite_vertex":
         raise NoFiniteVertex("dihedral angles do not meet at a finite vertex")
     num = math.cos(ai) + math.cos(aj) * math.cos(ak)
     den = math.sin(aj) * math.sin(ak)
@@ -167,15 +164,15 @@ def _minkowski_null(vs: Sequence[np.ndarray]) -> np.ndarray:
     return vt[-1]
 
 
-def vertex_point(v1, v2, v3, tol: float = CLASSIFY_TOL) -> np.ndarray:
+def vertex_point(v1, v2, v3) -> np.ndarray:
     """The finite point common to three planes with positive-definite
     Gram matrix, as a unit timelike vector with x0 > 0."""
     vs = [unit_spacelike(v) for v in (v1, v2, v3)]
     eig = np.linalg.eigvalsh(_gram(vs))
-    if eig[0] > tol:
+    if eig[0] > CLASSIFY_TOL:
         p = _minkowski_null(vs)
         return unit_timelike(p)
-    if eig[0] >= -tol:
+    if eig[0] >= -CLASSIFY_TOL:
         raise IdealPoint("planes meet on the sphere at infinity")
     raise NoCommonPoint("planes have no common point")
 
@@ -207,18 +204,17 @@ def vertex_points(units: np.ndarray, triples) -> np.ndarray:
     return np.where(p[:, :1] > 0, p, -p)
 
 
-def perp_plane(v1, v2, v3, interior=(1.0, 0.0, 0.0, 0.0),
-               tol: float = CLASSIFY_TOL) -> np.ndarray:
+def perp_plane(v1, v2, v3, interior=(1.0, 0.0, 0.0, 0.0)) -> np.ndarray:
     """The plane meeting all three given planes at right angles, which
     exists when they pairwise intersect but share no point, even at
     infinity.  Oriented away from the given interior point."""
     vs = [unit_spacelike(v) for v in (v1, v2, v3)]
     eig = np.linalg.eigvalsh(_gram(vs))
-    if eig[0] >= -tol:
+    if eig[0] >= -CLASSIFY_TOL:
         raise CommonPoint("planes share a point (possibly ideal)")
     w = unit_spacelike(_minkowski_null(vs))
     side = mdot(w, interior)
-    if abs(side) <= tol:
+    if abs(side) <= CLASSIFY_TOL:
         raise GeometryError("interior point lies on the perpendicular plane")
     return -w if side > 0 else w
 
@@ -322,8 +318,7 @@ def certify(ap: AbstractPolyhedron, normals) -> Realization:
     return Realization(complex=ap, normals=X, points=points)
 
 
-def extract_combinatorics(normals: Sequence, tol: float = CLASSIFY_TOL,
-                          name: str = "realization") -> Realization:
+def extract_combinatorics(normals: Sequence) -> Realization:
     """Rebuild the abstract polyhedron bounded by the given planes.
 
     Every triple of planes with positive-definite Gram matrix whose
@@ -340,10 +335,10 @@ def extract_combinatorics(normals: Sequence, tol: float = CLASSIFY_TOL,
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 try:
-                    p = vertex_point(vs[i], vs[j], vs[k], tol)
+                    p = vertex_point(vs[i], vs[j], vs[k])
                 except (IdealPoint, NoCommonPoint):
                     continue
-                if all(mdot(p, vs[m]) <= tol for m in range(n)
+                if all(mdot(p, vs[m]) <= CLASSIFY_TOL for m in range(n)
                        if m not in (i, j, k)):
                     triples.append((i, j, k))
                     pts.append(p)
@@ -358,7 +353,7 @@ def extract_combinatorics(normals: Sequence, tol: float = CLASSIFY_TOL,
         raise NonCompact(f"faces {thin} have fewer than three vertices")
     try:
         dc = complexes.DualComplex(node_count=n, triangles=tuple(sorted(triples)))
-        ap = complexes.primal(dc, name=name)
+        ap = complexes.primal(dc, name="realization")
     except complexes.ComplexError as exc:
         raise DegenerateFace(f"planes do not bound a polyhedron: {exc}")
     # primal() numbers vertices by the rank of their sorted dual triple,

@@ -31,10 +31,6 @@ class TargetEdgeExists(WhiteheadError):
     pass
 
 
-class NotFlankedByTwoTriangles(WhiteheadError):
-    pass
-
-
 class IsPrism(WhiteheadError):
     pass
 
@@ -57,18 +53,15 @@ class WhiteheadMove:
 
 
 def _flank_apexes(dc: DualComplex, a: int, b: int) -> Tuple[int, int]:
-    lo, hi = (a, b) if a < b else (b, a)
-    if (lo, hi) not in set(dc.edges):
+    """The apexes x < y of the two triangles on dual edge {a,b}: the
+    neighbors of b in the rotation around a."""
+    if b not in dc.adjacency().get(a, ()):
+        lo, hi = (a, b) if a < b else (b, a)
         raise EdgeMissing(f"no dual edge {{{lo},{hi}}}")
-    flanks = dc.edge_triangles(lo, hi)
-    if len(flanks) != 2:
-        raise NotFlankedByTwoTriangles(
-            f"edge {{{lo},{hi}}} lies on {len(flanks)} triangles")
-    apexes = [next(v for v in t if v not in (lo, hi)) for t in flanks]
-    if apexes[0] == apexes[1]:
-        raise NotFlankedByTwoTriangles(
-            f"edge {{{lo},{hi}}} has a repeated flanking apex")
-    return min(apexes), max(apexes)
+    cyc = dc.rotation[a]
+    i = cyc.index(b)
+    x, y = cyc[i - 1], cyc[(i + 1) % len(cyc)]
+    return (x, y) if x < y else (y, x)
 
 
 def move_on(dc: DualComplex, a: int, b: int) -> WhiteheadMove:
@@ -84,7 +77,7 @@ def apply_move(dc: DualComplex, move: WhiteheadMove) -> DualComplex:
     if (min(x, y), max(x, y)) != tuple(sorted(move.inserted_edge)):
         raise EdgeMissing(
             f"move inserts {move.inserted_edge} but flanks give {{{x},{y}}}")
-    if (x, y) in set(dc.edges):
+    if y in dc.adjacency()[x]:
         raise TargetEdgeExists(f"dual edge {{{x},{y}}} already present")
     drop = {tuple(sorted((a, b, x))), tuple(sorted((a, b, y)))}
     add = [tuple(sorted((a, x, y))), tuple(sorted((b, x, y)))]
@@ -129,7 +122,8 @@ def outer_view(dc: DualComplex, v_infty: Optional[int] = None) -> OuterPolygonVi
     if v_infty is None:
         v_infty = max(range(n), key=lambda v: (len(adj[v]), -v))
 
-    link = complexes._link_cycles(dc)[v_infty]
+    links = dc.rotation
+    link = links[v_infty]
     if len(link) == n - 2:
         raise IsPrism("outer polygon has length N-2")
 
@@ -137,8 +131,8 @@ def outer_view(dc: DualComplex, v_infty: Optional[int] = None) -> OuterPolygonVi
     start = link.index(min(link))
     link = link[start:] + link[:start]
     if link[-1] < link[1]:
-        link = [link[0]] + link[1:][::-1]
-    polygon = tuple(link)
+        link = link[:1] + link[:0:-1]
+    polygon = link
     on_p = set(polygon)
     pos = {v: i for i, v in enumerate(polygon)}
     k = len(polygon)
@@ -146,7 +140,6 @@ def outer_view(dc: DualComplex, v_infty: Optional[int] = None) -> OuterPolygonVi
     interior = tuple(v for v in range(n) if v != v_infty and v not in on_p)
     interior_set = set(interior)
 
-    links = complexes._link_cycles(dc)
     components: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
     for v in interior:
         cyc = links[v]
@@ -196,24 +189,21 @@ def outer_view(dc: DualComplex, v_infty: Optional[int] = None) -> OuterPolygonVi
 class ReductionTrace:
     start: DualComplex
     moves: Tuple[WhiteheadMove, ...]
-    witnesses: Tuple[int, ...]  # prismatic 3-circuit count after each move
     end: DualComplex
 
 
-def _certify_step(after: DualComplex) -> int:
-    """Independent simplicity count on the primal; must be zero."""
+def _certify_step(after: DualComplex) -> None:
+    """Independent simplicity check on the primal."""
     circuits = complexes.prismatic_circuits(complexes.primal(after), 3)
     if circuits:
         raise InternalInvariantBroken(
             f"move created prismatic 3-circuits {circuits}")
-    return 0
 
 
 class _Reducer:
     def __init__(self, dc: DualComplex):
         self.current = dc
         self.moves: List[WhiteheadMove] = []
-        self.witnesses: List[int] = []
         self.seen = {dc.triangles}
 
     def do(self, a: int, b: int) -> WhiteheadMove:
@@ -224,7 +214,7 @@ class _Reducer:
         if any(c not in tri for c in cycles):
             raise InternalInvariantBroken(
                 f"move {move} created a non-facial 3-cycle")
-        self.witnesses.append(_certify_step(after))
+        _certify_step(after)
         if after.triangles in self.seen:
             raise InternalInvariantBroken("reduction revisited a complex")
         self.seen.add(after.triangles)
@@ -352,7 +342,7 @@ def reduce_to_dn(dc: DualComplex) -> ReductionTrace:
     end = red.current
     if complexes.isomorphic(end, catalog.split_prism_dual(n)) is None:
         raise InternalInvariantBroken("reduction did not end at the split prism")
-    return ReductionTrace(dc, tuple(red.moves), tuple(red.witnesses), end)
+    return ReductionTrace(dc, tuple(red.moves), end)
 
 
 def replay(trace: ReductionTrace) -> DualComplex:
@@ -404,5 +394,4 @@ def trace_from_json(text: str) -> ReductionTrace:
     end = complexes.dual_from_json_dict(data["end"])
     moves = tuple(WhiteheadMove(tuple(m["remove"]), tuple(m["insert"]))
                   for m in data["moves"])
-    witnesses = (0,) * len(moves)
-    return ReductionTrace(start, moves, witnesses, end)
+    return ReductionTrace(start, moves, end)

@@ -149,7 +149,6 @@ def test_05_condition_five_is_implied():
 
 def test_06_dodecahedron_reduction():
     trace = whitehead.reduce_to_dn(complexes.dual(catalog.dodecahedron()))
-    assert all(w == 0 for w in trace.witnesses)
     cur = trace.start
     for mv in trace.moves:
         cur = whitehead.apply_move(cur, mv)
@@ -166,11 +165,11 @@ def test_07_randomized_reductions():
             v_inf = min(v for v in start_deg
                         if start_deg[v] == max(start_deg.values()))
             trace = whitehead.reduce_to_dn(dc)
-            assert all(w == 0 for w in trace.witnesses)
             cur = dc
             size = len(cur.adjacency()[v_inf])
             for mv in trace.moves:
                 cur = whitehead.apply_move(cur, mv)
+                assert complexes.is_simple(complexes.primal(cur))
                 nxt = len(cur.adjacency()[v_inf])
                 assert nxt - size in (0, 1)  # grows one episode at a time
                 size = nxt

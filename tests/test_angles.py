@@ -55,6 +55,38 @@ def reference_simplex_max(c, rows, rhs):
     return tab[m][-1], x
 
 
+def reference_check_conditions(ap, a):
+    """`check_conditions` as it was before the condition table: every
+    condition enumerated on its own and summed in Fractions, kept as the
+    oracle of the integer check."""
+    if len(a) != ap.edge_count:
+        raise angles.SizeMismatch(
+            f"assignment has {len(a)} angles, complex has {ap.edge_count} edges")
+    r = a.values
+
+    nonpositive = tuple(i for i, v in enumerate(r) if v <= 0)
+    obtuse = tuple(i for i, v in enumerate(r) if v > Fraction(1, 2))
+
+    low = tuple(v for v in range(ap.vertex_count)
+                if sum(r[e] for e in ap.vertex_edges(v)) <= 1)
+
+    heavy3 = tuple(c.dual_nodes for c in complexes.prismatic_circuits(ap, 3)
+                   if sum(r[e] for e in c.crossed_edges) >= 1)
+    heavy4 = tuple(c.dual_nodes for c in complexes.prismatic_circuits(ap, 4)
+                   if sum(r[e] for e in c.crossed_edges) >= 2)
+
+    heavy_quads = []
+    for f, boundary, entering in complexes.quadrilateral_contexts(ap):
+        base = sum(r[e] for e in entering)
+        if base + r[boundary[0]] + r[boundary[2]] >= 3:
+            heavy_quads.append((f, 0))
+        if base + r[boundary[1]] + r[boundary[3]] >= 3:
+            heavy_quads.append((f, 1))
+
+    return angles.ConditionReport(nonpositive, obtuse, low, heavy3, heavy4,
+                                  tuple(heavy_quads))
+
+
 def uniform(ap, r):
     return AngleAssignment.uniform(ap.edge_count, Fraction(r))
 
@@ -149,6 +181,45 @@ class TestFeasible:
             assert not angles.check_conditions(ap, AngleAssignment(vals)).member
 
 
+CHECK_CASES = ([(ap.name, ap) for ap in catalog.corpus()]
+               + [(f"random_simple({n},{n % 3})", (n, n % 3))
+                  for n in range(8, 25)])
+
+
+@pytest.mark.parametrize("name,case", CHECK_CASES,
+                         ids=[name for name, _ in CHECK_CASES])
+def test_integer_check_matches_fraction_check(name, case):
+    ap = (complexes.primal(whitehead.random_simple(*case, moves=30))
+          if isinstance(case, tuple) else case)
+    points = [uniform(ap, r) for r in (Fraction(1, 4), Fraction(1, 3),
+                                       Fraction(2, 5), Fraction(1, 2))]
+    witness = angles.feasible(ap).witness
+    if witness is not None:
+        points.append(witness)
+    for a in points:
+        assert (angles.check_conditions(ap, a)
+                == reference_check_conditions(ap, a))
+
+
+# Sums of these values land exactly on every bound of the conditions.
+ON_BOUND_VALUES = [Fraction(0), Fraction(1, 6), Fraction(1, 4),
+                   Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
+ON_BOUND_SHAPES = [catalog.cube(), catalog.prism(5), catalog.tetrahedron(),
+                   catalog.truncated_tetrahedron(),
+                   catalog.corner_truncated_cube(),
+                   complexes.primal(whitehead.random_simple(10, 1))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), shape=st.integers(0, len(ON_BOUND_SHAPES) - 1))
+def test_integer_check_matches_fraction_check_on_bounds(data, shape):
+    ap = ON_BOUND_SHAPES[shape]
+    a = AngleAssignment(tuple(data.draw(
+        st.lists(st.sampled_from(ON_BOUND_VALUES),
+                 min_size=ap.edge_count, max_size=ap.edge_count))))
+    assert angles.check_conditions(ap, a) == reference_check_conditions(ap, a)
+
+
 ORACLE_CASES = ([(ap.name, ap) for ap in catalog.corpus()]
                 + [(f"random_simple({n},{s})", (n, s))
                    for n in (8, 10, 12, 14, 16) for s in range(3)])
@@ -159,7 +230,7 @@ ORACLE_CASES = ([(ap.name, ap) for ap in catalog.corpus()]
 def test_simplex_matches_fraction_tableau(name, case):
     ap = (complexes.primal(whitehead.random_simple(*case, moves=30))
           if isinstance(case, tuple) else case)
-    program = angles._program(ap)
+    program = angles._program(ap.edge_count, angles._conditions(ap))
     assert angles._simplex_max(*program) == reference_simplex_max(*program)
 
 
@@ -204,7 +275,7 @@ def test_max_slack_matches_highs(name):
     optimize = pytest.importorskip("scipy.optimize")
     ap = HIGHS_CASES[name]()
     rep = angles.feasible(ap)
-    c, rows, rhs = angles._program(ap)
+    c, rows, rhs = angles._program(ap.edge_count, angles._conditions(ap))
     res = optimize.linprog([-v for v in c], A_ub=rows, b_ub=rhs,
                            bounds=(0, None), method="highs")
     assert res.status == 0

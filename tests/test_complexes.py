@@ -304,7 +304,7 @@ def relabelled(ap, seed):
 def reference_canonical_form(dc):
     """`complexes._canonical_form` without stopping traces early: every
     trace is built in full and the least whole trace wins."""
-    rotation = complexes._oriented_rotation(dc)
+    rotation = dc.rotation
     least = min(len(cyc) for cyc in rotation.values())
     starts = [a for a in range(dc.node_count) if len(rotation[a]) == least]
     best = best_labels = None
@@ -365,3 +365,48 @@ def test_random_simple_is_simple():
         ap = complexes.primal(dc)
         assert complexes.is_simple(ap)
         assert ap.face_count == 10
+
+
+def reference_flank_apexes(dc, a, b):
+    """The apexes of the two triangles on dual edge {a,b}, by a scan of
+    every triangle: how `whitehead.move_on` found them before it read
+    the rotation system."""
+    apexes = sorted(next(v for v in t if v not in (a, b))
+                    for t in dc.triangles if a in t and b in t)
+    assert len(apexes) == 2 and apexes[0] != apexes[1]
+    return tuple(apexes)
+
+
+ROTATION_CASES = ([(ap.name, ap) for ap in catalog.corpus()]
+                  + [(f"random_simple({n},{n % 5})", (n, n % 5))
+                     for n in range(8, 33, 3)])
+
+
+@pytest.mark.parametrize("name,case", ROTATION_CASES,
+                         ids=[name for name, _ in ROTATION_CASES])
+def test_rotation_system(name, case):
+    dc = (whitehead.random_simple(*case, moves=30) if isinstance(case, tuple)
+          else complexes.dual(case))
+    adj = dc.adjacency()
+    tri = dc.triangle_set
+    rotation = dc.rotation
+    assert set(rotation) == set(range(dc.node_count))
+    for a, cyc in rotation.items():
+        assert len(set(cyc)) == len(cyc) and set(cyc) == adj[a]
+        for x, y in zip(cyc, cyc[1:] + cyc[:1]):
+            assert tuple(sorted((a, x, y))) in tri
+
+    def turn(a, x, y):
+        """(a, x, y) as a cyclic triple when y follows x around a, else
+        (a, y, x); rotated to start at its least node."""
+        cyc = rotation[a]
+        t = (a, x, y) if cyc[(cyc.index(x) + 1) % len(cyc)] == y else (a, y, x)
+        i = t.index(min(t))
+        return t[i:] + t[:i]
+
+    for a, b, c in dc.triangles:
+        assert turn(a, b, c) == turn(b, c, a) == turn(c, a, b)
+
+    for a, b in dc.edges:
+        move = whitehead.move_on(dc, a, b)
+        assert move.inserted_edge == reference_flank_apexes(dc, a, b)
