@@ -78,11 +78,14 @@ class AbstractPolyhedron:
         return len(self.edges)
 
     def edge_index(self, u: int, v: int) -> int:
-        return self._edge_lookup[(u, v) if u < v else (v, u)]
-
-    @cached_property
-    def _edge_lookup(self) -> Dict[Tuple[int, int], int]:
-        return {(u, v): i for i, (u, v, _, _) in enumerate(self.edges)}
+        """Index of the edge joining vertices u and v: the one edge on
+        both vertices' edge lists.  KeyError when they are not adjacent."""
+        incident = self._vertex_edges
+        if u != v and 0 <= u < len(incident) and 0 <= v < len(incident):
+            for e in incident[u]:
+                if e in incident[v]:
+                    return e
+        raise KeyError((u, v))
 
     def edge_between_faces(self, a: int, b: int) -> Optional[int]:
         """Index of the primal edge shared by faces a and b, if any."""
@@ -128,6 +131,13 @@ class AbstractPolyhedron:
         cycle = self.faces[f]
         n = len(cycle)
         return tuple(self.edge_index(cycle[i], cycle[(i + 1) % n]) for i in range(n))
+
+    @cached_property
+    def _circuits(self) -> Dict[int, Tuple[Circuit, ...]]:
+        """prismatic_circuits(self, k) by k, filled on first request.
+
+        Not a dataclass field, so dataclasses.replace starts empty."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -354,8 +364,8 @@ def primal(dc: DualComplex, name: str = "complex") -> AbstractPolyhedron:
 
 
 def _simple_cycles(dc: DualComplex, k: int) -> List[Tuple[int, ...]]:
-    """All simple k-cycles of the dual graph, k in {3,4}, canonical and
-    sorted by node set, then by cycle.
+    """All simple k-cycles of the dual graph, k in {3,4}, canonical, in
+    no particular order.
 
     A canonical cycle starts at its least node, followed by the smaller of
     that node's two cycle neighbors.  A 4-cycle is found from its least
@@ -389,27 +399,50 @@ def _simple_cycles(dc: DualComplex, k: int) -> List[Tuple[int, ...]]:
                         found.append((a, b, c, d))
     else:
         raise ValueError("k must be 3 or 4")
-    return sorted(found, key=lambda c: (tuple(sorted(c)), c))
+    return found
 
 
 def prismatic_circuits(ap: AbstractPolyhedron, k: int) -> List[Circuit]:
-    """Prismatic k-circuits: k-cycles of the dual whose crossed primal
-    edges have pairwise distinct endpoints (2k vertices in all)."""
-    dc = dual(ap)
-    out = []
-    for cycle in _simple_cycles(dc, k):
-        # Consecutive nodes of a dual cycle are adjacent, so each pair
-        # shares a primal edge.
-        crossed = tuple(ap.edge_between_faces(cycle[i], cycle[(i + 1) % k])
-                        for i in range(k))
-        ends = set()
-        for e in crossed:
-            u, v, _, _ = ap.edges[e]
-            ends.update((u, v))
-        if len(ends) == 2 * k:
-            out.append(Circuit(kind=f"prismatic{k}", dual_nodes=cycle,
-                               crossed_edges=crossed))
-    return out
+    """Prismatic k-circuits, k in {3,4}: k-cycles of the dual whose
+    crossed primal edges have pairwise distinct endpoints (2k vertices in
+    all), sorted by node set, then by cycle.
+
+    The edge crossed between dual nodes a and b has as endpoints the two
+    dual triangles on ab.  So the edges crossed at a, b and at b, c share
+    an endpoint exactly when abc is a dual triangle, and the opposite
+    edges of a 4-cycle never do: a cycle is prismatic iff no three
+    cyclically consecutive nodes span a triangle of the dual.  A 3-cycle
+    is prismatic iff it is not itself a triangle.
+
+    The circuits are enumerated once per complex object and k, cached on
+    the complex; each call returns a new list.
+    """
+    if k not in (3, 4):
+        raise ValueError("k must be 3 or 4")
+    cached = ap._circuits.get(k)
+    if cached is None:
+        dc = dual(ap)
+        tris = dc.triangle_set
+        if k == 3:
+            kept = [c for c in _simple_cycles(dc, 3) if c not in tris]
+        else:
+            # The four consecutive triples of (a, b, c, d), each sorted;
+            # a is the least node and b < d.
+            kept = [(a, b, c, d) for a, b, c, d in _simple_cycles(dc, 4)
+                    if (a, b, d) not in tris
+                    and ((a, b, c) if b < c else (a, c, b)) not in tris
+                    and ((a, c, d) if c < d else (a, d, c)) not in tris
+                    and ((c, b, d) if c < b else (b, c, d) if c < d
+                         else (b, d, c)) not in tris]
+        kept.sort(key=lambda c: (tuple(sorted(c)), c))
+        kind = f"prismatic{k}"
+        edge = ap.edge_between_faces
+        cached = ap._circuits[k] = tuple(
+            Circuit(kind=kind, dual_nodes=c,
+                    crossed_edges=tuple(edge(c[i], c[(i + 1) % k])
+                                        for i in range(k)))
+            for c in kept)
+    return list(cached)
 
 
 def is_simple(ap: AbstractPolyhedron) -> bool:

@@ -91,7 +91,13 @@ def new_3cycles(dc: DualComplex, move: WhiteheadMove) -> List[Tuple[int, int, in
     Every new 3-cycle uses the inserted edge, so these are the common
     neighbors of its endpoints in the moved complex.
     """
-    after = apply_move(dc, move)
+    return _inserted_3cycles(apply_move(dc, move), move)
+
+
+def _inserted_3cycles(after: DualComplex,
+                      move: WhiteheadMove) -> List[Tuple[int, int, int]]:
+    """The 3-cycles through the inserted edge of `move`, read off the
+    complex `after` it produced."""
     x, y = move.inserted_edge
     adj = after.adjacency()
     return sorted(tuple(sorted((x, y, v))) for v in adj[x] & adj[y])
@@ -208,10 +214,9 @@ class _Reducer:
 
     def do(self, a: int, b: int) -> WhiteheadMove:
         move = move_on(self.current, a, b)
-        cycles = new_3cycles(self.current, move)
         after = apply_move(self.current, move)
         tri = after.triangle_set
-        if any(c not in tri for c in cycles):
+        if any(c not in tri for c in _inserted_3cycles(after, move)):
             raise InternalInvariantBroken(
                 f"move {move} created a non-facial 3-cycle")
         _certify_step(after)

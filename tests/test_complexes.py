@@ -1,5 +1,7 @@
 """Cell-complex validation, duality, and circuit enumeration."""
 
+import dataclasses
+import functools
 import json
 import random
 
@@ -410,3 +412,98 @@ def test_rotation_system(name, case):
     for a, b in dc.edges:
         move = whitehead.move_on(dc, a, b)
         assert move.inserted_edge == reference_flank_apexes(dc, a, b)
+
+
+def reference_prismatic_circuits(ap, k):
+    """The enumeration prismatic_circuits ran before it read the dual's
+    triangle set: every k-cycle in order of (node set, cycle), kept when
+    its crossed primal edges have 2k distinct endpoints.  No cache."""
+    cycles = sorted(complexes._simple_cycles(complexes.dual(ap), k),
+                    key=lambda c: (tuple(sorted(c)), c))
+    out = []
+    for cycle in cycles:
+        crossed = tuple(ap.edge_between_faces(cycle[i], cycle[(i + 1) % k])
+                        for i in range(k))
+        ends = {x for e in crossed for x in ap.edges[e][:2]}
+        if len(ends) == 2 * k:
+            out.append(complexes.Circuit(kind=f"prismatic{k}",
+                                         dual_nodes=cycle,
+                                         crossed_edges=crossed))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def random_primal(n, seed):
+    name = f"random_simple({n},{seed})"
+    return complexes.primal(whitehead.random_simple(n, seed, moves=30),
+                            name=name)
+
+
+def truncated_random(n, seed):
+    """random_simple(n, seed) with a seeded third of its vertices cut
+    off: a non-simple complex whose new triangles each carry a
+    prismatic 3-circuit."""
+    ap = random_primal(n, seed)
+    cut = random.Random(seed).sample(range(ap.vertex_count), ap.vertex_count // 3)
+    return catalog.truncate_vertices(ap, cut, name=f"truncated {ap.name}")
+
+
+CIRCUIT_CASES = ([(ap.name, lambda ap=ap: ap) for ap in catalog.corpus()]
+                 + [(f"random_simple({n},{s})",
+                     lambda n=n, s=s: random_primal(n, s))
+                    for n in range(8, 41) for s in range(3)]
+                 + [(f"truncated random_simple({n},{s})",
+                     lambda n=n, s=s: truncated_random(n, s))
+                    for n in (10, 16, 22) for s in range(3)])
+
+
+@pytest.mark.parametrize("name,make", CIRCUIT_CASES,
+                         ids=[name for name, _ in CIRCUIT_CASES])
+def test_circuits_match_endpoint_count(name, make):
+    ap = make()
+    for k in (3, 4):
+        want = reference_prismatic_circuits(ap, k)
+        assert complexes.prismatic_circuits(dataclasses.replace(ap), k) == want
+    if name.startswith("truncated"):
+        assert not complexes.is_simple(ap)
+
+
+class TestCircuitCache:
+    def test_replace_starts_empty(self):
+        ap = catalog.dodecahedron()
+        for k in (3, 4):
+            complexes.prismatic_circuits(ap, k)
+        assert set(vars(ap)["_circuits"]) == {3, 4}
+        assert "_circuits" not in vars(dataclasses.replace(ap))
+
+    def test_returned_list_is_a_copy(self):
+        ap = catalog.alternately_truncated_cube()
+        first = complexes.prismatic_circuits(ap, 3)
+        want = list(first)
+        first.clear()
+        assert complexes.prismatic_circuits(ap, 3) == want != []
+
+    def test_is_simple_enumerates_only_3_circuits(self):
+        ap = dataclasses.replace(catalog.dodecahedron())
+        assert complexes.is_simple(ap)
+        assert set(ap._circuits) == {3}
+
+    def test_bad_k_caches_nothing(self):
+        ap = dataclasses.replace(catalog.cube())
+        with pytest.raises(ValueError):
+            complexes.prismatic_circuits(ap, 5)
+        assert "_circuits" not in vars(ap)
+
+
+@pytest.mark.parametrize("ap", list(catalog.corpus())
+                         + [random_primal(n, n % 3) for n in range(8, 33)],
+                         ids=lambda ap: ap.name)
+def test_edge_index(ap):
+    for i, (u, v, _, _) in enumerate(ap.edges):
+        assert ap.edge_index(u, v) == ap.edge_index(v, u) == i
+    adjacent = {(u, v) for u, v, _, _ in ap.edges}
+    far = [(u, v) for u in range(ap.vertex_count)
+           for v in range(u + 1, ap.vertex_count) if (u, v) not in adjacent]
+    for u, v in far[:1] + [(0, 0), (0, ap.vertex_count)]:
+        with pytest.raises(KeyError):
+            ap.edge_index(u, v)

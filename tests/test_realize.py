@@ -511,3 +511,28 @@ def test_bind_agrees_with_extraction(case):
     except minkowski.GeometryError:
         rebuilt = False
     assert bound == rebuilt == accepted
+
+
+def test_circuits_enumerated_once_per_complex(monkeypatch):
+    """realize asks for the circuits of one complex many times (every
+    check_conditions and is_simple along the replay); each complex
+    object enumerates its cycles once per k."""
+    ap = complexes.primal(whitehead.random_simple(12, 0), name="r12")
+    requested = {}
+    enumerations = []
+    enumerate_cycles = complexes._simple_cycles
+    ask = complexes.prismatic_circuits
+
+    def counting_cycles(dc, k):
+        enumerations.append(k)
+        return enumerate_cycles(dc, k)
+
+    def recording_ask(ap, k):
+        requested[(id(ap), k)] = ap    # holds ap, so its id stays unique
+        return ask(ap, k)
+
+    monkeypatch.setattr(complexes, "_simple_cycles", counting_cycles)
+    monkeypatch.setattr(complexes, "prismatic_circuits", recording_ask)
+    realize.realize(ap, uniform(ap, Fraction(2, 5)))
+    assert len(requested) > 10
+    assert len(enumerations) == len(requested)

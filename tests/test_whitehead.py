@@ -130,3 +130,17 @@ def test_trace_json_round_trip():
     assert back.end.triangle_set == trace.end.triangle_set
     assert back.moves == trace.moves
     assert whitehead.replay(back).triangle_set == trace.end.triangle_set
+
+
+def test_reduction_applies_each_move_once(monkeypatch):
+    dc = whitehead.random_simple(16, 1, moves=30)
+    applied = []
+    apply_move = whitehead.apply_move
+
+    def counting_apply(dc, move):
+        applied.append(move)
+        return apply_move(dc, move)
+
+    monkeypatch.setattr(whitehead, "apply_move", counting_apply)
+    trace = whitehead.reduce_to_dn(dc)
+    assert applied == list(trace.moves)
