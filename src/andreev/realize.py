@@ -374,17 +374,12 @@ def replay_whitehead(realization: Realization,
 
 def _interior_point(ap: AbstractPolyhedron, X: np.ndarray,
                     skip: Set[int]) -> np.ndarray:
+    """The normalised sum of the vertex points outside skip, added in
+    vertex order; a GeometryError when one of them is not finite."""
+    kept = [ap.vertex_faces(v) for v in range(ap.vertex_count) if v not in skip]
     acc = np.zeros(4)
-    for v in range(ap.vertex_count):
-        if v in skip:
-            continue
-        i, j, k = ap.vertex_faces(v)
-        try:
-            acc += vertex_point(X[i], X[j], X[k])
-        except GeometryError:
-            continue
-    if acc[0] <= 0:
-        return np.array([1.0, 0.0, 0.0, 0.0])
+    for point in minkowski.vertex_points(X, kept):
+        acc += point
     return unit_timelike(acc)
 
 
@@ -405,15 +400,15 @@ def _truncate_normals(ap: AbstractPolyhedron, X: np.ndarray,
     """Push all planes out by delta so the cut vertices turn hyperideal,
     then close each of them off with the common perpendicular plane."""
     cut = sorted(set(cut))
-    p = _interior_point(ap, X, set(cut))
     new_ap = catalog.truncate_vertices(ap, cut, name=ap.name)
-    Y = _push_normals(X, p, delta)
     try:
+        p = _interior_point(ap, X, set(cut))
+        Y = _push_normals(X, p, delta)
         extra = [perp_plane(*Y[list(ap.vertex_faces(v))], interior=p)
                  for v in cut]
     except GeometryError as exc:
         raise WrongCombinatorics(
-            f"a push of {delta} leaves no cutting plane: {exc}")
+            f"no interior point or cutting plane at a push of {delta}: {exc}")
     return _bind(new_ap, np.vstack([Y, extra]))
 
 
@@ -804,11 +799,14 @@ def _realize_simple(ap: AbstractPolyhedron, a: AngleAssignment) -> Realization:
     trace = whitehead.reduce_to_dn(complexes.dual(ap))
     n = ap.face_count
     built = minkowski.build_split_prism(n)
-    m = complexes.isomorphic(complexes.dual(built.complex), trace.end)
-    assert m is not None
+    # Both complexes are labelled onto the catalog split prism; compose.
+    end_labels = whitehead.split_prism_labels(trace.end)
+    built_labels = whitehead.split_prism_labels(complexes.dual(built.complex))
+    assert end_labels is not None and built_labels is not None
+    end_node = {lab: v for v, lab in end_labels.items()}
     normals = np.empty((n, 4))
     for f in range(n):
-        normals[m[f]] = built.normals[f]
+        normals[end_node[built_labels[f]]] = built.normals[f]
     stage_ap = complexes.primal(trace.end, name=f"{ap.name}_stage")
     current = _bind(stage_ap, normals)
     interior = AngleAssignment.uniform(ap.edge_count, TWO_FIFTHS)

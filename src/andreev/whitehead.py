@@ -4,8 +4,14 @@ simple complex to the split prism.
 A Whitehead move removes a dual edge AB flanked by triangles ABX and
 ABY and inserts the edge XY, replacing those triangles with AXY and
 BXY.  The reduction grows the outer polygon around a fixed apex node
-one vertex per episode until only two interior nodes remain, checking
-after every single move that no prismatic 3-circuit appeared.
+one vertex per episode until only two interior nodes remain.
+
+Every triangle that survives a move is still a triangle and XY is its
+only new edge, so a move keeps a simple complex simple exactly when
+every 3-cycle through XY is a triangle of the moved complex
+(`_keeps_simple`).  That one check certifies each move of the reduction
+and of `random_simple`; the reduction's end is certified by relabeling
+it exactly onto `catalog.split_prism_dual(n)` (`split_prism_labels`).
 """
 
 from __future__ import annotations
@@ -103,6 +109,13 @@ def _inserted_3cycles(after: DualComplex,
     return sorted(tuple(sorted((x, y, v))) for v in adj[x] & adj[y])
 
 
+def _keeps_simple(after: DualComplex, move: WhiteheadMove) -> bool:
+    """Whether `move`, applied to a simple complex, left `after` simple:
+    every 3-cycle through the inserted edge is a triangle."""
+    tri = after.triangle_set
+    return all(c in tri for c in _inserted_3cycles(after, move))
+
+
 @dataclass(frozen=True)
 class OuterPolygonView:
     """The dual complex seen from a fixed apex node.
@@ -198,14 +211,6 @@ class ReductionTrace:
     end: DualComplex
 
 
-def _certify_step(after: DualComplex) -> None:
-    """Independent simplicity check on the primal."""
-    circuits = complexes.prismatic_circuits(complexes.primal(after), 3)
-    if circuits:
-        raise InternalInvariantBroken(
-            f"move created prismatic 3-circuits {circuits}")
-
-
 class _Reducer:
     def __init__(self, dc: DualComplex):
         self.current = dc
@@ -215,11 +220,9 @@ class _Reducer:
     def do(self, a: int, b: int) -> WhiteheadMove:
         move = move_on(self.current, a, b)
         after = apply_move(self.current, move)
-        tri = after.triangle_set
-        if any(c not in tri for c in _inserted_3cycles(after, move)):
+        if not _keeps_simple(after, move):
             raise InternalInvariantBroken(
                 f"move {move} created a non-facial 3-cycle")
-        _certify_step(after)
         if after.triangles in self.seen:
             raise InternalInvariantBroken("reduction revisited a complex")
         self.seen.add(after.triangles)
@@ -325,10 +328,11 @@ def reduce_to_dn(dc: DualComplex) -> ReductionTrace:
     split prism by Whitehead moves, never passing through a complex
     with a prismatic 3-circuit."""
     n = dc.node_count
-    view = outer_view(dc)  # raises TooSmall / IsPrism
-    if complexes.prismatic_circuits(complexes.primal(dc), 3):
+    if n <= 7:
+        raise TooSmall(f"{n} faces, need more than 7")
+    if not complexes.is_simple(complexes.primal(dc)):
         raise WhiteheadError("complex is not simple")
-    v_infty = view.v_infty
+    v_infty = outer_view(dc).v_infty  # raises IsPrism
 
     red = _Reducer(dc)
     while len(outer_view(red.current, v_infty).polygon) < n - 3:
@@ -345,9 +349,41 @@ def reduce_to_dn(dc: DualComplex) -> ReductionTrace:
     _trim_component(red, v_infty, a, arc, 3)
 
     end = red.current
-    if complexes.isomorphic(end, catalog.split_prism_dual(n)) is None:
+    if split_prism_labels(end) is None:
         raise InternalInvariantBroken("reduction did not end at the split prism")
     return ReductionTrace(dc, tuple(red.moves), end)
+
+
+def split_prism_labels(dc: DualComplex) -> Optional[Dict[int, int]]:
+    """The relabeling of dc onto `catalog.split_prism_dual(n)`, or None
+    when dc is not the split prism.
+
+    The labels are read off `outer_view(dc)`: the apex is 0, the polygon
+    is 1..n-3 in its own order starting along the arc of the interior
+    endpoint that touches three polygon nodes, that endpoint is n-2 and
+    the other interior node n-1.  They are returned only when they carry
+    every triangle of dc onto a triangle of the split prism.
+    """
+    n = dc.node_count
+    try:
+        view = outer_view(dc)
+    except (WhiteheadError, InternalInvariantBroken):
+        return None
+    threes = [v for v in view.interior
+              if [len(arc) for arc in view.components[v]] == [3]]
+    if len(view.interior) != 2 or len(threes) != 1:
+        return None
+    i1 = threes[0]
+    i2 = next(v for v in view.interior if v != i1)
+    polygon, k = view.polygon, len(view.polygon)
+    start = polygon.index(view.components[i1][0][0])
+    labels = {view.v_infty: 0, i1: n - 2, i2: n - 1}
+    for j in range(k):
+        labels[polygon[(start + j) % k]] = 1 + j
+    moved = sorted(tuple(sorted(labels[u] for u in t)) for t in dc.triangles)
+    if tuple(moved) != catalog.split_prism_dual(n).triangles:
+        return None
+    return labels
 
 
 def replay(trace: ReductionTrace) -> DualComplex:
@@ -377,7 +413,7 @@ def random_simple(n: int, seed: int, moves: int = 20) -> DualComplex:
             after = apply_move(cur, move)
         except WhiteheadError:
             continue
-        if complexes.prismatic_circuits(complexes.primal(after), 3):
+        if not _keeps_simple(after, move):
             continue
         cur = after
         accepted += 1

@@ -122,6 +122,12 @@ def test_reduce_refuses_prisms(paths):
     assert main(["reduce", "--input", paths["prism5"]]) == 1
 
 
+def test_reduce_refuses_non_simple(paths, capsys):
+    assert main(["reduce", "--input", paths["atc"]]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"error": "WhiteheadError", "detail": "complex is not simple"}
+
+
 def test_realize_and_export(paths, capsys):
     off_path = str(paths["dir"] / "d.off")
     assert main(["realize", "--input", paths["dodeca"],

@@ -215,6 +215,9 @@ SINGLE_ATTEMPT_SITES = {
                       realize.Diverged("forced"), _replay_first_move),
     "truncation_push": ("perp_plane", None,
                         minkowski.OutOfRange("forced"), _truncate_near_ideal),
+    "truncation_interior_point": ("_interior_point", None,
+                                  minkowski.NoCommonPoint("forced"),
+                                  _truncate_near_ideal),
     "rejoin": ("_solve_raw", "_realize_truncated",
                realize.Diverged("forced"), _staged_pipeline),
 }
@@ -536,3 +539,21 @@ def test_circuits_enumerated_once_per_complex(monkeypatch):
     realize.realize(ap, uniform(ap, Fraction(2, 5)))
     assert len(requested) > 10
     assert len(enumerations) == len(requested)
+
+
+def test_simple_branch_computes_no_canonical_form(monkeypatch):
+    """The reduction's end and the built split prism are matched through
+    their split-prism labels, not a canonical-form search."""
+    ap = complexes.primal(whitehead.random_simple(12, 0), name="r12")
+    searches = []
+    canonical_form = complexes._canonical_form
+
+    def counting(dc):
+        searches.append(dc)
+        return canonical_form(dc)
+
+    monkeypatch.setattr(complexes, "_canonical_form", counting)
+    a = uniform(ap, Fraction(2, 5))
+    r = realize.realize(ap, a)
+    assert gram_residual(r, a) <= 1e-10
+    assert searches == []
