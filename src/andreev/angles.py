@@ -292,7 +292,8 @@ def feasible(ap: AbstractPolyhedron) -> FeasibilityReport:
         return FeasibilityReport(False, slack, None)
     witness = AngleAssignment(tuple(x[:E]))
     report = _evaluate(table, witness)
-    assert report.member, "feasibility witness failed the exact recheck"
+    if not report.member:
+        raise NotMember(f"feasibility witness failed the exact recheck: {report}")
     return FeasibilityReport(True, slack, witness)
 
 

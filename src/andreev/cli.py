@@ -98,7 +98,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "reduce":
             trace = whitehead.reduce_to_dn(complexes.dual(ap))
-            assert whitehead.replay(trace).triangle_set == trace.end.triangle_set
+            if whitehead.replay(trace).triangle_set != trace.end.triangle_set:
+                raise whitehead.WhiteheadError(
+                    "trace does not replay to its recorded end")
             _emit(whitehead.trace_to_json(trace), args.output)
             return 0
 

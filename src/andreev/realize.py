@@ -9,7 +9,8 @@ continuation or one-off solve is first boosted so that the mean of its
 vertex points is the origin, so coordinates stay the size of the
 polyhedron.  Continuation moves the target angles along straight lines
 inside the angle polytope, whose membership is checked exactly at
-rational endpoints.  On top of that sit the combinatorial
+rational endpoints (or, for the Whitehead replay's profiles, known from
+the lemma in `_collapse_profile`).  On top of that sit the combinatorial
 pipelines: prisms are built directly, simple complexes are reached by
 replaying a Whitehead reduction backwards from the split prism,
 complexes whose only prismatic 3-circuits are truncated triangles go
@@ -37,6 +38,7 @@ from .minkowski import (GeometryError, Realization, mdot, unit_timelike,
 _ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 RESIDUAL_TOL = 1e-10
+PATH_TOL = 1e-6
 NEWTON_STEPS = 50
 EVENT_TOL = 1e-7
 STEP_FLOOR = 1e-6
@@ -131,9 +133,9 @@ def _centred(normals, points) -> np.ndarray:
 
 
 def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
-               seed: Sequence) -> np.ndarray:
-    """Solve the Gram system for the face normals, without extracting
-    combinatorics.  Returns an (N,4) array.
+               seed: Sequence, tol: float = RESIDUAL_TOL) -> np.ndarray:
+    """Solve the Gram system for the face normals to a max residual below
+    tol, without extracting combinatorics.  Returns an (N,4) array.
 
     The unit-norm and edge rows leave the six directions of the Lorentz
     group free; six slice rows <X G_k^T, delta> = 0 take every step
@@ -169,7 +171,7 @@ def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
         res = np.max(np.abs(F))
         if not np.isfinite(res) or res > 1e8:
             raise Diverged(f"residual blew up at step {step}")
-        if res < RESIDUAL_TOL:
+        if res < tol:
             break
         if step == NEWTON_STEPS:
             raise Diverged(f"no convergence in {NEWTON_STEPS} steps "
@@ -231,12 +233,22 @@ def _continue_core(r: Realization, start_rad: np.ndarray,
                    max_step: float = 0.25) -> np.ndarray:
     """Step r, centred once, from start_rad to target_rad, halving the
     step on a failed solve (down to STEP_FLOOR) and doubling it back
-    after a success."""
+    after a success.
+
+    Only the t = 1 endpoint leaves this walk, so the interior points
+    are solved to PATH_TOL, as accurate as the next step's seed needs;
+    the endpoint is solved to RESIDUAL_TOL.  Events are decided on
+    RESIDUAL_TOL solves only: a step whose vertex dets flag an event is
+    first re-solved to RESIDUAL_TOL from itself, the bisection solves to
+    RESIDUAL_TOL, and the realization EventDetected carries is one of
+    those solves (or r itself)."""
     ap = r.complex
     watched = [v for v in range(ap.vertex_count) if v not in expect_ideal]
 
-    def solve_at(t: float, seed: np.ndarray) -> np.ndarray:
-        return _solve_raw(ap, (1.0 - t) * start_rad + t * target_rad, seed)
+    def solve_at(t: float, seed: np.ndarray,
+                 tol: float = RESIDUAL_TOL) -> np.ndarray:
+        return _solve_raw(ap, (1.0 - t) * start_rad + t * target_rad, seed,
+                          tol)
 
     def bad_vertices(X: np.ndarray) -> Tuple[int, ...]:
         dets = _vertex_dets(ap, X)
@@ -246,14 +258,17 @@ def _continue_core(r: Realization, start_rad: np.ndarray,
     while t < 1.0:
         tn = min(1.0, t + step)
         try:
-            Xn = solve_at(tn, X)
+            Xn = solve_at(tn, X, RESIDUAL_TOL if tn == 1.0 else PATH_TOL)
+            bad = bad_vertices(Xn)
+            if bad and tn < 1.0:
+                Xn = solve_at(tn, Xn)
+                bad = bad_vertices(Xn)
         except (Diverged, SingularJacobian, WrongCombinatorics):
             step /= 2.0
             if step < STEP_FLOOR:
                 raise StepFloorReached(
                     f"step size fell below {STEP_FLOOR} at t={t:.6f}")
             continue
-        bad = bad_vertices(Xn)
         if bad:
             # Bisect between the good and bad parameters to localize
             # the first ideal-vertex event.
@@ -272,6 +287,8 @@ def _continue_core(r: Realization, start_rad: np.ndarray,
                     hi, bad = mid, worse
                 else:
                     lo, Xg = mid, Xm
+            if lo == t and t > 0.0:
+                Xg = solve_at(t, X)  # X is an interior PATH_TOL point
             raise EventDetected(hi, bad, _bind(ap, Xg))
         t, X = tn, Xn
         step = min(max_step, 2.0 * step)
@@ -296,20 +313,29 @@ def continue_path(realization: Realization, target: AngleAssignment,
             or report.heavy_quads):
         raise angle_sets.NotMember(
             f"target assignment violates the conditions: {report}")
-    measured = np.array(realization.edge_angles())
     if start is not None:
         report = angle_sets.check_conditions(ap, start)
         if not report.member:
             raise angle_sets.NotMember(
                 f"start assignment violates the conditions: {report}")
-        start_rad = _radians(start)
+    return _walk(realization, _radians(target),
+                 None if start is None else _radians(start))
+
+
+def _walk(realization: Realization, target_rad: np.ndarray,
+          start_rad: Optional[np.ndarray] = None) -> Realization:
+    """The numeric walk behind continue_path, for endpoints already known
+    to lie in the angle set: from start_rad (the measured angles when
+    None) to target_rad, certified at the end by _bind."""
+    ap = realization.complex
+    measured = np.array(realization.edge_angles())
+    if start_rad is None:
+        start_rad = measured
+    else:
         drift = np.max(np.abs(start_rad - measured))
         if drift > 1e-6:
             raise ValueError(
                 f"declared start is {drift:.2e} away from the measured angles")
-    else:
-        start_rad = measured
-    target_rad = _radians(target)
     try:
         return _bind(ap, _continue_core(realization, start_rad, target_rad))
     except WrongCombinatorics:
@@ -325,8 +351,24 @@ def continue_path(realization: Realization, target: AngleAssignment,
 
 def _collapse_profile(ap: AbstractPolyhedron, edge: int) -> AngleAssignment:
     """The angle profile that pinches the given edge: REPLAY_EPSILON
-    there, pi/2 on the four surrounding edges, 2*pi/5 elsewhere.  Relies
-    on the edge-collapse precondition that ap is simple."""
+    there, pi/2 on the four surrounding edges, 2*pi/5 elsewhere.
+
+    collapse_edge first checks exactly that ap is simple (no prismatic
+    3-circuit) and that no face at the edge is a triangle.  On such a
+    complex the profile lies in the angle set, so the replay walks to
+    and from it without checking the condition table:
+    - every edge lies in (0, 1/2];
+    - the edge's two ends sum to 1 + REPLAY_EPSILON, every other vertex
+      to at least 6/5;
+    - there are no 3-circuit rows;
+    - a prismatic 4-circuit crosses pairwise disjoint edges, and the
+      surrounding edges come in two pairs, each pair sharing an end of
+      the pinched edge, so it crosses at most two pi/2 edges: a sum of
+      at most 9/5 < 2;
+    - a quadrilateral row has six edges, at most four of them pi/2: a
+      sum of at most 14/5 < 3.
+    Uniform 2/5 gives 6/5, 8/5 and 12/5 on every simple complex, so it
+    lies in the angle set as well."""
     con = complexes.collapse_edge(ap, edge)
     values = [TWO_FIFTHS] * ap.edge_count
     for s in con.surrounding_edges:
@@ -343,7 +385,8 @@ def replay_whitehead(realization: Realization,
     with its four flanking edges at pi/2; solve the moved complex once at
     its own pinch profile (REPLAY_EPSILON on the inserted edge), seeded
     with the pinched normals unchanged; then relax to the all-2*pi/5
-    interior point.
+    interior point.  Every profile walked to or from lies in the angle
+    set by the argument of _collapse_profile, so no leg rechecks it.
     """
     ap = realization.complex
     dc = complexes.dual(ap)
@@ -353,8 +396,7 @@ def replay_whitehead(realization: Realization,
         raise whitehead.EdgeMissing(
             f"faces {a_node} and {b_node} share no edge")
 
-    pinch = _collapse_profile(ap, edge)
-    squeezed = continue_path(realization, pinch)
+    squeezed = _walk(realization, _radians(_collapse_profile(ap, edge)))
 
     dc2 = whitehead.apply_move(dc, move)
     ap2 = complexes.primal(dc2, name=ap.name)
@@ -365,8 +407,8 @@ def replay_whitehead(realization: Realization,
     out = _bind(ap2, _solve_raw(ap2, target2,
                                 _centred(squeezed.normals, squeezed.points)))
 
-    rest = AngleAssignment.uniform(ap2.edge_count, TWO_FIFTHS)
-    return continue_path(out, rest, start=profile2)
+    rest = np.full(ap2.edge_count, float(TWO_FIFTHS) * math.pi)
+    return _walk(out, rest, start_rad=target2)
 
 
 # Ideal-vertex truncation
@@ -691,7 +733,7 @@ def decompose(ap: AbstractPolyhedron, a: AngleAssignment) -> CompoundPlan:
                 values.append(a[idx])
         piece_angles = AngleAssignment(tuple(values))
         assert angle_sets.check_conditions(piece, piece_angles).member
-        assert complexes.isomorphic(piece, catalog.prism(5)) is None
+        assert _prism_labels(piece) is None
         pieces.append(PieceSpec(piece, piece_angles, origin, new_face_of,
                                 circuit_nodes))
     return CompoundPlan(tuple(ess), tuple(pieces))
@@ -778,17 +820,45 @@ def glue(realizations: Sequence[Realization], plan: CompoundPlan
 # Orchestration
 
 
-def _realize_prism(ap: AbstractPolyhedron, a: AngleAssignment) -> Realization:
+def _prism_labels(ap: AbstractPolyhedron) -> Optional[Tuple[int, ...]]:
+    """The faces of ap in the face order of `minkowski.build_prism(n)`
+    (sides 0..n-3 in cyclic order, then the two caps), or None when ap
+    is not a prism.
+
+    The labels are read off the edge cycle of one (n-2)-gon, taken as a
+    cap (on the cube any face is one); the other cap is the one face
+    left.  They are returned only when the prism's triangles (side i,
+    side i+1, cap) carry onto exactly the triangles of dual(ap)."""
+    n = ap.face_count
+    k = n - 2
+    cap = next((f for f, cycle in enumerate(ap.faces) if len(cycle) == k),
+               None)
+    if cap is None:
+        return None
+    sides = [next(g for g in ap.edges[e][2:] if g != cap)
+             for e in ap.face_edge_cycle(cap)]
+    rest = set(range(n)) - set(sides) - {cap}
+    if len(rest) != 1:
+        return None
+    labels = tuple(sides) + (cap, rest.pop())
+    moved = {tuple(sorted((labels[i], labels[(i + 1) % k], labels[c])))
+             for i in range(k) for c in (k, k + 1)}
+    if moved != complexes.dual(ap).triangle_set:
+        return None
+    return labels
+
+
+def _realize_prism(ap: AbstractPolyhedron, a: AngleAssignment,
+                   labels: Sequence[int]) -> Realization:
+    """Realize the prism ap, whose faces in build_prism order are labels,
+    from the regular prism."""
     n = ap.face_count
     seed_angle = {5: Fraction(1, 4), 6: TWO_FIFTHS}.get(n, HALF)
     built = minkowski.build_prism(n, float(seed_angle) * math.pi,
                                   gap=math.pi / 10)
-    m = complexes.isomorphic(built.complex, ap)
-    assert m is not None
-    caps = {m[n - 2], m[n - 1]}  # built prism lists its side faces first
+    caps = {labels[n - 2], labels[n - 1]}
     normals_ap = np.empty((n, 4))
-    for f in range(n):
-        normals_ap[m[f]] = built.normals[f]
+    normals_ap[list(labels)] = built.normals
     start = AngleAssignment(tuple(
         seed_angle if fa not in caps and fb not in caps else TWO_FIFTHS
         for (_, _, fa, fb) in ap.edges))
@@ -829,8 +899,9 @@ def realize(ap: AbstractPolyhedron, a: AngleAssignment) -> Realization:
     if not report.member:
         raise InfeasibleAngles(
             f"angles violate the linear conditions: {report}")
-    if complexes.isomorphic(ap, catalog.prism(ap.face_count)) is not None:
-        return _realize_prism(ap, a)
+    labels = _prism_labels(ap)
+    if labels is not None:
+        return _realize_prism(ap, a, labels)
     if complexes.is_simple(ap):
         return _realize_simple(ap, a)
     if _essential_circuits(ap):

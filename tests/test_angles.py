@@ -2,13 +2,18 @@
 
 import functools
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import andreev
 from andreev import angles, catalog, complexes, whitehead
 from andreev.angles import AngleAssignment
 
@@ -284,6 +289,39 @@ def test_max_slack_matches_highs(name):
         assert angles.check_conditions(ap, rep.witness).member
     else:
         assert name == "alternately_truncated_cube" and rep.witness is None
+
+
+def _obtuse_optimizer(c, rows, rhs):
+    """A stand-in for _simplex_max whose optimizer has positive slack
+    but is no member: every angle is pi."""
+    return Fraction(2), [Fraction(1)] * (len(c) - 1) + [Fraction(2)]
+
+
+def test_witness_recheck_raises(monkeypatch):
+    monkeypatch.setattr(angles, "_simplex_max", _obtuse_optimizer)
+    with pytest.raises(angles.NotMember, match="exact recheck"):
+        angles.feasible(catalog.cube())
+
+
+def test_witness_recheck_survives_optimize_flag():
+    # `python -O` strips assert statements; the recheck must not be one.
+    code = textwrap.dedent("""
+        from fractions import Fraction
+        from andreev import angles, catalog
+        angles._simplex_max = lambda c, rows, rhs: (
+            Fraction(2), [Fraction(1)] * (len(c) - 1) + [Fraction(2)])
+        try:
+            angles.feasible(catalog.cube())
+        except angles.NotMember:
+            print("refused")
+    """)
+    src = os.path.dirname(os.path.dirname(andreev.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "refused"
 
 
 class TestInteriorPath:

@@ -128,6 +128,15 @@ def test_reduce_refuses_non_simple(paths, capsys):
     assert out == {"error": "WhiteheadError", "detail": "complex is not simple"}
 
 
+def test_reduce_checks_its_replay(paths, capsys, monkeypatch):
+    # a trace that does not replay to its recorded end is refused, also
+    # under `python -O`: the check is a raise, not an assert
+    monkeypatch.setattr(whitehead, "replay", lambda trace: trace.start)
+    assert main(["reduce", "--input", paths["dodeca"]]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "WhiteheadError"
+
+
 def test_realize_and_export(paths, capsys):
     off_path = str(paths["dir"] / "d.off")
     assert main(["realize", "--input", paths["dodeca"],

@@ -4,6 +4,7 @@ import functools
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from andreev import angles, catalog, complexes, minkowski, realize, whitehead
 from andreev.angles import AngleAssignment
 from conftest import gram_residual
+from test_complexes import relabelled
 
 
 def uniform(ap, r):
@@ -168,6 +170,37 @@ class TestContinuePath:
         ev = near_ideal_event()
         assert ev.vertices == (0,)
         assert ev.t > 0.95
+
+    def test_outputs_meet_residual_tol(self, monkeypatch):
+        # Interior path points stop at PATH_TOL; what leaves the walk,
+        # the endpoint or the realization an event carries, does not.
+        r = dodeca_two_fifths()
+        target = uniform(r.complex, Fraction(1, 2))
+        X = realize._continue_core(r, np.array(r.edge_angles()),
+                                   realize._radians(target))
+        assert gram_residual(SimpleNamespace(complex=r.complex, normals=X),
+                             target) <= 1e-10
+
+        solves = []
+        solve_raw = realize._solve_raw
+
+        def recording(ap, target_rad, seed, *args):
+            X = solve_raw(ap, target_rad, seed, *args)
+            solves.append((target_rad / math.pi, X))
+            return X
+
+        monkeypatch.setattr(realize, "_solve_raw", recording)
+        vals = [Fraction(2, 5)] * r.complex.edge_count
+        for e in r.complex.vertex_edges(0):
+            vals[e] = Fraction(1, 3)
+        with pytest.raises(realize.EventDetected) as exc:
+            realize.continue_path(r, AngleAssignment(tuple(vals)))
+        ev = exc.value.realization
+        # a late bisection solve can return its seed unchanged, so
+        # several solves may have produced these normals
+        at = [a for a, X in solves if np.array_equal(X, ev.normals)]
+        assert at
+        assert all(gram_residual(ev, a) <= 1e-10 for a in at)
 
 
 class TestReplay:
@@ -517,9 +550,10 @@ def test_bind_agrees_with_extraction(case):
 
 
 def test_circuits_enumerated_once_per_complex(monkeypatch):
-    """realize asks for the circuits of one complex many times (every
-    check_conditions and is_simple along the replay); each complex
-    object enumerates its cycles once per k."""
+    """realize asks for the circuits of one complex many times (the
+    is_simple of every collapse_edge along the replay, and the
+    check_conditions of the walks outside it); each complex object
+    enumerates its cycles once per k."""
     ap = complexes.primal(whitehead.random_simple(12, 0), name="r12")
     requested = {}
     enumerations = []
@@ -543,8 +577,12 @@ def test_circuits_enumerated_once_per_complex(monkeypatch):
 
 def test_simple_branch_computes_no_canonical_form(monkeypatch):
     """The reduction's end and the built split prism are matched through
-    their split-prism labels, not a canonical-form search."""
-    ap = complexes.primal(whitehead.random_simple(12, 0), name="r12")
+    their split-prism labels, and prisms through _prism_labels, not a
+    canonical-form search; the staged and glued branches use neither."""
+    inputs = [complexes.primal(whitehead.random_simple(12, 0), name="r12")]
+    inputs += [catalog.prism(n) for n in range(5, 11)]
+    inputs += [catalog.cube(), catalog.truncated_tetrahedron(),
+               catalog.corner_doubled_cube()]
     searches = []
     canonical_form = complexes._canonical_form
 
@@ -553,7 +591,107 @@ def test_simple_branch_computes_no_canonical_form(monkeypatch):
         return canonical_form(dc)
 
     monkeypatch.setattr(complexes, "_canonical_form", counting)
-    a = uniform(ap, Fraction(2, 5))
-    r = realize.realize(ap, a)
-    assert gram_residual(r, a) <= 1e-10
-    assert searches == []
+    for ap in inputs:
+        a = uniform(ap, Fraction(2, 5))
+        if not angles.check_conditions(ap, a).member:
+            a = angles.feasible(ap).witness
+        r = realize.realize(ap, a)
+        assert gram_residual(r, a) <= 1e-10
+        assert searches == [], ap.name
+
+
+def test_collapse_profiles_are_members():
+    """The replay walks to and from pinch profiles without checking them;
+    the full condition table confirms the lemma that lets it, on random
+    simple complexes at n = 8-32 and split prisms at n = 8-16."""
+    simple = [complexes.primal(whitehead.random_simple(n, s, moves=30))
+              for n in range(8, 33) for s in range(3)]
+    simple += [complexes.primal(catalog.split_prism_dual(n))
+               for n in range(8, 17)]
+    checked = 0
+    for ap in simple:
+        assert angles.check_conditions(ap, uniform(ap, Fraction(2, 5))).member
+        for e in range(ap.edge_count):
+            try:
+                profile = realize._collapse_profile(ap, e)
+            except complexes.EdgeOnTriangle:
+                continue
+            assert angles.check_conditions(ap, profile).member, (ap.name, e)
+            checked += 1
+    assert checked > 4000
+
+
+@pytest.mark.parametrize("n,seed", [(16, 1), (24, 0)])
+def test_replayed_profiles_are_members(n, seed, monkeypatch):
+    ap = complexes.primal(whitehead.random_simple(n, seed))
+    profiles = []
+    collapse_profile = realize._collapse_profile
+
+    def recording(ap, edge):
+        out = collapse_profile(ap, edge)
+        profiles.append((ap, out))
+        return out
+
+    monkeypatch.setattr(realize, "_collapse_profile", recording)
+    realize.realize(ap, uniform(ap, Fraction(2, 5)))
+    assert len(profiles) >= 12
+    for cur, profile in profiles:
+        assert angles.check_conditions(cur, profile).member
+
+
+def test_condition_tables_per_realize_do_not_grow_with_moves(monkeypatch):
+    """Only the caller's target, the walk inside build_split_prism and
+    the two walks of _realize_simple outside the replay build the
+    condition table; the replay's moves build none."""
+    builds = []
+    conditions = angles._conditions
+
+    def counting(ap):
+        builds.append(ap)
+        return conditions(ap)
+
+    monkeypatch.setattr(angles, "_conditions", counting)
+    counts = {}
+    for n, seed in ((12, 0), (16, 1), (24, 0)):
+        ap = complexes.primal(whitehead.random_simple(n, seed))
+        moves = len(whitehead.reduce_to_dn(complexes.dual(ap)).moves)
+        builds.clear()
+        realize.realize(ap, uniform(ap, Fraction(2, 5)))
+        counts[moves] = len(builds)
+    assert sorted(counts) == [6, 8, 12]
+    assert len(set(counts.values())) == 1
+
+
+def _prism_label_inputs():
+    out = list(catalog.corpus())
+    out += [relabelled(catalog.prism(n), n) for n in range(5, 15)]
+    for n in range(8, 17):
+        ap = complexes.primal(whitehead.random_simple(n, 0))
+        out += [ap, catalog.truncate_vertices(ap, [0], name="cut1"),
+                catalog.truncate_vertices(ap, [0, ap.vertex_count - 1],
+                                          name="cut2")]
+    out += [catalog.truncate_vertices(catalog.prism(n), [0], name="pcut")
+            for n in (5, 6, 7)]
+    ap = catalog.corner_doubled_cube()
+    out += [spec.complex for spec in
+            realize.decompose(ap, angles.feasible(ap).witness).pieces]
+    return out
+
+
+def test_prism_labels_match_isomorphism():
+    """_prism_labels finds a prism exactly where the canonical-form
+    search does, and its labels carry build_prism's triangles onto the
+    complex's own."""
+    found = 0
+    for ap in _prism_label_inputs():
+        n = ap.face_count
+        labels = realize._prism_labels(ap)
+        want = complexes.isomorphic(ap, catalog.prism(n)) if n >= 5 else None
+        assert (labels is None) == (want is None), ap.name
+        if labels is None:
+            continue
+        found += 1
+        built = complexes.dual(minkowski.build_prism(n, math.pi / 4).complex)
+        moved = {tuple(sorted(labels[x] for x in t)) for t in built.triangles}
+        assert moved == complexes.dual(ap).triangle_set
+    assert found == 17
