@@ -132,6 +132,16 @@ def _centred(normals, points) -> np.ndarray:
     return np.asarray(normals) @ boost
 
 
+def _recentred(ap: AbstractPolyhedron, X: np.ndarray) -> np.ndarray:
+    """X centred on its own vertex points, or X itself when one of them
+    is not a finite point."""
+    faces = [ap.vertex_faces(v) for v in range(ap.vertex_count)]
+    try:
+        return _centred(X, minkowski.vertex_points(X, faces))
+    except GeometryError:
+        return X
+
+
 def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
                seed: Sequence, tol: float = RESIDUAL_TOL) -> np.ndarray:
     """Solve the Gram system for the face normals to a max residual below
@@ -215,12 +225,7 @@ def newton_solve(ap: AbstractPolyhedron, target,
     """Solve for the realization of ap with the given edge angles from a
     caller-supplied seed, then certify its combinatorics.  A seed whose
     corners are all finite points is centred first."""
-    X = np.array(initial_normals, dtype=float)
-    faces = [ap.vertex_faces(v) for v in range(ap.vertex_count)]
-    try:
-        X = _centred(X, minkowski.vertex_points(X, faces))
-    except GeometryError:
-        pass
+    X = _recentred(ap, np.array(initial_normals, dtype=float))
     return _bind(ap, _solve_raw(ap, _radians(target), X))
 
 
@@ -231,9 +236,9 @@ def _continue_core(r: Realization, start_rad: np.ndarray,
                    target_rad: np.ndarray,
                    expect_ideal: FrozenSet[int] = frozenset(),
                    max_step: float = 0.25) -> np.ndarray:
-    """Step r, centred once, from start_rad to target_rad, halving the
-    step on a failed solve (down to STEP_FLOOR) and doubling it back
-    after a success.
+    """Step r, centred, from start_rad to target_rad, halving the step
+    on a failed solve (down to STEP_FLOOR) and doubling it back after a
+    success.
 
     Only the t = 1 endpoint leaves this walk, so the interior points
     are solved to PATH_TOL, as accurate as the next step's seed needs;
@@ -263,7 +268,11 @@ def _continue_core(r: Realization, start_rad: np.ndarray,
             if bad and tn < 1.0:
                 Xn = solve_at(tn, Xn)
                 bad = bad_vertices(Xn)
-        except (Diverged, SingularJacobian, WrongCombinatorics):
+        except (Diverged, SingularJacobian):
+            # A long step can land, within PATH_TOL, on a far boost of
+            # the polyhedron, whose float64 floor then stalls the next
+            # solves above RESIDUAL_TOL; retry from X centred again.
+            X = _recentred(ap, X)
             step /= 2.0
             if step < STEP_FLOOR:
                 raise StepFloorReached(
@@ -273,13 +282,11 @@ def _continue_core(r: Realization, start_rad: np.ndarray,
             # Bisect between the good and bad parameters to localize
             # the first ideal-vertex event.
             lo, hi, Xg = t, tn, X
-            for _ in range(60):
-                if hi - lo < 1e-12:
-                    break
+            while hi - lo >= 1e-12:
                 mid = 0.5 * (lo + hi)
                 try:
                     Xm = solve_at(mid, Xg)
-                except (Diverged, SingularJacobian, WrongCombinatorics):
+                except (Diverged, SingularJacobian):
                     hi = mid
                     continue
                 worse = bad_vertices(Xm)
@@ -486,17 +493,17 @@ def _essential_circuits(ap: AbstractPolyhedron) -> List[complexes.Circuit]:
 
 
 def _collapse_base(ap: AbstractPolyhedron) -> Tuple[
-        AbstractPolyhedron, List[int], List[FrozenSet[int]]]:
+        AbstractPolyhedron, List[int], Dict[FrozenSet[int], int]]:
     """Shrink every truncated triangle of ap to a vertex, keeping one
     when the result would otherwise be a tetrahedron.
 
     Returns the shrunken complex, the map from its faces to faces of ap,
-    and the neighbor-face triples (in ap labels) of the removed
-    triangles.
+    and each removed triangle (an ap face) keyed by the ap faces of its
+    three neighbours.
     """
     dc = complexes.dual(ap)
     labels = list(range(dc.node_count))
-    created: List[FrozenSet[int]] = []
+    removed: Dict[FrozenSet[int], int] = {}
     while dc.node_count > 5:
         adj = dc.adjacency()
         tset = dc.triangle_set
@@ -506,7 +513,7 @@ def _collapse_base(ap: AbstractPolyhedron) -> Tuple[
             break
         f = cand[0]
         tri = tuple(sorted(adj[f]))
-        created.append(frozenset(labels[x] for x in tri))
+        removed[frozenset(labels[x] for x in tri)] = labels[f]
         tris = [t for t in dc.triangles if f not in t] + [tri]
         shift = lambda x: x - 1 if x > f else x
         tris = sorted(tuple(sorted(map(shift, t))) for t in tris)
@@ -515,7 +522,7 @@ def _collapse_base(ap: AbstractPolyhedron) -> Tuple[
         del labels[f]
     base = complexes.primal(dc, name=f"{ap.name}_shrunk")
     assert complexes.is_simple(base) or base.face_count == 5
-    return base, labels, created
+    return base, labels, removed
 
 
 def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realization:
@@ -525,18 +532,19 @@ def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realizatio
     infinity and truncate it there."""
     beta = angle_sets.interior_path(ap, a, Fraction(9, 10))
     delta = Fraction(1, 24)
-    base, labels, created = _collapse_base(ap)
+    base, labels, removed = _collapse_base(ap)
     n0 = base.face_count
 
-    def base_to_ap_edge(e0: int) -> int:
-        _, _, g, h = base.edges[e0]
-        idx = ap.edge_between_faces(labels[g], labels[h])
-        assert idx is not None
-        return idx
+    # labels maps each face of the current complex to its face of ap:
+    # the base faces first, then each cut's triangles as they come back.
+    def ap_edge(cur: AbstractPolyhedron, e: int) -> int:
+        _, _, g, h = cur.edges[e]
+        return ap.edge_between_faces(labels[g], labels[h])
 
     # Three pairwise disjoint edges keep their angles; every other edge
-    # gets padded up by 2*delta, which lifts each reinstated vertex's
-    # angle sum above pi at the start of the schedule.
+    # of the base gets padded up by 2*delta, which lifts each reinstated
+    # vertex's angle sum above pi at the start of the schedule.  gamma is
+    # indexed by ap edges, and only the base's edges are read.
     if not complexes.is_simple(base):
         specials = set(complexes.prismatic_circuits(base, 3)[0].crossed_edges)
     else:
@@ -547,25 +555,26 @@ def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realizatio
                 met.update((u, v))
             if len(specials) == 3:
                 break
-    gamma = [beta[base_to_ap_edge(e0)]
-             + (0 if e0 in specials else 2 * delta)
-             for e0 in range(base.edge_count)]
-    assert all(0 < g < HALF for g in gamma)
-    assert angle_sets.check_conditions(base, AngleAssignment(tuple(gamma))).member
+    gamma = list(beta)
+    for e0 in range(base.edge_count):
+        if e0 not in specials:
+            gamma[ap_edge(base, e0)] += 2 * delta
+    padded = AngleAssignment(tuple(gamma[ap_edge(base, e0)]
+                                   for e0 in range(base.edge_count)))
+    assert all(0 < g < HALF for g in padded)
+    assert angle_sets.check_conditions(base, padded).member
 
-    current = realize(base, AngleAssignment(tuple(gamma)))
+    current = realize(base, padded)
 
     # Event times: when does each reinstated vertex's angle sum cross pi
     # along (1-t)*gamma + t*beta?
-    created_set = {s for s in created}
     events: Dict[Fraction, List[int]] = {}
     for v in range(base.vertex_count):
-        triple = frozenset(labels[f] for f in base.vertex_faces(v))
-        if triple not in created_set:
+        if frozenset(labels[f] for f in base.vertex_faces(v)) not in removed:
             continue
-        edges = base.vertex_edges(v)
+        edges = [ap_edge(base, e) for e in base.vertex_edges(v)]
         sg = sum(gamma[e] for e in edges)
-        sb = sum(beta[base_to_ap_edge(e)] for e in edges)
+        sb = sum(beta[e] for e in edges)
         assert sb < 1 < sg
         events.setdefault((sg - 1) / (sg - sb), []).append(v)
     schedule = sorted(events.items())
@@ -574,12 +583,11 @@ def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realizatio
         _, _, g, h = cur.edges[e]
         if g >= n0 or h >= n0:
             return HALF
-        e0 = base.edge_between_faces(g, h)
-        return (1 - t) * gamma[e0] + t * beta[base_to_ap_edge(e0)]
+        e = ap_edge(cur, e)
+        return (1 - t) * gamma[e] + t * beta[e]
 
     cur_ap = base
     t_prev = Fraction(0)
-    triangle_owner: Dict[int, FrozenSet[int]] = {}  # new face -> ap triple
 
     for stage, (T, group_base) in enumerate(schedule + [(Fraction(1), [])]):
         start_rad = np.array([float(value_at(cur_ap, e, t_prev)) * math.pi
@@ -588,51 +596,35 @@ def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realizatio
                                for e in range(cur_ap.edge_count)])
         # Locate the stage's vertices in the current complex; their three
         # faces are original base faces, whose ids never move.
-        group = []
-        for v0 in group_base:
-            faces = base.vertex_faces(v0)
-            group.append(next(v for v in range(cur_ap.vertex_count)
-                              if cur_ap.vertex_faces(v) == faces))
+        group = [next(v for v in range(cur_ap.vertex_count)
+                      if cur_ap.vertex_faces(v) == base.vertex_faces(v0))
+                 for v0 in group_base]
         X = _continue_core(current, start_rad, target_rad,
                            expect_ideal=frozenset(group))
         if not group:
             break
         cut = _truncate_normals(cur_ap, X, group, 1e-3)
-        for i, v in enumerate(sorted(group)):
-            owner = frozenset(labels[f] for f in cur_ap.vertex_faces(v))
-            triangle_owner[cur_ap.face_count + i] = owner
+        labels += [removed[frozenset(labels[f] for f in cur_ap.vertex_faces(v))]
+                   for v in sorted(group)]
         cur_ap = cut.complex
-        # Rejoin the schedule midway to the next event, audited by _bind.
-        # Right at the event the cut triangles sit near the sphere at
-        # infinity and the system is terribly conditioned.
+        # Walk from the cut's own angles back onto the schedule, midway
+        # to the next event: right at the event the cut triangles sit
+        # near the sphere at infinity and the system is terribly
+        # conditioned.
         t_next = schedule[stage + 1][0] if stage + 1 < len(schedule) else Fraction(1)
         t_prev = (T + t_next) / 2
         rad = np.array([float(value_at(cur_ap, e, t_prev)) * math.pi
                         for e in range(cur_ap.edge_count)])
-        seed = _centred(cut.normals, cut.points)
-        current = _bind(cur_ap, _solve_raw(cur_ap, rad, seed))
+        current = _walk(cut, rad)
 
     # Map the staged complex back onto the caller's labels and finish
     # with an exact-endpoint continuation to the requested angles.
-    face_map: Dict[int, int] = {}
-    for g in range(cur_ap.face_count):
-        if g < n0:
-            face_map[g] = labels[g]
-        else:
-            owner = triangle_owner[g]
-            matches = [f for f in range(ap.face_count)
-                       if len(ap.faces[f]) == 3
-                       and {fb for e in ap.face_edge_cycle(f)
-                            for fb in ap.edges[e][2:]} - {f} == owner]
-            assert len(matches) == 1
-            face_map[g] = matches[0]
+    assert sorted(labels) == list(range(ap.face_count))
     normals_ap = np.empty((ap.face_count, 4))
+    normals_ap[labels] = X
     start_vals: List[Fraction] = [Fraction(0)] * ap.edge_count
-    for g in range(cur_ap.face_count):
-        normals_ap[face_map[g]] = X[g]
-    for e, (_, _, g, h) in enumerate(cur_ap.edges):
-        idx = ap.edge_between_faces(face_map[g], face_map[h])
-        start_vals[idx] = value_at(cur_ap, e, Fraction(1))
+    for e in range(cur_ap.edge_count):
+        start_vals[ap_edge(cur_ap, e)] = value_at(cur_ap, e, Fraction(1))
     bound = _bind(ap, normals_ap)
     return continue_path(bound, a, start=AngleAssignment(tuple(start_vals)))
 
@@ -645,8 +637,8 @@ class PieceSpec:
     complex: AbstractPolyhedron
     angles: AngleAssignment
     face_origin: Dict[int, int]          # piece face -> face of the whole
-    new_faces: Dict[int, int]            # piece triangle face -> circuit index
-    circuit_nodes: Dict[int, Tuple[int, int, int]]  # circuit -> piece faces
+    # circuit -> its fill face, then its three circuit faces, in the piece
+    fills: Dict[int, Tuple[int, int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -709,23 +701,20 @@ def decompose(ap: AbstractPolyhedron, a: AngleAssignment) -> CompoundPlan:
                 borders.append(l)
         relabel = {x: i for i, x in enumerate(nodes)}
         new_tris = [tuple(sorted(relabel[x] for x in t)) for t in tris]
-        new_face_of: Dict[int, int] = {}
-        circuit_nodes: Dict[int, Tuple[int, int, int]] = {}
-        for l in borders:
-            nid = len(relabel)
-            relabel[("fill", l)] = nid
-            new_face_of[nid] = l
+        fills: Dict[int, Tuple[int, int, int, int]] = {}
+        for j, l in enumerate(borders):
+            fill = len(nodes) + j
             ca, cb, cc = (relabel[x] for x in ess[l].dual_nodes)
-            circuit_nodes[l] = (ca, cb, cc)
+            fills[l] = (fill, ca, cb, cc)
             for pair in ((ca, cb), (cb, cc), (ca, cc)):
-                new_tris.append(tuple(sorted(pair + (nid,))))
-        piece_dc = complexes.DualComplex(node_count=len(relabel),
+                new_tris.append(tuple(sorted(pair + (fill,))))
+        piece_dc = complexes.DualComplex(node_count=len(nodes) + len(fills),
                                          triangles=tuple(sorted(new_tris)))
         piece = complexes.primal(piece_dc, name=f"{ap.name}_piece{r}")
-        origin = {relabel[x]: x for x in nodes}
+        origin = dict(enumerate(nodes))
         values: List[Fraction] = []
         for (_, _, g, h) in piece.edges:
-            if g in new_face_of or h in new_face_of:
+            if g >= len(nodes) or h >= len(nodes):
                 values.append(HALF)
             else:
                 idx = ap.edge_between_faces(origin[g], origin[h])
@@ -734,8 +723,7 @@ def decompose(ap: AbstractPolyhedron, a: AngleAssignment) -> CompoundPlan:
         piece_angles = AngleAssignment(tuple(values))
         assert angle_sets.check_conditions(piece, piece_angles).member
         assert _prism_labels(piece) is None
-        pieces.append(PieceSpec(piece, piece_angles, origin, new_face_of,
-                                circuit_nodes))
+        pieces.append(PieceSpec(piece, piece_angles, origin, fills))
     return CompoundPlan(tuple(ess), tuple(pieces))
 
 
@@ -743,8 +731,7 @@ def _triangle_frame(spec: PieceSpec, normals: np.ndarray, l: int
                     ) -> Tuple[np.ndarray, List[np.ndarray]]:
     """The fill triangle's plane normal and its three corner points, in
     circuit order so both sides of a pair list matching corners."""
-    t_face = next(f for f, lab in spec.new_faces.items() if lab == l)
-    ca, cb, cc = spec.circuit_nodes[l]
+    t_face, ca, cb, cc = spec.fills[l]
     w = normals[t_face]
     corners = []
     for x, y in ((ca, cb), (cb, cc), (cc, ca)):
@@ -759,7 +746,7 @@ def glue(realizations: Sequence[Realization], plan: CompoundPlan
     k = len(plan.circuits)
     owners: Dict[int, List[int]] = {l: [] for l in range(k)}
     for r, spec in enumerate(plan.pieces):
-        for l in spec.new_faces.values():
+        for l in spec.fills:
             owners[l].append(r)
     for l, rs in owners.items():
         if len(rs) != 2:
@@ -773,7 +760,7 @@ def glue(realizations: Sequence[Realization], plan: CompoundPlan
         r = queue.pop()
         spec = plan.pieces[r]
         T = placed[r]
-        for l in set(spec.new_faces.values()):
+        for l in spec.fills:
             other = next(x for x in owners[l] if x != r)
             if other in placed:
                 continue

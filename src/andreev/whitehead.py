@@ -231,8 +231,8 @@ class _Reducer:
         return move
 
 
-def _trim_component(red: _Reducer, v_infty: int, a: int,
-                    arc: Sequence[int], keep: int) -> None:
+def _trim_component(red: _Reducer, a: int, arc: Sequence[int],
+                    keep: int) -> None:
     """Whitehead moves removing a's connections to the arc's tail until
     only the first `keep` nodes remain, trimming from the far end."""
     arc = list(arc)
@@ -252,7 +252,7 @@ def _strip_other_components(red: _Reducer, v_infty: int, a: int,
         if target is None:
             return
         if len(target) > 2:
-            _trim_component(red, v_infty, a, target, 2)
+            _trim_component(red, a, target, 2)
         elif len(target) == 2:
             red.do(a, target[1])
         else:
@@ -270,7 +270,7 @@ def _grow_episode(red: _Reducer, v_infty: int) -> None:
     if wide:
         a = min(wide)
         arc = next(arc for arc in view.components[a] if len(arc) >= 2)
-        _trim_component(red, v_infty, a, arc, 2)
+        _trim_component(red, a, arc, 2)
         _strip_other_components(red, v_infty, a, set(arc[:2]))
         red.do(arc[0], arc[1])
     elif any(len(view.components[v][0]) > 3 for v in view.endpoints):
@@ -346,7 +346,7 @@ def reduce_to_dn(dc: DualComplex) -> ReductionTrace:
     a = min(view.interior,
             key=lambda v: (len(view.components[v][0]), v))
     arc = view.components[a][0]
-    _trim_component(red, v_infty, a, arc, 3)
+    _trim_component(red, a, arc, 3)
 
     end = red.current
     if split_prism_labels(end) is None:

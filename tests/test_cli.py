@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, files, and round trips."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -130,11 +131,14 @@ def test_reduce_refuses_non_simple(paths, capsys):
 
 def test_reduce_checks_its_replay(paths, capsys, monkeypatch):
     # a trace that does not replay to its recorded end is refused, also
-    # under `python -O`: the check is a raise, not an assert
-    monkeypatch.setattr(whitehead, "replay", lambda trace: trace.start)
+    # under `python -O`: whitehead.replay raises, it does not assert
+    reduce_to_dn = whitehead.reduce_to_dn
+    monkeypatch.setattr(whitehead, "reduce_to_dn", lambda dc: dataclasses.replace(
+        reduce_to_dn(dc), end=dc))
     assert main(["reduce", "--input", paths["dodeca"]]) == 1
     out = json.loads(capsys.readouterr().out)
-    assert out["error"] == "WhiteheadError"
+    assert out == {"error": "WhiteheadError",
+                   "detail": "trace does not replay to its recorded end"}
 
 
 def test_realize_and_export(paths, capsys):

@@ -32,6 +32,19 @@ def random12_two_fifths():
 
 
 @functools.lru_cache(maxsize=None)
+def staged_witness(n, seed):
+    """A random simple complex with its first and last vertices cut off,
+    realized at its feasible witness by the staged branch."""
+    ap = complexes.primal(whitehead.random_simple(n, seed, moves=30))
+    cut = catalog.truncate_vertices(ap, [0, ap.vertex_count - 1],
+                                    name=f"t{n}_{seed}")
+    assert not complexes.is_simple(cut)
+    assert not realize._essential_circuits(cut)
+    a = angles.feasible(cut).witness
+    return realize.realize(cut, a), a
+
+
+@functools.lru_cache(maxsize=None)
 def near_ideal_event():
     """Walk the 2*pi/5 dodecahedron toward pi/3 on vertex 0's edges,
     which turns that vertex ideal just before the endpoint."""
@@ -171,6 +184,58 @@ class TestContinuePath:
         assert ev.vertices == (0,)
         assert ev.t > 0.95
 
+    def test_event_inside_the_walk(self, monkeypatch):
+        # Toward 3/10 on vertex 0's edges its angle sum 6/5 - 3t/10
+        # crosses 1 at t = 2/3, so a PATH_TOL step flags the event and is
+        # re-solved to RESIDUAL_TOL from itself before the bisection.
+        r = dodeca_two_fifths()
+        vals = [Fraction(2, 5)] * r.complex.edge_count
+        for e in r.complex.vertex_edges(0):
+            vals[e] = Fraction(3, 10)
+        solves = []
+        solve_raw = realize._solve_raw
+
+        def recording(ap, target_rad, seed, *args):
+            X = solve_raw(ap, target_rad, seed, *args)
+            solves.append((target_rad, np.array(seed), X))
+            return X
+
+        monkeypatch.setattr(realize, "_solve_raw", recording)
+        with pytest.raises(realize.EventDetected) as exc:
+            realize.continue_path(r, AngleAssignment(tuple(vals)))
+        ev = exc.value
+        assert ev.vertices == (0,)
+        assert abs(ev.t - 2 / 3) < 1e-6
+        assert any(np.array_equal(t1, t2) and np.array_equal(X1, seed2)
+                   for (t1, _, X1), (t2, seed2, _) in zip(solves, solves[1:]))
+        start = np.array(r.edge_angles()) / math.pi
+        at_t = (1 - ev.t) * start + ev.t * np.array([float(v) for v in vals])
+        assert gram_residual(ev.realization, at_t) <= 1e-10
+
+    def test_failed_step_retries_from_a_centred_point(self, monkeypatch):
+        # The first PATH_TOL step is handed back boosted far along x1:
+        # its Gram residual stays below PATH_TOL, but no solve from that
+        # frame reaches RESIDUAL_TOL, so the endpoint is reached only if
+        # a failed step retries from its seed centred again.
+        r = dodeca_two_fifths()
+        target = uniform(r.complex, Fraction(9, 20))
+        L = np.eye(4)
+        L[0, 0] = L[1, 1] = math.cosh(10)
+        L[0, 1] = L[1, 0] = math.sinh(10)
+        solve_raw = realize._solve_raw
+        calls = []
+
+        def boosting(*args):
+            X = solve_raw(*args)
+            calls.append(X)
+            return X @ L.T if len(calls) == 1 else X
+
+        monkeypatch.setattr(realize, "_solve_raw", boosting)
+        X = realize._continue_core(r, np.array(r.edge_angles()),
+                                   realize._radians(target))
+        assert gram_residual(SimpleNamespace(complex=r.complex, normals=X),
+                             target) <= 1e-10
+
     def test_outputs_meet_residual_tol(self, monkeypatch):
         # Interior path points stop at PATH_TOL; what leaves the walk,
         # the endpoint or the realization an event carries, does not.
@@ -236,11 +301,6 @@ def _truncate_near_ideal():
     return realize.truncate_ideal(ev.realization, vertices=ev.vertices)
 
 
-def _staged_pipeline():
-    ap = catalog.corner_truncated_cube()
-    return realize.realize(ap, angles.feasible(ap).witness)
-
-
 # site -> (function patched in realize, its caller at the site or None
 # for any caller, the error it raises, the run that reaches the site)
 SINGLE_ATTEMPT_SITES = {
@@ -251,8 +311,6 @@ SINGLE_ATTEMPT_SITES = {
     "truncation_interior_point": ("_interior_point", None,
                                   minkowski.NoCommonPoint("forced"),
                                   _truncate_near_ideal),
-    "rejoin": ("_solve_raw", "_realize_truncated",
-               realize.Diverged("forced"), _staged_pipeline),
 }
 
 
@@ -300,7 +358,7 @@ class TestDecompose:
         for spec in plan.pieces:
             assert angles.check_conditions(spec.complex, spec.angles).member
             assert spec.complex.face_count >= 6  # never a triangular prism
-            for pf in spec.new_faces:
+            for pf, *_ in spec.fills.values():
                 assert len(spec.complex.faces[pf]) == 3
                 for e, (_, _, fa, fb) in enumerate(spec.complex.edges):
                     if pf in (fa, fb):
@@ -445,6 +503,21 @@ def test_large_two_fifths_realize(n, seed):
     assert angle_error(r, a) <= 1e-8
 
 
+# Staged cuts of random simple complexes; each of these failed while the
+# staged branch rejoined its schedule after a cut by one Newton solve.
+STAGED = [(16, 0), (16, 2), (20, 0), (32, 0)]
+
+
+@pytest.mark.parametrize("n,seed", STAGED)
+def test_staged_corpus_realize(n, seed):
+    r, a = staged_witness(n, seed)
+    assert gram_residual(r, a) <= 1e-10
+    assert angle_error(r, a) <= 1e-8
+    ext = minkowski.extract_combinatorics(list(r.normals))
+    assert (complexes.dual(ext.complex).triangle_set
+            == complexes.dual(r.complex).triangle_set)
+
+
 def _schlafli_matrix(r):
     """Central differences d l_i / d theta_j of the edge lengths, each
     from two Newton solves seeded with r at theta +- h e_j."""
@@ -461,12 +534,13 @@ def _schlafli_matrix(r):
     return np.column_stack(cols)
 
 
-@pytest.mark.parametrize("which", ["dodecahedron", "random"])
+@pytest.mark.parametrize("which", ["dodecahedron", "random", "staged16"])
 def test_schlafli_symmetry(which):
     """Schlafli: dV = -1/2 sum l_e d theta_e, so d l_i / d theta_j is -2
     times the Hessian of the volume and must be symmetric."""
-    r = (dodeca_two_fifths() if which == "dodecahedron"
-         else random12_two_fifths())
+    r = {"dodecahedron": dodeca_two_fifths,
+         "random": random12_two_fifths,
+         "staged16": lambda: staged_witness(16, 0)[0]}[which]()
     M = _schlafli_matrix(r)
     assert np.max(np.abs(M - M.T)) <= 1e-6 * np.max(np.abs(M))
 
