@@ -12,13 +12,17 @@ common denominator of the assignment and R = r*D, a row is violated
 when sign * sum(R_e) >= bound * D.
 
 The feasibility program is the same table plus two rows per edge, with
-integer data, and `_simplex_max` solves it with a dense tableau of
-Python ints under Bland's rule.  Each stored row is the exact tableau
-row times a positive scale that is never written down; pivoting
-cross-multiplies instead of dividing and then removes the row's gcd.
-Every pivoting decision reads only signs and ratios within one row,
-which the scale leaves alone, so the pivots, the optimum and the
-optimizer are exactly those of the same tableau kept in Fractions.
+integer data, and `_simplex_max` solves it under Bland's rule with a
+dense tableau held in one numpy int64 array.  Each stored row is the
+exact tableau row times a positive scale that is never written down; a
+pivot cross-multiplies all the rows it touches at once instead of
+dividing, then removes each row's gcd.  Every entry stays below 2**31
+in absolute value, so each product a pivot forms is exact in int64; a
+pivot whose rows reach that bound turns the tableau, once and for good,
+into Python ints, and the same loop goes on.  Every pivoting decision
+reads only signs and ratios within one row, which the scale leaves
+alone, so the pivots, the optimum and the optimizer are exactly those
+of the same tableau kept in Fractions, on either dtype.
 The witness is rechecked against the same table.
 """
 
@@ -27,8 +31,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import complexes
 from .complexes import AbstractPolyhedron
@@ -159,6 +165,28 @@ def _evaluate(table: Sequence[Condition], a: AngleAssignment) -> ConditionReport
         **{field: tuple(labels) for field, labels in hits.items()})
 
 
+# Bound on the absolute value of every entry of an int64 tableau: below
+# it, p*row - f*row_k is exact in int64.
+_INT64_LIMIT = 2 ** 31
+
+
+def _fits_int64_limit(a: np.ndarray) -> bool:
+    return -_INT64_LIMIT < a.min() and a.max() < _INT64_LIMIT
+
+
+def _tableau(c: Sequence[int], rows: Sequence[Sequence[int]],
+             rhs: Sequence[int], dtype) -> np.ndarray:
+    """[rows | identity | rhs] over [-c | 0 | 0] as one array of dtype;
+    OverflowError when dtype cannot hold the data."""
+    m, n = len(rows), len(c)
+    tab = np.zeros((m + 1, n + m + 1), dtype=dtype)
+    tab[:m, :n] = rows
+    tab[np.arange(m), np.arange(n, n + m)] = 1
+    tab[:m, -1] = rhs
+    tab[m, :n] = [-v for v in c]
+    return tab
+
+
 def _simplex_max(c: Sequence[int], rows: Sequence[Sequence[int]],
                  rhs: Sequence[int]) -> Tuple[Fraction, List[Fraction]]:
     """Maximize c.x subject to rows.x <= rhs, x >= 0, all rhs >= 0, for
@@ -175,65 +203,92 @@ def _simplex_max(c: Sequence[int], rows: Sequence[Sequence[int]],
     is, the exact pivoted row times p.  Every decision reads only signs
     and ratios within one row, which a positive scale leaves alone: the
     entering column is the first negative entry of the objective row,
-    and the ratio test compares rhs_i/a_i by cross-multiplying,
-    b_i*a_best < b_best*a_i, with ties going to the smaller basis
-    index.  So the pivots are exactly those of the same tableau kept in
-    Fractions.  At the end the basic variable of row i is rhs_i over
-    its own coefficient in that row, and the optimum is c.x.
+    and the ratio test takes the least rhs_i/a_i, decided by
+    cross-multiplying, b_i*a_k against b_k*a_i, with ties going to the
+    smaller basis index.  So the pivots are exactly those of the same
+    tableau kept in Fractions.  At the end the basic variable of row i
+    is rhs_i over its own coefficient in that row, and the optimum is
+    c.x; the objective row is left as the final reduced costs times a
+    positive scale, its slack part a dual optimum up to that scale.
+
+    The tableau is one numpy array, and a pivot updates all the rows it
+    touches at once.  It starts as int64 with every entry below
+    _INT64_LIMIT = 2**31 in absolute value, so p*row - f*row_k, a
+    difference of two products of such entries, is exact in int64, and
+    so is its gcd-reduced row.  When a reduced row reaches the bound, or
+    the data start beyond it, the tableau is turned once into Python
+    ints (dtype object) and the same loop goes on with the same
+    arithmetic, so the dtype never changes a pivot, only the cost.  The
+    ratio test proposes its row by the least floor(2**31 * b_i/a_i), an
+    integer that never orders two ratios the wrong way round, and the
+    cross-multiplied comparison then confirms it exactly; no float
+    enters.
     """
     m, n = len(rows), len(c)
     # Each row is [a_1..a_n, s_1..s_m, rhs]; the last row is the
     # objective in the form z - c.x = 0.
-    tab = [list(rows[i]) + [int(i == j) for j in range(m)] + [rhs[i]]
-           for i in range(m)]
-    tab.append([-ci for ci in c] + [0] * (m + 1))
-    basis = list(range(n, n + m))
+    try:
+        tab = _tableau(c, rows, rhs, np.int64)
+    except OverflowError:
+        tab = _tableau(c, rows, rhs, object)
+    if tab.dtype != object and not _fits_int64_limit(tab):
+        tab = tab.astype(object)
+    basis = np.arange(n, n + m)
 
     while True:
-        obj = tab[m]
-        col = next((j for j in range(n + m) if obj[j] < 0), None)
-        if col is None:
+        entering = (tab[m, :-1] < 0).nonzero()[0]
+        if not entering.size:
             break
-        pivot_row = None
-        for i in range(m):
-            a = tab[i][col]
-            if a > 0:
-                if pivot_row is None:
-                    pivot_row, b_best, a_best = i, tab[i][-1], a
-                    continue
-                lhs, rhs_best = tab[i][-1] * a_best, b_best * a
-                if lhs < rhs_best or (lhs == rhs_best
-                                      and basis[i] < basis[pivot_row]):
-                    pivot_row, b_best, a_best = i, tab[i][-1], a
-        if pivot_row is None:
+        col = entering[0]
+        column = tab[:, col].copy()
+        rising = (column[:m] > 0).nonzero()[0]
+        if not rising.size:
             raise ArithmeticError("unbounded objective")
-        piv = tab[pivot_row][col]
-        # Pivot rows are sparse: update only where the pivot row is not 0.
-        support = [(j, w) for j, w in enumerate(tab[pivot_row]) if w]
-        for i in range(m + 1):
-            row = tab[i]
-            f = row[col]
-            if i == pivot_row or f == 0:
-                continue
-            g = gcd(piv, f)
-            p, f = piv // g, f // g
-            if p != 1:
-                row = [p * v for v in row]
-            for j, w in support:
-                row[j] -= f * w
-            g = gcd(*row)
-            if g > 1:
-                row = [v // g for v in row]
-            tab[i] = row
+        a, b = column[rising], tab[rising, -1]
+        k = (b * _INT64_LIMIT // a).argmin()
+        while True:
+            lhs, rhs_k = b * a[k], b[k] * a
+            below = (lhs < rhs_k).nonzero()[0]
+            if not below.size:
+                break
+            k = below[0]
+        ties = rising[lhs == rhs_k]
+        pivot_row = ties[basis[ties].argmin()]
+
+        piv = column[pivot_row]
+        column[pivot_row] = 0
+        touched = column.nonzero()[0]
+        new = tab[touched]
+        f = column[touched]
+        if piv != 1:
+            g = np.gcd(piv, f)
+            new *= (piv // g)[:, None]
+            f //= g
+        new -= f[:, None] * tab[pivot_row]
+        # The gcd of each new row over its nonzeros only, as rows are
+        # mostly zeros.  No row is all zeros (the constraint rows stay
+        # independent, and the objective row is not 0 once a pivot is
+        # due), so the runs of row_of line up with the rows.
+        at = new.ravel().nonzero()[0]
+        row_of = at // new.shape[1]
+        head = np.ones(len(at), dtype=bool)
+        head[1:] = row_of[1:] != row_of[:-1]
+        g = np.gcd.reduceat(new.ravel()[at], head.nonzero()[0])
+        common = (g > 1).nonzero()[0]
+        if common.size:
+            new[common] //= g[common, None]
+        if tab.dtype != object and not _fits_int64_limit(new):
+            tab = tab.astype(object)
+        tab[touched] = new
         basis[pivot_row] = col
 
     # Equal values share one Fraction: optimizers repeat a few values
     # (often 1/3 on most edges), and callers keep them in witnesses.
     x = [Fraction(0)] * n
     values: Dict[Fraction, Fraction] = {}
-    for i, b in enumerate(basis):
+    for i, b in enumerate(basis.tolist()):
         if b < n:
-            v = Fraction(tab[i][-1], tab[i][b])
+            v = Fraction(int(tab[i, -1]), int(tab[i, b]))
             x[b] = values.setdefault(v, v)
     return sum((ci * xi for ci, xi in zip(c, x)), Fraction(0)), x
 

@@ -1,6 +1,7 @@
 """Exact condition checking and the rational feasibility program."""
 
 import functools
+import hashlib
 import json
 import os
 import random
@@ -240,17 +241,18 @@ def test_simplex_matches_fraction_tableau(name, case):
 
 
 @st.composite
-def bounded_lps(draw):
+def bounded_lps(draw, scale=1):
+    """Small LPs, every datum times up to `scale`."""
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, 5))
-    coef = st.integers(-3, 3)
+    coef = st.integers(-3 * scale, 3 * scale)
     c = draw(st.lists(coef, min_size=n, max_size=n))
     rows = draw(st.lists(st.lists(coef, min_size=n, max_size=n),
                          min_size=m, max_size=m))
-    rhs = draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))
+    rhs = draw(st.lists(st.integers(0, 5 * scale), min_size=m, max_size=m))
     # sum(x) <= bound keeps the problem bounded
-    rows.append([draw(st.integers(1, 3)) for _ in range(n)])
-    rhs.append(draw(st.integers(0, 6)))
+    rows.append([draw(st.integers(1, 3 * scale)) for _ in range(n)])
+    rhs.append(draw(st.integers(0, 6 * scale)))
     return c, rows, rhs
 
 
@@ -266,11 +268,121 @@ def test_simplex_matches_fraction_tableau_on_small_lps(lp):
     assert value == sum(a * v for a, v in zip(c, x))
 
 
+# Data drawn up to about 2**40 mostly start beyond the int64 tableau's
+# entry bound, so the tableau is promoted to Python ints before the
+# first pivot.
+@settings(max_examples=200, deadline=None)
+@given(lp=bounded_lps(scale=2 ** 38))
+def test_simplex_on_wide_data_matches_fraction_tableau(lp):
+    assert angles._simplex_max(*lp) == reference_simplex_max(*lp)
+
+
+def test_simplex_on_data_beyond_int64_matches_fraction_tableau():
+    big = 2 ** 70
+    lp = ([3, big + 1], [[big, -1], [1, big], [2, 3]], [big, 2 * big, 7])
+    value, x = angles._simplex_max(*lp)
+    assert (value, x) == reference_simplex_max(*lp)
+    assert value > 0
+
+
+PROMOTION_CASES = ([(ap.name, ap) for ap in catalog.corpus()]
+                   + [(f"random_simple({n},{s})", (n, s))
+                      for n in (8, 10, 12) for s in range(3)])
+
+
+@pytest.mark.parametrize("name,case", PROMOTION_CASES,
+                         ids=[name for name, _ in PROMOTION_CASES])
+def test_simplex_promoted_mid_run_matches_fraction_tableau(
+        name, case, monkeypatch):
+    """With the entry bound just above the data, the int64 tableau
+    starts within it and some pivot leaves it, so the run ends on
+    Python ints; the result must still be the Fraction tableau's."""
+    ap = (complexes.primal(whitehead.random_simple(*case, moves=30))
+          if isinstance(case, tuple) else case)
+    c, rows, rhs = angles._program(ap.edge_count, angles._conditions(ap))
+    largest = max(abs(v) for v in [*c, *rhs, *(v for r in rows for v in r)])
+    fits = []
+    check = angles._fits_int64_limit
+
+    def recorded(a):
+        fits.append(check(a))
+        return fits[-1]
+
+    monkeypatch.setattr(angles, "_INT64_LIMIT", largest + 1)
+    monkeypatch.setattr(angles, "_fits_int64_limit", recorded)
+    assert angles._simplex_max(c, rows, rhs) == reference_simplex_max(c, rows, rhs)
+    assert fits[0] and not all(fits)
+
+
+# sha256 of feasibility_to_json(feasible(ap)), as recorded before the
+# tableau moved to numpy: verdict, max_slack and witness, byte for byte.
+FEASIBILITY_PINS = {
+    "tetrahedron": "9326b3536a013d0d0984ed0e2ec13e4c08110c6f29355f889364ac9a957a886f",
+    "cube": "e5035b109c6f8db372355172088d8223a83730e9e8f5dc01af81a6950547c729",
+    "prism_5": "9384c9ca516be37c5c02ab6c181766f4ac3f577bd7a2585de2c1aee02bd452f4",
+    "prism_6": "e5035b109c6f8db372355172088d8223a83730e9e8f5dc01af81a6950547c729",
+    "prism_7": "c3e0699cd87bf507fe6229028c90ea324f6b3083878d41fb964cceb27b2769e2",
+    "prism_8": "c4f3843a224287976807db0fbe9634ec7ab8c0da1f4c17e013c99b9d554e4f07",
+    "prism_9": "762f1e4e423508e074a2293cb42d145107dd4cde9d286bd17d39b3abe17665b4",
+    "prism_10": "f302d51cb39cc8358552f08a1eeba57f9bfa95e1556446d49f1c80e86ea414ea",
+    "dodecahedron": "456dc0182bb3846a81b99562348fe2a73c4701489367f35491507fab8fde0fa5",
+    "truncated_tetrahedron": "302220e425e88cc8b27f35dd0b295ad6bc4a35f5bf438b781d7810d40e6df9f6",
+    "alternately_truncated_cube": "a9615b12795084dda68c7b71767911dece9bdb2f8d5b09d51576bd2920b8acad",
+    "random_simple(8,0)": "8cb1203623466de71c233e338a9edc07375cae4e7715f28475b7f0ba18c892bd",
+    "random_simple(8,1)": "8cb1203623466de71c233e338a9edc07375cae4e7715f28475b7f0ba18c892bd",
+    "random_simple(8,2)": "66039a6f11afe58a9876360bc84e1e1f5346f3ae4e5e2cab78579d76c17dd797",
+    "random_simple(12,0)": "b0fa0bb8c0e5da20b5e99a1d8c20c49d926530197b414749f0866abd2ccc4ed9",
+    "random_simple(12,1)": "fe8ab2796125db668e7638c97ba2aa1f76ae34b25a1a1b6f27fe44f803ac9088",
+    "random_simple(12,2)": "1da558800cad82f9db582880777e0ecae444ad4ce92262fb0eeaa97073782c52",
+    "random_simple(16,0)": "2633a159c395d13b77943753ce03a75a93da8dcc190b8befbb2ff5403b599575",
+    "random_simple(16,1)": "1d6536265626f7dcb29b6d07c67ffd303b38e28755affa0b11e4d853d27110de",
+    "random_simple(16,2)": "e53f71bf4eb46245ed0c3d34bba5d4cbe083164f101835430ffe887f051d21c0",
+    "random_simple(20,0)": "867a86ab43fabb2d0b48e30d40c448cf74cfee8aa35dc848f41366924e561b95",
+    "random_simple(20,1)": "33e1fd47302f19c28bc1e4c65de9f9c9b53596ac8855d348ffbff97b24836677",
+    "random_simple(20,2)": "30247031ecb44fff0b1a08a852e7f4b242a11fce9ac9204017e9ae1f024b12f7",
+    "random_simple(24,0)": "bf3fbd7738d9312ab73660994f5e4339f4cf86daa5f6c6d5793018fe3fa5ada2",
+    "random_simple(24,1)": "0dbbc23f7f8ed74a531fb76331331cac732d79cd393d44bb2add1d11c7e7514c",
+    "random_simple(24,2)": "8e57d4d7c8b7ba762731cfab34626d48e8ef3aef7a829f6d191dd928e5c17ea0",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _pinned_complex(name):
+    if name.startswith("random_simple("):
+        n, s = map(int, name[len("random_simple("):-1].split(","))
+        return complexes.primal(whitehead.random_simple(n, s, moves=30))
+    return next(ap for ap in catalog.corpus() if ap.name == name)
+
+
+@functools.lru_cache(maxsize=None)
+def _pinned_report(name):
+    return angles.feasible(_pinned_complex(name))
+
+
+@pytest.mark.parametrize("name", list(FEASIBILITY_PINS))
+def test_feasibility_output_is_pinned(name):
+    text = angles.feasibility_to_json(_pinned_report(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == FEASIBILITY_PINS[name]
+
+
+@pytest.mark.parametrize("name", list(FEASIBILITY_PINS))
+def test_feasibility_fractions_hold_python_ints(name):
+    rep = _pinned_report(name)
+    values = [rep.max_slack] + (list(rep.witness) if rep.witness else [])
+    for v in values:
+        assert type(v) is Fraction
+        assert type(v.numerator) is int and type(v.denominator) is int
+
+
 HIGHS_CASES = {
     "random_simple(20,0)":
         lambda: complexes.primal(whitehead.random_simple(20, 0)),
     "random_simple(24,0)":
         lambda: complexes.primal(whitehead.random_simple(24, 0)),
+    "random_simple(32,0)":
+        lambda: complexes.primal(whitehead.random_simple(32, 0)),
+    "random_simple(40,0)":
+        lambda: complexes.primal(whitehead.random_simple(40, 0)),
     "alternately_truncated_cube": catalog.alternately_truncated_cube,
 }
 
