@@ -180,14 +180,14 @@ def vertex_point(v1, v2, v3) -> np.ndarray:
 def vertex_points(units: np.ndarray, triples) -> np.ndarray:
     """vertex_point of the planes units[i], units[j], units[k] for every
     row (i, j, k) of triples, stacked into a (V,4) array with identical
-    rounding.  Raises IdealPoint or NoCommonPoint for the first triple
-    that vertex_point would refuse."""
+    rounding.  The (V,3,3) Gram matrices come from one broadcast form,
+    entry by entry the products and sums of mdot; the point is the SVD
+    null vector, which stays accurate when the normals are large.
+    Raises IdealPoint or NoCommonPoint for the first triple that
+    vertex_point would refuse."""
     triples = np.asarray(triples)
     vs = _unit_rows(np.asarray(units, dtype=float)[triples])
-    gram = np.empty(vs.shape[:-1] + (3,))
-    for i in range(3):
-        for j in range(3):
-            gram[:, i, j] = _mdot_rows(vs[:, i], vs[:, j])
+    gram = _mdot_rows(vs[:, :, None], vs[:, None])
     least = np.linalg.eigvalsh(gram)[:, 0]
     bad = np.flatnonzero(~(least > CLASSIFY_TOL))
     if bad.size:
@@ -252,10 +252,16 @@ class Realization:
         object.__setattr__(self, "points", _frozen(self.points))
 
     def edge_angles(self) -> List[float]:
-        out = []
-        for (_, _, fa, fb) in self.complex.edges:
-            out.append(dihedral(self.normals[fa], self.normals[fb]))
-        return out
+        """dihedral of the two faces of every edge, in edge order."""
+        ends = np.array([e[2:] for e in self.complex.edges]).T
+        c = _mdot_rows(self.normals[ends[0]], self.normals[ends[1]])
+        bad = np.flatnonzero(c * c >= 1 - CLASSIFY_TOL)
+        if bad.size:
+            e = bad[0]
+            raise NotIntersecting(f"edge {e}: <v,w> = {c[e]}, planes "
+                                  f"tangent or disjoint")
+        # math.acos, not np.arccos: the two round differently.
+        return [math.acos(-x) for x in c.tolist()]
 
     def edge_lengths(self) -> List[float]:
         out = []
@@ -371,7 +377,7 @@ def _certify_triangles(normals: Sequence, triangles, name: str
         triangles=tuple(sorted(tuple(sorted(t)) for t in triangles)))
     checked = certify(complexes.primal(dc, name=name), normals)
     return Realization(complex=checked.complex, points=checked.points,
-                       normals=[unit_spacelike(v) for v in normals])
+                       normals=_unit_rows(np.asarray(normals, dtype=float)))
 
 
 def build_prism(n: int, polygon_angle: float, gap: float = 0.1

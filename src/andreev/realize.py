@@ -142,43 +142,72 @@ def _recentred(ap: AbstractPolyhedron, X: np.ndarray) -> np.ndarray:
         return X
 
 
+class _GramSystem:
+    """The index arrays of one complex's Gram system, built once and
+    shared by every solve and vertex test of a walk on that complex: the
+    two faces ia, ib of every edge, the flat positions in the Jacobian
+    of the face and edge entries, and the (V,3) faces of every vertex.
+    Nothing is cached on the complex itself: a complex is usually
+    realized once, and each realization keeps its complex alive."""
+
+    def __init__(self, ap: AbstractPolyhedron):
+        N, E = ap.face_count, ap.edge_count
+        self.ia = np.array([e[2] for e in ap.edges])
+        self.ib = np.array([e[3] for e in ap.edges])
+        self.vertex_faces = np.array(
+            [ap.vertex_faces(v) for v in range(ap.vertex_count)])
+        # Jacobian sparsity: per face row its four coordinates, per edge
+        # row the coordinates of both faces; the slice rows are dense.
+        n = 4 * N
+        edge_rows = np.repeat(np.arange(N, N + E), 4)
+        self.face_slots = np.repeat(np.arange(N), 4) * n + np.arange(n)
+        self.edge_slots_a = edge_rows * n + (
+            4 * self.ia[:, None] + np.arange(4)).ravel()
+        self.edge_slots_b = edge_rows * n + (
+            4 * self.ib[:, None] + np.arange(4)).ravel()
+
+
 def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
-               seed: Sequence, tol: float = RESIDUAL_TOL) -> np.ndarray:
+               seed: Sequence, tol: float = RESIDUAL_TOL,
+               system: Optional[_GramSystem] = None) -> np.ndarray:
     """Solve the Gram system for the face normals to a max residual below
     tol, without extracting combinatorics.  Returns an (N,4) array.
 
     The unit-norm and edge rows leave the six directions of the Lorentz
     group free; six slice rows <X G_k^T, delta> = 0 take every step
     orthogonal to that orbit, so the solution stays in the seed's frame
-    and the callers' centring keeps its coordinates small."""
+    and the callers' centring keeps its coordinates small.
+
+    system is the complex's _GramSystem, built here when not given.  J
+    and F are allocated once per solve; every iteration rewrites the
+    same nonzero slots of J, so each J equals a freshly zeroed one."""
     N, E = ap.face_count, ap.edge_count
     if len(target_rad) != E:
         raise ValueError("target has wrong number of angles")
+    if system is None:
+        system = _GramSystem(ap)
     X = np.array(seed, dtype=float)
     cos_t = np.cos(target_rad)
-    ia = np.array([e[2] for e in ap.edges])
-    ib = np.array([e[3] for e in ap.edges])
+    ia, ib = system.ia, system.ib
     n_unknown = 4 * N
-    # Jacobian sparsity: per face row its four coordinates, per edge row
-    # the coordinates of both faces; the slice rows are dense.
-    face_rows = np.repeat(np.arange(N), 4)
-    edge_rows = np.repeat(np.arange(N, N + E), 4)
-    cols_a = (4 * ia[:, None] + np.arange(4)).ravel()
-    cols_b = (4 * ib[:, None] + np.arange(4)).ravel()
+    F = np.zeros(n_unknown)
+    J = np.zeros((n_unknown, n_unknown))
+    J_flat = J.reshape(-1)
 
     def residual(Y: np.ndarray) -> np.ndarray:
-        F = np.zeros(n_unknown)
+        """Write the residual at Y into F; return Y @ _ETA, which the
+        next Jacobian reuses."""
         F[:N] = np.einsum("ij,jk,ik->i", Y, _ETA, Y) - 1.0
         # matmul of stacked rows rounds like Y[i] @ _ETA @ Y[j]; einsum
         # and sum(axis=1) do not, and Newton sits on the float64 floor.
         eY = Y @ _ETA
         pair = np.matmul(eY[ia][:, None, :], Y[ib][:, :, None])[:, 0, 0]
         F[N:N + E] = pair + cos_t
-        return F
+        return eY
 
-    F = residual(X)
+    eX = residual(X)
     for step in range(NEWTON_STEPS + 1):
-        res = np.max(np.abs(F))
+        res = np.abs(F).max()
         if not np.isfinite(res) or res > 1e8:
             raise Diverged(f"residual blew up at step {step}")
         if res < tol:
@@ -186,11 +215,9 @@ def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
         if step == NEWTON_STEPS:
             raise Diverged(f"no convergence in {NEWTON_STEPS} steps "
                            f"(residual {res:.3e})")
-        J = np.zeros((n_unknown, n_unknown))
-        eX = X @ _ETA
-        J[face_rows, np.arange(4 * N)] = 2.0 * eX.ravel()
-        J[edge_rows, cols_a] = eX[ib].ravel()
-        J[edge_rows, cols_b] = eX[ia].ravel()
+        J_flat[system.face_slots] = 2.0 * eX.ravel()
+        J_flat[system.edge_slots_a] = eX[ib].ravel()
+        J_flat[system.edge_slots_b] = eX[ia].ravel()
         J[N + E:] = (X @ _SO31.transpose(0, 2, 1)).reshape(6, n_unknown)
         try:
             delta = np.linalg.solve(J, -F).reshape(N, 4)
@@ -201,12 +228,15 @@ def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
         # right after a truncation, say), where the full step converges
         # through a short residual excursion.
         X = X + delta
-        F = residual(X)
+        eX = residual(X)
     return X
 
 
-def _vertex_dets(ap: AbstractPolyhedron, X: np.ndarray) -> np.ndarray:
-    rows = X[np.array([ap.vertex_faces(v) for v in range(ap.vertex_count)])]
+def _vertex_dets(ap: AbstractPolyhedron, X: np.ndarray,
+                 system: Optional[_GramSystem] = None) -> np.ndarray:
+    if system is None:
+        system = _GramSystem(ap)
+    rows = X[system.vertex_faces]
     return np.linalg.det(rows @ _ETA @ rows.transpose(0, 2, 1))
 
 
@@ -248,16 +278,18 @@ def _continue_core(r: Realization, start_rad: np.ndarray,
     RESIDUAL_TOL, and the realization EventDetected carries is one of
     those solves (or r itself)."""
     ap = r.complex
-    watched = [v for v in range(ap.vertex_count) if v not in expect_ideal]
+    system = _GramSystem(ap)
+    watched = np.array([v for v in range(ap.vertex_count)
+                        if v not in expect_ideal], dtype=int)
 
     def solve_at(t: float, seed: np.ndarray,
                  tol: float = RESIDUAL_TOL) -> np.ndarray:
         return _solve_raw(ap, (1.0 - t) * start_rad + t * target_rad, seed,
-                          tol)
+                          tol, system)
 
     def bad_vertices(X: np.ndarray) -> Tuple[int, ...]:
-        dets = _vertex_dets(ap, X)
-        return tuple(v for v in watched if dets[v] < EVENT_TOL)
+        dets = _vertex_dets(ap, X, system)
+        return tuple(watched[dets[watched] < EVENT_TOL].tolist())
 
     t, X, step = 0.0, _centred(r.normals, r.points), max_step
     while t < 1.0:
@@ -866,14 +898,19 @@ def _realize_simple(ap: AbstractPolyhedron, a: AngleAssignment) -> Realization:
         normals[end_node[built_labels[f]]] = built.normals[f]
     stage_ap = complexes.primal(trace.end, name=f"{ap.name}_stage")
     current = _bind(stage_ap, normals)
-    interior = AngleAssignment.uniform(ap.edge_count, TWO_FIFTHS)
-    current = continue_path(current, interior)
+    # Neither leg checks its endpoints against the condition table again.
+    # Uniform 2/5 lies in the angle set of every simple complex (see
+    # _collapse_profile); ap is simple, and so is trace.end, since
+    # reduce_to_dn certified each move with _keeps_simple.  realize has
+    # already checked a exactly on ap.
+    interior = np.full(ap.edge_count, float(TWO_FIFTHS) * math.pi)
+    current = _walk(current, interior)
     for mv in reversed(trace.moves):
         current = replay_whitehead(current, mv.inverse())
     # The replayed complex carries ap's face ids; rebind to ap's own
     # vertex labels before the final leg.
     final = _bind(ap, np.array(current.normals))
-    return continue_path(final, a, start=interior)
+    return _walk(final, _radians(a), interior)
 
 
 def realize(ap: AbstractPolyhedron, a: AngleAssignment) -> Realization:

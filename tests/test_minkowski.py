@@ -172,6 +172,46 @@ def test_vertex_points_match_vertex_point():
         minkowski.vertex_points(apart, [(0, 1, 2)])
 
 
+def _built_realizations():
+    built = [minkowski.build_prism(n, math.pi / 3, 0.1) for n in (5, 6, 8)]
+    built.append(minkowski.build_split_prism(9))
+    L = random_isometry(np.random.default_rng(5))
+    r = built[-1]
+    built.append(minkowski.Realization(complex=r.complex,
+                                       normals=r.normals @ L.T,
+                                       points=r.points @ L.T))
+    return built
+
+
+@pytest.mark.parametrize("r", _built_realizations(),
+                         ids=["prism5", "prism6", "prism8", "split9",
+                              "split9_moved"])
+def test_edge_angles_match_dihedral(r):
+    want = [minkowski.dihedral(r.normals[fa], r.normals[fb])
+            for (_, _, fa, fb) in r.complex.edges]
+    assert r.edge_angles() == want
+
+
+def test_edge_angles_name_the_first_tangent_edge():
+    r = minkowski.build_prism(6, math.pi / 3, 0.1)
+    normals = np.array(r.normals)
+    _, _, fa, fb = r.complex.edges[3]
+    # <v,w> = -1 with both unit: the planes touch at infinity
+    normals[fa], normals[fb] = (0, 1, 0, 0), (1, -1, 1, 0)
+    bent = minkowski.Realization(complex=r.complex, normals=normals,
+                                 points=r.points)
+    first = None
+    for e, (_, _, ga, gb) in enumerate(r.complex.edges):
+        try:
+            minkowski.dihedral(normals[ga], normals[gb])
+        except minkowski.NotIntersecting:
+            first = e
+            break
+    assert first is not None and first <= 3
+    with pytest.raises(minkowski.NotIntersecting, match=f"edge {first}:"):
+        bent.edge_angles()
+
+
 def _corner_triple(alpha):
     """Three planes through (1,0,0,0) whose pairwise dihedral angles are
     alpha; at alpha = pi/3 the configuration is ideal instead."""

@@ -99,7 +99,7 @@ class TestNewtonSolve:
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
-def loop_solve(ap, target_rad, seed):
+def loop_solve(ap, target_rad, seed, tol=realize.RESIDUAL_TOL):
     """The slice-gauged Newton solve with per-face and per-edge loops: the
     reference the index-array assembly of _solve_raw must match bit for
     bit, since Newton sits on the float64 floor and any change of
@@ -131,7 +131,7 @@ def loop_solve(ap, target_rad, seed):
 
     F = residual(X)
     steps = 0
-    while np.max(np.abs(F[:N + E])) >= realize.RESIDUAL_TOL:
+    while np.max(np.abs(F[:N + E])) >= tol:
         J = np.zeros((4 * N, 4 * N))
         eX = X @ ETA
         for i in range(N):
@@ -163,6 +163,30 @@ def test_newton_assembly_matches_loops(which):
     dets = [np.linalg.det(got[list(f)] @ ETA @ got[list(f)].T)
             for f in map(ap.vertex_faces, range(ap.vertex_count))]
     assert np.array_equal(realize._vertex_dets(ap, got), dets)
+
+
+def test_solve_workspace_leaks_nothing_between_solves(monkeypatch):
+    # Every solve of a walk shares one _GramSystem and rewrites its own
+    # J and F in place; each output must still be the loop reference's.
+    ap = complexes.primal(whitehead.random_simple(10, 0), name="r10")
+    calls = []
+    solve_raw = realize._solve_raw
+
+    def recording(ap, target_rad, seed, *args):
+        X = solve_raw(ap, target_rad, seed, *args)
+        calls.append((ap, np.array(target_rad), np.array(seed), args, X))
+        return X
+
+    monkeypatch.setattr(realize, "_solve_raw", recording)
+    realize.realize(ap, uniform(ap, Fraction(2, 5)))
+    tols = [args[0] if args else realize.RESIDUAL_TOL
+            for (_, _, _, args, _) in calls]
+    assert realize.PATH_TOL in tols and realize.RESIDUAL_TOL in tols
+    shared = [args[1] for (_, _, _, args, _) in calls if len(args) > 1]
+    assert max(sum(s is t for t in shared) for s in shared) >= 4
+    for (cur, target, seed, _, X), tol in zip(calls, tols):
+        want, _ = loop_solve(cur, target, seed, tol)
+        assert np.array_equal(X, want)
 
 
 class TestContinuePath:
@@ -769,3 +793,37 @@ def test_prism_labels_match_isomorphism():
         moved = {tuple(sorted(labels[x] for x in t)) for t in built.triangles}
         assert moved == complexes.dual(ap).triangle_set
     assert found == 17
+
+
+def _reduction_ends():
+    aps = [catalog.dodecahedron()]
+    aps += [catalog.split_prism(n) for n in range(8, 13)]
+    aps += [complexes.primal(whitehead.random_simple(n, s, moves=30),
+                             name=f"r{n}_{s}")
+            for n in range(8, 25) for s in range(3)]
+    return aps
+
+
+def test_uniform_two_fifths_member_at_reduction_end():
+    """The simple branch walks to uniform 2/5 on the reduction's end
+    without checking it: the end is simple, and uniform 2/5 is a member
+    of every simple complex.  The full table is the oracle here."""
+    for ap in _reduction_ends():
+        end = complexes.primal(whitehead.reduce_to_dn(complexes.dual(ap)).end)
+        assert complexes.is_simple(end), ap.name
+        two_fifths = uniform(end, Fraction(2, 5))
+        assert angles.check_conditions(end, two_fifths).member, ap.name
+
+
+def test_simple_branch_checks_caller_once(monkeypatch):
+    ap = complexes.primal(whitehead.random_simple(12, 0), name="r12")
+    checked = []
+    check_conditions = angles.check_conditions
+
+    def recording(cur, a):
+        checked.append(cur)
+        return check_conditions(cur, a)
+
+    monkeypatch.setattr(angles, "check_conditions", recording)
+    realize.realize(ap, uniform(ap, Fraction(2, 5)))
+    assert sum(cur is ap for cur in checked) == 1
