@@ -13,16 +13,21 @@ when sign * sum(R_e) >= bound * D.
 
 The feasibility program is the same table plus two rows per edge, with
 integer data, and `_simplex_max` solves it under Bland's rule with a
-dense tableau held in one numpy int64 array.  Each stored row is the
-exact tableau row times a positive scale that is never written down; a
-pivot cross-multiplies all the rows it touches at once instead of
-dividing, then removes each row's gcd.  Every entry stays below 2**31
-in absolute value, so each product a pivot forms is exact in int64; a
-pivot whose rows reach that bound turns the tableau, once and for good,
-into Python ints, and the same loop goes on.  Every pivoting decision
-reads only signs and ratios within one row, which the scale leaves
-alone, so the pivots, the optimum and the optimizer are exactly those
-of the same tableau kept in Fractions, on either dtype.
+condensed tableau held in one numpy int64 array: the nonbasic columns,
+one column of each row's own basic coefficient, and the rhs, so the
+basic columns, each zero but for one entry, are never stored.  Each
+stored row is the exact tableau row times a positive scale that is
+never written down; a pivot cross-multiplies all the rows it touches at
+once instead of dividing, then removes each row's gcd.  The objective
+row ends as the reduced costs times that scale: its entries under the
+nonbasic slacks are a dual optimum, and every basic slack's is 0.
+Every entry stays below 2**31 in absolute value, so each product a
+pivot forms is exact in int64; a pivot whose rows reach that bound
+turns the tableau, once and for good, into Python ints, and the same
+loop goes on.  Every pivoting decision reads only signs and ratios
+within one row, which the scale leaves alone, so the pivots, the
+optimum and the optimizer are exactly those of the same tableau kept
+in Fractions, on either dtype.
 The witness is rechecked against the same table.
 """
 
@@ -176,12 +181,13 @@ def _fits_int64_limit(a: np.ndarray) -> bool:
 
 def _tableau(c: Sequence[int], rows: Sequence[Sequence[int]],
              rhs: Sequence[int], dtype) -> np.ndarray:
-    """[rows | identity | rhs] over [-c | 0 | 0] as one array of dtype;
-    OverflowError when dtype cannot hold the data."""
+    """[rows | 1 | rhs] over [-c | 0 | 0] as one array of dtype, the
+    middle column holding each row's own basic coefficient; OverflowError
+    when dtype cannot hold the data."""
     m, n = len(rows), len(c)
-    tab = np.zeros((m + 1, n + m + 1), dtype=dtype)
+    tab = np.zeros((m + 1, n + 2), dtype=dtype)
     tab[:m, :n] = rows
-    tab[np.arange(m), np.arange(n, n + m)] = 1
+    tab[:m, n] = 1
     tab[:m, -1] = rhs
     tab[m, :n] = [-v for v in c]
     return tab
@@ -194,7 +200,7 @@ def _simplex_max(c: Sequence[int], rows: Sequence[Sequence[int]],
     Problems fed in here are always bounded; an unbounded pivot column
     raises ArithmeticError.
 
-    Dense tableau with Bland's rule, so no cycling and no tolerances,
+    Tableau simplex with Bland's rule, so no cycling and no tolerances,
     kept fraction-free: each stored row is an integer vector standing
     for the exact tableau row times a positive scale that is not kept.
     Pivoting on p = row_k[col] > 0 replaces every other row whose entry
@@ -202,14 +208,25 @@ def _simplex_max(c: Sequence[int], rows: Sequence[Sequence[int]],
     by their gcd), divided by the gcd of its entries; row_k stays as it
     is, the exact pivoted row times p.  Every decision reads only signs
     and ratios within one row, which a positive scale leaves alone: the
-    entering column is the first negative entry of the objective row,
-    and the ratio test takes the least rhs_i/a_i, decided by
-    cross-multiplying, b_i*a_k against b_k*a_i, with ties going to the
-    smaller basis index.  So the pivots are exactly those of the same
-    tableau kept in Fractions.  At the end the basic variable of row i
-    is rhs_i over its own coefficient in that row, and the optimum is
-    c.x; the objective row is left as the final reduced costs times a
-    positive scale, its slack part a dual optimum up to that scale.
+    entering variable is the one of least index among the negative
+    entries of the objective row, and the ratio test takes the least
+    rhs_i/a_i, decided by cross-multiplying, b_i*a_k against b_k*a_i,
+    with ties going to the smaller basis index.  So the pivots are
+    exactly those of the same tableau kept in Fractions.
+
+    The tableau is condensed.  A basic variable's column of the full
+    tableau is zero but for its own row's entry d_i, so only d_i is
+    stored: the array has the n nonbasic columns, whose variables
+    `nonbasic` lists, one column of the d_i (0 on the objective row),
+    and the rhs, which are the integers of the full tableau without the
+    zeros of its basic columns.  A pivot moves the leaving variable
+    into the entering one's column, where row_k's entry is its old d_k
+    and every other row's is -f*d_k before the row is rescaled, and
+    row_k's d becomes p.  At the end the basic variable of row i is
+    rhs_i / d_i, and the optimum is c.x.  The objective row is left as
+    the final reduced costs times a positive scale: its entries under
+    nonbasic slacks are a dual optimum up to that scale, and basic
+    slacks have reduced cost 0.
 
     The tableau is one numpy array, and a pivot updates all the rows it
     touches at once.  It starts as int64 with every entry below
@@ -225,7 +242,7 @@ def _simplex_max(c: Sequence[int], rows: Sequence[Sequence[int]],
     enters.
     """
     m, n = len(rows), len(c)
-    # Each row is [a_1..a_n, s_1..s_m, rhs]; the last row is the
+    # Each row is [nonbasic columns, d, rhs]; the last row is the
     # objective in the form z - c.x = 0.
     try:
         tab = _tableau(c, rows, rhs, np.int64)
@@ -233,13 +250,14 @@ def _simplex_max(c: Sequence[int], rows: Sequence[Sequence[int]],
         tab = _tableau(c, rows, rhs, object)
     if tab.dtype != object and not _fits_int64_limit(tab):
         tab = tab.astype(object)
+    nonbasic = np.arange(n)
     basis = np.arange(n, n + m)
 
     while True:
-        entering = (tab[m, :-1] < 0).nonzero()[0]
+        entering = (tab[m, :n] < 0).nonzero()[0]
         if not entering.size:
             break
-        col = entering[0]
+        col = entering[nonbasic[entering].argmin()]
         column = tab[:, col].copy()
         rising = (column[:m] > 0).nonzero()[0]
         if not rising.size:
@@ -258,29 +276,31 @@ def _simplex_max(c: Sequence[int], rows: Sequence[Sequence[int]],
         piv = column[pivot_row]
         column[pivot_row] = 0
         touched = column.nonzero()[0]
+        # Row k in the full tableau's terms: the entering column's slot
+        # holds the leaving variable, whose entry there is d_k.
+        prow = tab[pivot_row].copy()
+        prow[col], prow[n] = prow[n], 0
         new = tab[touched]
+        new[:, col] = 0
         f = column[touched]
         if piv != 1:
             g = np.gcd(piv, f)
             new *= (piv // g)[:, None]
             f //= g
-        new -= f[:, None] * tab[pivot_row]
-        # The gcd of each new row over its nonzeros only, as rows are
-        # mostly zeros.  No row is all zeros (the constraint rows stay
-        # independent, and the objective row is not 0 once a pivot is
-        # due), so the runs of row_of line up with the rows.
-        at = new.ravel().nonzero()[0]
-        row_of = at // new.shape[1]
-        head = np.ones(len(at), dtype=bool)
-        head[1:] = row_of[1:] != row_of[:-1]
-        g = np.gcd.reduceat(new.ravel()[at], head.nonzero()[0])
+        new -= f[:, None] * prow
+        # No row is all zeros: a constraint row keeps its d, and the
+        # objective row gains -f*d_k in the entering column.
+        g = np.gcd.reduce(new, axis=1)
         common = (g > 1).nonzero()[0]
         if common.size:
             new[common] //= g[common, None]
+        # Row k's two entries move before any promotion, so that no
+        # int64 scalar lands in an object tableau.
+        tab[pivot_row, col], tab[pivot_row, n] = prow[col], piv
         if tab.dtype != object and not _fits_int64_limit(new):
             tab = tab.astype(object)
         tab[touched] = new
-        basis[pivot_row] = col
+        nonbasic[col], basis[pivot_row] = basis[pivot_row], nonbasic[col]
 
     # Equal values share one Fraction: optimizers repeat a few values
     # (often 1/3 on most edges), and callers keep them in witnesses.
@@ -288,9 +308,9 @@ def _simplex_max(c: Sequence[int], rows: Sequence[Sequence[int]],
     values: Dict[Fraction, Fraction] = {}
     for i, b in enumerate(basis.tolist()):
         if b < n:
-            v = Fraction(int(tab[i, -1]), int(tab[i, b]))
+            v = Fraction(int(tab[i, -1]), int(tab[i, n]))
             x[b] = values.setdefault(v, v)
-    return sum((ci * xi for ci, xi in zip(c, x)), Fraction(0)), x
+    return sum((ci * x[i] for i, ci in enumerate(c) if ci), Fraction(0)), x
 
 
 def _program(edge_count: int, table: Sequence[Condition]) -> Tuple[

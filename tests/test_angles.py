@@ -10,6 +10,7 @@ import sys
 import textwrap
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,6 +60,91 @@ def reference_simplex_max(c, rows, rhs):
         if b < n:
             x[b] = tab[i][-1]
     return tab[m][-1], x
+
+
+def _full_int_tableau(c, rows, rhs, dtype):
+    """[rows | identity | rhs] over [-c | 0 | 0] as one array of dtype;
+    OverflowError when dtype cannot hold the data."""
+    m, n = len(rows), len(c)
+    tab = np.zeros((m + 1, n + m + 1), dtype=dtype)
+    tab[:m, :n] = rows
+    tab[np.arange(m), np.arange(n, n + m)] = 1
+    tab[:m, -1] = rhs
+    tab[m, :n] = [-v for v in c]
+    return tab
+
+
+def reference_full_int_tableau(c, rows, rhs):
+    """`_simplex_max` as it was before its tableau was condensed, kept as
+    the oracle of the condensed one: the full-width fraction-free int64
+    tableau [rows | identity | rhs], with the m basic columns stored,
+    promoted to Python ints by the same `angles._fits_int64_limit`
+    under the same `angles._INT64_LIMIT`."""
+    m, n = len(rows), len(c)
+    # Each row is [a_1..a_n, s_1..s_m, rhs]; the last row is the
+    # objective in the form z - c.x = 0.
+    try:
+        tab = _full_int_tableau(c, rows, rhs, np.int64)
+    except OverflowError:
+        tab = _full_int_tableau(c, rows, rhs, object)
+    if tab.dtype != object and not angles._fits_int64_limit(tab):
+        tab = tab.astype(object)
+    basis = np.arange(n, n + m)
+
+    while True:
+        entering = (tab[m, :-1] < 0).nonzero()[0]
+        if not entering.size:
+            break
+        col = entering[0]
+        column = tab[:, col].copy()
+        rising = (column[:m] > 0).nonzero()[0]
+        if not rising.size:
+            raise ArithmeticError("unbounded objective")
+        a, b = column[rising], tab[rising, -1]
+        k = (b * angles._INT64_LIMIT // a).argmin()
+        while True:
+            lhs, rhs_k = b * a[k], b[k] * a
+            below = (lhs < rhs_k).nonzero()[0]
+            if not below.size:
+                break
+            k = below[0]
+        ties = rising[lhs == rhs_k]
+        pivot_row = ties[basis[ties].argmin()]
+
+        piv = column[pivot_row]
+        column[pivot_row] = 0
+        touched = column.nonzero()[0]
+        new = tab[touched]
+        f = column[touched]
+        if piv != 1:
+            g = np.gcd(piv, f)
+            new *= (piv // g)[:, None]
+            f //= g
+        new -= f[:, None] * tab[pivot_row]
+        # The gcd of each new row over its nonzeros only, as rows are
+        # mostly zeros.  No row is all zeros (the constraint rows stay
+        # independent, and the objective row is not 0 once a pivot is
+        # due), so the runs of row_of line up with the rows.
+        at = new.ravel().nonzero()[0]
+        row_of = at // new.shape[1]
+        head = np.ones(len(at), dtype=bool)
+        head[1:] = row_of[1:] != row_of[:-1]
+        g = np.gcd.reduceat(new.ravel()[at], head.nonzero()[0])
+        common = (g > 1).nonzero()[0]
+        if common.size:
+            new[common] //= g[common, None]
+        if tab.dtype != object and not angles._fits_int64_limit(new):
+            tab = tab.astype(object)
+        tab[touched] = new
+        basis[pivot_row] = col
+
+    x = [Fraction(0)] * n
+    values = {}
+    for i, b in enumerate(basis.tolist()):
+        if b < n:
+            v = Fraction(int(tab[i, -1]), int(tab[i, b]))
+            x[b] = values.setdefault(v, v)
+    return sum((ci * xi for ci, xi in zip(c, x)), Fraction(0)), x
 
 
 def reference_check_conditions(ap, a):
@@ -312,6 +398,73 @@ def test_simplex_promoted_mid_run_matches_fraction_tableau(
     monkeypatch.setattr(angles, "_fits_int64_limit", recorded)
     assert angles._simplex_max(c, rows, rhs) == reference_simplex_max(c, rows, rhs)
     assert fits[0] and not all(fits)
+
+
+def _recorded_run(simplex, program, monkeypatch):
+    """simplex(*program) with every `_fits_int64_limit` call recorded:
+    the result, the verdicts in order and the shape of the first array
+    checked.  One verdict comes before the first pivot and one with each
+    pivot until the tableau is promoted."""
+    verdicts, shapes = [], []
+    check = angles._fits_int64_limit
+
+    def recorded(a):
+        shapes.append(a.shape)
+        verdicts.append(check(a))
+        return verdicts[-1]
+
+    monkeypatch.setattr(angles, "_fits_int64_limit", recorded)
+    result = simplex(*program)
+    monkeypatch.setattr(angles, "_fits_int64_limit", check)
+    return result, verdicts, shapes[0]
+
+
+@pytest.mark.parametrize("name,case", ORACLE_CASES,
+                         ids=[name for name, _ in ORACLE_CASES])
+def test_condensed_tableau_matches_full_int_tableau(name, case, monkeypatch):
+    """Same optimum, optimizer and pivot count as the full-width tableau,
+    on an array n + 2 wide instead of n + m + 1."""
+    ap = (complexes.primal(whitehead.random_simple(*case, moves=30))
+          if isinstance(case, tuple) else case)
+    c, rows, rhs = angles._program(ap.edge_count, angles._conditions(ap))
+    full, full_fits, full_shape = _recorded_run(
+        reference_full_int_tableau, (c, rows, rhs), monkeypatch)
+    got, fits, shape = _recorded_run(
+        angles._simplex_max, (c, rows, rhs), monkeypatch)
+    assert got == full
+    assert fits == full_fits and all(fits)
+    m, n = len(rows), len(c)
+    assert full_shape == (m + 1, n + m + 1)
+    assert shape == (m + 1, n + 2)
+
+
+@pytest.mark.parametrize("name,case", PROMOTION_CASES,
+                         ids=[name for name, _ in PROMOTION_CASES])
+def test_condensed_tableau_promotes_at_the_full_tableau_pivot(
+        name, case, monkeypatch):
+    """With the entry bound just above the data, both tableaus hold the
+    same integers, so they leave the bound at the same pivot."""
+    ap = (complexes.primal(whitehead.random_simple(*case, moves=30))
+          if isinstance(case, tuple) else case)
+    c, rows, rhs = angles._program(ap.edge_count, angles._conditions(ap))
+    largest = max(abs(v) for v in [*c, *rhs, *(v for r in rows for v in r)])
+    monkeypatch.setattr(angles, "_INT64_LIMIT", largest + 1)
+    full, full_fits, _ = _recorded_run(
+        reference_full_int_tableau, (c, rows, rhs), monkeypatch)
+    got, fits, _ = _recorded_run(
+        angles._simplex_max, (c, rows, rhs), monkeypatch)
+    assert fits == full_fits
+    assert fits[0] and not fits[-1]
+    assert got == full
+
+
+@pytest.mark.parametrize("simplex", [angles._simplex_max, reference_simplex_max,
+                                     reference_full_int_tableau],
+                         ids=["condensed", "fraction", "full_int"])
+def test_unbounded_objective_raises(simplex):
+    # max x subject to -x <= 0: x grows without bound.
+    with pytest.raises(ArithmeticError, match="unbounded objective"):
+        simplex([1], [[-1]], [0])
 
 
 # sha256 of feasibility_to_json(feasible(ap)), as recorded before the

@@ -738,9 +738,10 @@ def test_replayed_profiles_are_members(n, seed, monkeypatch):
 
 
 def test_condition_tables_per_realize_do_not_grow_with_moves(monkeypatch):
-    """Only the caller's target, the walk inside build_split_prism and
-    the two walks of _realize_simple outside the replay build the
-    condition table; the replay's moves build none."""
+    """On the simple branch only the caller's target and the walk inside
+    build_split_prism build the condition table: the two legs of
+    _realize_simple call _walk, which checks nothing, and the replay's
+    moves build none."""
     builds = []
     conditions = angles._conditions
 
