@@ -284,7 +284,13 @@ def build(vertex_count: int, faces: Sequence[Sequence[int]], name: str = "comple
 
     edges = tuple((u, v, fa, fb) for (u, v), (fa, fb) in sorted(edge_faces.items()))
 
-    # Trivalence: every vertex on exactly 3 edges and 3 faces.
+    # Trivalence: every vertex on exactly 3 edges and 3 faces.  A vertex
+    # count above the number of corners leaves some vertex on no face;
+    # reject it before any per-vertex list is allocated.
+    corners = sum(len(c) for c in faces_t)
+    if vertex_count > corners:
+        raise NotTrivalent(
+            f"{vertex_count} vertices but only {corners} face corners")
     degree = [0] * vertex_count
     for u, v, _, _ in edges:
         degree[u] += 1

@@ -3,9 +3,10 @@
 Vectors live in R^4 with the indefinite form <x,y> = -x0 y0 + x1 y1 +
 x2 y2 + x3 y3.  Hyperbolic space is the sheet <x,x> = -1, x0 > 0, and
 a plane is the orthogonal complement of a unit spacelike normal v,
-bounding the half space <w,v> <= 0.  Tolerances are 1e-10 for
-residuals and 1e-9 (CLASSIFY_TOL) for sign classification, which every
-helper, stacked kernel and the certificate use.
+bounding the half space <w,v> <= 0.  Signs are classified with
+CLASSIFY_TOL = 1e-9, which every helper, stacked kernel and the
+certificate use; the 1e-10 residual tolerance of the Newton solves
+belongs to `realize`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from . import complexes
 from .complexes import AbstractPolyhedron
 
 CLASSIFY_TOL = 1e-9
-RESIDUAL_TOL = 1e-10
 
 _METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -35,10 +35,6 @@ class NotIntersecting(GeometryError):
 
 
 class OutOfRange(GeometryError):
-    pass
-
-
-class NoFiniteVertex(GeometryError):
     pass
 
 
@@ -110,12 +106,9 @@ def dihedral(v, w) -> float:
     return math.acos(-c)
 
 
-class TripleClass(NamedTuple):
-    kind: str  # finite_vertex | ideal_vertex | no_vertex
-    determinant: float
-
-
 def coseqn_determinant(a: float, b: float, g: float) -> float:
+    """Gram determinant of three planes meeting pairwise at angles a, b,
+    g: positive when they share a finite vertex, zero at an ideal one."""
     ca, cb, cg = math.cos(a), math.cos(b), math.cos(g)
     return 1 - 2 * ca * cb * cg - ca * ca - cb * cb - cg * cg
 
@@ -124,33 +117,6 @@ def coseqn_product(a: float, b: float, g: float) -> float:
     """The same determinant as a product of four cosines of half-sums."""
     return -4 * (math.cos((a + b + g) / 2) * math.cos((a - b + g) / 2)
                  * math.cos((a + b - g) / 2) * math.cos((-a + b + g) / 2))
-
-
-def triple_class(a: float, b: float, g: float) -> TripleClass:
-    """Whether planes meeting pairwise at these angles share a finite
-    vertex (angle sum above pi), an ideal one (exactly pi), or none."""
-    for x in (a, b, g):
-        if not (0 < x <= math.pi / 2 + CLASSIFY_TOL):
-            raise OutOfRange(f"angle {x} outside (0, pi/2]")
-    d = coseqn_determinant(a, b, g)
-    if d > CLASSIFY_TOL:
-        return TripleClass("finite_vertex", d)
-    if d < -CLASSIFY_TOL:
-        return TripleClass("no_vertex", d)
-    return TripleClass("ideal_vertex", d)
-
-
-def face_angle(ai: float, aj: float, ak: float) -> float:
-    """Face angle opposite edge i at a finite trivalent vertex, by the
-    spherical law of cosines from the three dihedral angles."""
-    if triple_class(ai, aj, ak).kind != "finite_vertex":
-        raise NoFiniteVertex("dihedral angles do not meet at a finite vertex")
-    num = math.cos(ai) + math.cos(aj) * math.cos(ak)
-    den = math.sin(aj) * math.sin(ak)
-    arg = num / den
-    if not (-1 <= arg <= 1):
-        raise NoFiniteVertex(f"face-angle cosine {arg} out of range")
-    return math.acos(arg)
 
 
 def _gram(vs: Sequence[np.ndarray]) -> np.ndarray:
@@ -219,16 +185,6 @@ def perp_plane(v1, v2, v3, interior=(1.0, 0.0, 0.0, 0.0)) -> np.ndarray:
     return -w if side > 0 else w
 
 
-def right_triangle_legs(s1: float, s2: float, s3: float) -> Tuple[float, float, float]:
-    """Axis distances a1,a2,a3 with cosh(s_i) = cosh(a_j) cosh(a_k),
-    for a non-obtuse triangle with side lengths s1,s2,s3."""
-    c1, c2, c3 = math.cosh(s1), math.cosh(s2), math.cosh(s3)
-    vals = (c2 * c3 / c1, c3 * c1 / c2, c1 * c2 / c3)
-    if any(v < 1 for v in vals):
-        raise OutOfRange("side lengths do not come from a non-obtuse triangle")
-    return tuple(math.acosh(math.sqrt(v)) for v in vals)
-
-
 def _frozen(x) -> np.ndarray:
     a = np.array(x, dtype=float)
     a.setflags(write=False)
@@ -268,23 +224,6 @@ class Realization:
         for (u, v, _, _) in self.complex.edges:
             c = -mdot(self.points[u], self.points[v])
             out.append(math.acosh(max(c, 1.0)))
-        return out
-
-    def corner_angles(self) -> Dict[Tuple[int, int], float]:
-        """Face angle at each (face, vertex) corner, measured between
-        the tangent vectors of the two boundary edges at the vertex."""
-        out: Dict[Tuple[int, int], float] = {}
-        for f, cycle in enumerate(self.complex.faces):
-            n = len(cycle)
-            for i, v in enumerate(cycle):
-                p = self.points[v]
-                angles = []
-                for w in (cycle[(i - 1) % n], cycle[(i + 1) % n]):
-                    q = self.points[w]
-                    t = q + mdot(q, p) * p
-                    angles.append(t / math.sqrt(mdot(t, t)))
-                out[(f, v)] = math.acos(
-                    max(-1.0, min(1.0, mdot(angles[0], angles[1]))))
         return out
 
 

@@ -91,19 +91,11 @@ def apply_move(dc: DualComplex, move: WhiteheadMove) -> DualComplex:
     return DualComplex(node_count=dc.node_count, triangles=tuple(sorted(tris)))
 
 
-def new_3cycles(dc: DualComplex, move: WhiteheadMove) -> List[Tuple[int, int, int]]:
-    """The 3-cycles present after the move but not before.
-
-    Every new 3-cycle uses the inserted edge, so these are the common
-    neighbors of its endpoints in the moved complex.
-    """
-    return _inserted_3cycles(apply_move(dc, move), move)
-
-
 def _inserted_3cycles(after: DualComplex,
                       move: WhiteheadMove) -> List[Tuple[int, int, int]]:
     """The 3-cycles through the inserted edge of `move`, read off the
-    complex `after` it produced."""
+    complex `after` it produced.  Every 3-cycle a move creates uses the
+    inserted edge, so these include all the new ones."""
     x, y = move.inserted_edge
     adj = after.adjacency()
     return sorted(tuple(sorted((x, y, v))) for v in adj[x] & adj[y])

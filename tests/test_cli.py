@@ -41,11 +41,13 @@ def test_validate(paths, capsys):
 
 def test_validate_rejects_garbage(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"name": "x", "vertex_count": 5,
-                               "faces": [[0, 1, 2, 3], [0, 4, 1], [1, 4, 2],
-                                         [2, 4, 3], [3, 4, 0]]}))
-    assert main(["validate", "--input", str(bad)]) == 1
-    assert not json.loads(capsys.readouterr().out)["valid"]
+    pyramid = [[0, 1, 2, 3], [0, 4, 1], [1, 4, 2], [2, 4, 3], [3, 4, 0]]
+    tetrahedron = [list(f) for f in catalog.tetrahedron().faces]
+    for count, faces in [(5, pyramid), (10**20, tetrahedron)]:
+        bad.write_text(json.dumps({"name": "x", "vertex_count": count,
+                                   "faces": faces}))
+        assert main(["validate", "--input", str(bad)]) == 1
+        assert not json.loads(capsys.readouterr().out)["valid"]
 
 
 def test_missing_file_is_usage_error(tmp_path):

@@ -36,6 +36,23 @@ class TestBuild:
         with pytest.raises(complexes.NotTrivalent):
             complexes.build(5, faces)
 
+    @pytest.mark.parametrize("error, vertex_count, faces", [
+        (complexes.EulerViolation, 3, [[0, 1, 2], [0, 2, 1]]),
+        (complexes.FaceTooSmall, 4, [[0, 1], [0, 1, 2], [1, 2, 3], [0, 2, 3]]),
+        (complexes.FacesMeetTwice, 4,
+         [[0, 1, 2, 1], [0, 2, 3], [0, 3, 1], [1, 3, 2]]),
+        # the tetrahedron with face 0 reversed: 0->2 runs through two faces
+        (complexes.EdgeNotInTwoFaces, 4,
+         [[0, 2, 1], [0, 2, 3], [0, 3, 1], [1, 3, 2]]),
+        # more vertices than face corners: rejected before any list of
+        # vertex_count entries is allocated
+        (complexes.NotTrivalent, 10**20,
+         [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]),
+    ])
+    def test_each_defect_has_its_type(self, error, vertex_count, faces):
+        with pytest.raises(error):
+            complexes.build(vertex_count, faces)
+
     def test_counting_identities(self, corpus):
         for ap in corpus:
             assert ap.edge_count == 3 * (ap.face_count - 2)

@@ -46,35 +46,6 @@ class TestDihedral:
             minkowski.dihedral(v, w)
 
 
-class TestTripleClass:
-    def test_all_right_angles(self):
-        out = minkowski.triple_class(math.pi / 2, math.pi / 2, math.pi / 2)
-        assert out.kind == "finite_vertex"
-        assert out.determinant == pytest.approx(1.0)
-
-    def test_ideal_at_pi_thirds(self):
-        out = minkowski.triple_class(math.pi / 3, math.pi / 3, math.pi / 3)
-        assert out.kind == "ideal_vertex"
-        assert abs(out.determinant) < 1e-12
-
-    def test_two_fifths(self):
-        a = 2 * math.pi / 5
-        out = minkowski.triple_class(a, a, a)
-        assert out.kind == "finite_vertex"
-        assert out.determinant > 0
-        assert out.determinant == pytest.approx(
-            minkowski.coseqn_product(a, a, a), abs=1e-12)
-
-    def test_no_vertex(self):
-        out = minkowski.triple_class(0.3, 0.3, 0.3)
-        assert out.kind == "no_vertex"
-        assert out.determinant < 0
-
-    def test_out_of_range(self):
-        with pytest.raises(minkowski.OutOfRange):
-            minkowski.triple_class(0.0, 1.0, 1.0)
-
-
 def test_coseqn_identity_bulk():
     rng = np.random.default_rng(5)
     worst = 0.0
@@ -102,20 +73,6 @@ def test_coseqn_vanishes_on_the_ideal_locus():
 def test_coseqn_identity_hypothesis(a, b, g):
     assert abs(minkowski.coseqn_determinant(a, b, g)
                - minkowski.coseqn_product(a, b, g)) < 1e-12
-
-
-class TestFaceAngle:
-    def test_right_corner(self):
-        h = math.pi / 2
-        assert minkowski.face_angle(h, h, h) == pytest.approx(h)
-
-    def test_mixed_corner(self):
-        got = minkowski.face_angle(math.pi / 2, math.pi / 3, math.pi / 3)
-        assert got == pytest.approx(math.acos(1.0 / 3.0))
-
-    def test_ideal_corner_rejected(self):
-        with pytest.raises(minkowski.NoFiniteVertex):
-            minkowski.face_angle(math.pi / 3, math.pi / 3, math.pi / 3)
 
 
 class TestVertexPoint:
@@ -255,19 +212,6 @@ class TestPerpPlane:
             minkowski.perp_plane(*_corner_triple(math.pi / 3))
 
 
-def test_right_triangle_legs_pythagoras():
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        a = rng.uniform(0.1, 1.5, size=3)
-        sides = [math.acosh(math.cosh(a[(i + 1) % 3]) * math.cosh(a[(i + 2) % 3]))
-                 for i in range(3)]
-        legs = minkowski.right_triangle_legs(*sides)
-        assert np.allclose(legs, a, atol=1e-10)
-        for i in range(3):
-            assert math.cosh(legs[(i + 1) % 3]) * math.cosh(legs[(i + 2) % 3]) \
-                == pytest.approx(math.cosh(sides[i]), abs=1e-10)
-
-
 class TestBuildPrism:
     def test_pr5_angles(self):
         r = minkowski.build_prism(5, math.pi / 4, 0.01)
@@ -361,22 +305,6 @@ def test_extracted_vertices_exhaust_definite_triples():
     listed = {tuple(sorted(ap.vertex_faces(v)))
               for v in range(ap.vertex_count)}
     assert combos == listed
-
-
-def test_corner_angles_match_spherical_law():
-    r = minkowski.build_prism(5, math.pi / 4, 0.02)
-    ap = r.complex
-    corners = r.corner_angles()
-    edge_angle = dict(enumerate(r.edge_angles()))
-    for v in range(ap.vertex_count):
-        fs = ap.vertex_faces(v)
-        for f in fs:
-            others = [g for g in fs if g != f]
-            ai = edge_angle[ap.edge_between_faces(others[0], others[1])]
-            aj = edge_angle[ap.edge_between_faces(f, others[0])]
-            ak = edge_angle[ap.edge_between_faces(f, others[1])]
-            want = minkowski.face_angle(ai, aj, ak)
-            assert corners[(f, v)] == pytest.approx(want, abs=1e-8)
 
 
 def test_lorentz_invariance():

@@ -29,7 +29,8 @@ class TestApplyMove:
         dc = icosa()
         a, b = first_edge(dc)
         mv = whitehead.move_on(dc, a, b)
-        created = whitehead.new_3cycles(dc, mv)
+        after = whitehead.apply_move(dc, mv)
+        created = whitehead._inserted_3cycles(after, mv)
         assert len(created) == 2
         x, y = sorted(set(mv.inserted_edge))
         for cyc in created:
