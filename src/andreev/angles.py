@@ -34,6 +34,7 @@ The witness is rechecked against the same table.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -400,6 +401,20 @@ def to_json(a: AngleAssignment) -> str:
                     for i, v in enumerate(a.values)}})
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _table_entry(value) -> Fraction:
+    """An int or a "p" / "p/q" string as a Fraction.  Floats, bools and
+    decimal or exponent strings are refused: to_json never writes them,
+    a float is a binary fraction, and "1e4000000" parses for seconds."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        return Fraction(value)
+    raise TypeError(f"{value!r} is not an integer or a 'p/q' string")
+
+
 def from_json(text: str) -> AngleAssignment:
     """Read the format of to_json; ValueError on any other shape."""
     data = json.loads(text)
@@ -407,8 +422,8 @@ def from_json(text: str) -> AngleAssignment:
     if not isinstance(table, dict):
         raise ValueError('expected {"angles": {"0": r_0, "1": r_1, ...}}')
     try:
-        values = [Fraction(table[str(i)]) for i in range(len(table))]
-    except (KeyError, TypeError, OverflowError, ZeroDivisionError) as exc:
+        values = [_table_entry(table[str(i)]) for i in range(len(table))]
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"bad angle table entry: {exc!r}")
     return AngleAssignment(tuple(values))
 

@@ -10,6 +10,7 @@ the edge list and the dual triangulation.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -63,6 +64,11 @@ class Circuit:
 
 @dataclass(frozen=True)
 class AbstractPolyhedron:
+    """A trivalent cell complex.  `primal` and `derived_primal` attach
+    the dual they were made from as `_dual`, which `dual` returns; like
+    the cached properties it is no field, so `dataclasses.replace`
+    starts without it."""
+
     vertex_count: int
     faces: Tuple[Tuple[int, ...], ...]
     # edges[i] = (u, v, face_a, face_b) with u < v, lexicographic by (u, v)
@@ -109,11 +115,16 @@ class AbstractPolyhedron:
         for i, (u, v, _, _) in enumerate(self.edges):
             incident[u].append(i)
             incident[v].append(i)
-        return tuple(tuple(sorted(e)) for e in incident)
+        return tuple([tuple(sorted(e)) for e in incident])
 
     def vertex_faces(self, v: int) -> Tuple[int, ...]:
         """The three faces meeting at v, ascending."""
         return self._vertex_faces[v]
+
+    @property
+    def vertex_face_triples(self) -> Tuple[Tuple[int, ...], ...]:
+        """vertex_faces(v) of every vertex v, in vertex order."""
+        return self._vertex_faces
 
     @cached_property
     def _vertex_faces(self) -> Tuple[Tuple[int, ...], ...]:
@@ -121,7 +132,7 @@ class AbstractPolyhedron:
         for f, cycle in enumerate(self.faces):
             for v in cycle:
                 around[v].add(f)
-        return tuple(tuple(sorted(s)) for s in around)
+        return tuple([tuple(sorted(s)) for s in around])
 
     def face_edge_cycle(self, f: int) -> Tuple[int, ...]:
         """Edge indices along the boundary of face f, in face order.
@@ -130,7 +141,8 @@ class AbstractPolyhedron:
         """
         cycle = self.faces[f]
         n = len(cycle)
-        return tuple(self.edge_index(cycle[i], cycle[(i + 1) % n]) for i in range(n))
+        return tuple([self.edge_index(cycle[i], cycle[(i + 1) % n])
+                      for i in range(n)])
 
     @cached_property
     def _circuits(self) -> Dict[int, Tuple[Circuit, ...]]:
@@ -152,8 +164,14 @@ class DualComplex:
     triangles: Tuple[Tuple[int, int, int], ...]  # each sorted ascending
 
     def __post_init__(self):
+        n, tris = self.node_count, self.triangles
+        odd = [t for t in tris
+               if not (len(t) == 3 and 0 <= t[0] < t[1] < t[2] < n)]
+        if not odd and len(set(tris)) == len(tris):
+            return
+        # Name the first defect.
         seen = set()
-        for t in self.triangles:
+        for t in tris:
             if len(set(t)) != 3 or tuple(sorted(t)) != tuple(t):
                 raise ComplexError("triangles must be sorted triples of distinct nodes")
             if t in seen:
@@ -193,7 +211,8 @@ class DualComplex:
         Triangle orientations are propagated from triangle 0 across
         shared edges, then each node's link cycle is ordered by the
         successor rule of its oriented triangles, starting at its least
-        neighbor.  Raises ComplexError when a dual edge does not lie on
+        neighbor; so triangle 0, (p, q, r) ascending, turns from q to r
+        around p.  Raises ComplexError when a dual edge does not lie on
         exactly two triangles, the triangles are not connected, or a
         link does not close into one cycle.
         """
@@ -216,7 +235,7 @@ class DualComplex:
                 j = by_edge[e][0] if by_edge[e][0] != i else by_edge[e][1]
                 if j in orient:
                     continue
-                w = next(x for x in tri[j] if x not in (u, v))
+                w = sum(tri[j]) - u - v
                 orient[j] = (v, u, w)  # shared edge reversed in the neighbor
                 stack.append(j)
         if len(orient) != len(tri):
@@ -243,6 +262,57 @@ class DualComplex:
             rotation[n] = tuple(cycle)
         return rotation
 
+    def flip(self, a: int, b: int, x: int, y: int) -> "DualComplex":
+        """This complex with its edge ab, on the triangles abx and aby,
+        replaced by the edge xy, on axy and bxy.  The caller has checked
+        that x and y flank ab and are not adjacent.
+
+        Nothing is rebuilt: the sorted triangles and edges lose and gain
+        two triangles and one edge, the adjacency and rotation change at
+        a, b, x and y only.  Removing b from a's link (and a from b's)
+        and putting y between a and b in x's link (x in y's) keeps the
+        rotation consistent; if the new triangle 0 turns the other way,
+        every cycle is reversed.  A flip of a sphere triangulation is
+        one, so none of __post_init__'s checks is repeated.
+        """
+        tris = list(self.triangles)
+        for t in (a, b, x), (a, b, y):
+            del tris[bisect_left(tris, tuple(sorted(t)))]
+        for t in (a, x, y), (b, x, y):
+            insort(tris, tuple(sorted(t)))
+        edges = list(self.edges)
+        del edges[bisect_left(edges, (a, b) if a < b else (b, a))]
+        insort(edges, (x, y) if x < y else (y, x))
+        adj = dict(self._adjacency)
+        adj[a], adj[b] = adj[a] - {b}, adj[b] - {a}
+        adj[x], adj[y] = adj[x] | {y}, adj[y] | {x}
+        rot = dict(self.rotation)
+        rot[a] = _least_first([n for n in rot[a] if n != b])
+        rot[b] = _least_first([n for n in rot[b] if n != a])
+        rot[x] = _inserted_between(rot[x], a, b, y)
+        rot[y] = _inserted_between(rot[y], a, b, x)
+        p, q, r = tris[0]
+        cyc = rot[p]
+        if cyc[(cyc.index(q) + 1) % len(cyc)] != r:
+            rot = {n: c[:1] + c[:0:-1] for n, c in rot.items()}
+        out = object.__new__(DualComplex)
+        out.__dict__.update(node_count=self.node_count, triangles=tuple(tris),
+                            edges=tuple(edges), _adjacency=adj, rotation=rot)
+        return out
+
+
+def _least_first(cycle: List[int]) -> Tuple[int, ...]:
+    i = cycle.index(min(cycle))
+    return tuple(cycle[i:] + cycle[:i])
+
+
+def _inserted_between(cycle: Tuple[int, ...], a: int, b: int,
+                      new: int) -> Tuple[int, ...]:
+    """The cycle with `new` put between its neighbouring entries a and b."""
+    i, j = cycle.index(a), cycle.index(b)
+    at = max(i, j) if abs(i - j) == 1 else 0    # 0: the pair wraps around
+    return _least_first(list(cycle[:at]) + [new] + list(cycle[at:]))
+
 
 def build(vertex_count: int, faces: Sequence[Sequence[int]], name: str = "complex") -> AbstractPolyhedron:
     """Validate the incidence axioms and return the derived complex.
@@ -250,7 +320,7 @@ def build(vertex_count: int, faces: Sequence[Sequence[int]], name: str = "comple
     Faces must be cyclic vertex lists oriented consistently (each edge
     traversed once in each direction across the two incident faces).
     """
-    faces_t = tuple(tuple(int(v) for v in f) for f in faces)
+    faces_t = tuple([tuple(map(int, f)) for f in faces])
     n_faces = len(faces_t)
     if n_faces <= 3:
         raise EulerViolation(f"need at least 4 faces, got {n_faces}")
@@ -287,7 +357,7 @@ def build(vertex_count: int, faces: Sequence[Sequence[int]], name: str = "comple
     # Trivalence: every vertex on exactly 3 edges and 3 faces.  A vertex
     # count above the number of corners leaves some vertex on no face;
     # reject it before any per-vertex list is allocated.
-    corners = sum(len(c) for c in faces_t)
+    corners = sum(map(len, faces_t))
     if vertex_count > corners:
         raise NotTrivalent(
             f"{vertex_count} vertices but only {corners} face corners")
@@ -343,12 +413,39 @@ def build(vertex_count: int, faces: Sequence[Sequence[int]], name: str = "comple
 
 
 def dual(ap: AbstractPolyhedron) -> DualComplex:
-    """Dual triangulation: one node per face, one triangle per vertex."""
-    triangles = tuple(sorted(ap.vertex_faces(v) for v in range(ap.vertex_count)))
+    """Dual triangulation: one node per face, one triangle per vertex.
+
+    A complex made by `primal` from a dual with sorted triangles, or by
+    `derived_primal`, returns that dual, which is what dualizing it
+    gives; any other is dualized anew on every call."""
+    attached = ap.__dict__.get("_dual")
+    if attached is not None:
+        return attached
+    triangles = tuple(sorted(ap.vertex_face_triples))
     dc = DualComplex(node_count=ap.face_count, triangles=triangles)
     if len(dc.edges) != ap.edge_count:
         raise ComplexError("dual edge count mismatch")
     return dc
+
+
+def _primal_faces(dc: DualComplex,
+                  triangles: Sequence[Tuple[int, int, int]]
+                  ) -> List[Tuple[int, ...]]:
+    """The faces of dc's primal, its vertices numbered by their place
+    in `triangles` (sorted): face n runs through the triangles at n in
+    the order of n's rotation cycle.  Each triangle is keyed by all six
+    orders of its nodes, so no corner is sorted."""
+    rotation = dc.rotation
+    tri_ids = {}
+    for i, (p, q, r) in enumerate(triangles):
+        tri_ids[p, q, r] = tri_ids[q, r, p] = tri_ids[r, p, q] = i
+        tri_ids[p, r, q] = tri_ids[r, q, p] = tri_ids[q, p, r] = i
+    faces = []
+    for n in range(dc.node_count):
+        cyc = rotation[n]
+        faces.append(tuple([tri_ids[n, u, v]
+                            for u, v in zip(cyc, cyc[1:] + cyc[:1])]))
+    return faces
 
 
 def primal(dc: DualComplex, name: str = "complex") -> AbstractPolyhedron:
@@ -356,17 +453,40 @@ def primal(dc: DualComplex, name: str = "complex") -> AbstractPolyhedron:
 
     Primal vertices are the dual triangles, numbered by lexicographic
     order of their sorted node triples.  Faces are the rotation cycles.
+    `build` checks every incidence axiom.
     """
-    rotation = dc.rotation
-    tri_ids = {t: i for i, t in enumerate(sorted(dc.triangle_set))}
-    faces = []
-    for n in range(dc.node_count):
-        cyc = rotation[n]
-        k = len(cyc)
-        face = tuple(
-            tri_ids[tuple(sorted((n, cyc[i], cyc[(i + 1) % k])))] for i in range(k))
-        faces.append(face)
-    return build(len(tri_ids), faces, name=name)
+    triangles = sorted(dc.triangle_set)
+    ap = build(len(triangles), _primal_faces(dc, triangles), name=name)
+    if list(dc.triangles) == triangles:
+        ap.__dict__["_dual"] = dc
+    return ap
+
+
+def derived_primal(dc: DualComplex, name: str = "complex",
+                   simple: bool = False) -> AbstractPolyhedron:
+    """The primal of a dual derived from a valid complex by Whitehead
+    moves, numbered as `primal` numbers it, without `build`'s checks: a
+    flip of a sphere triangulation is one, so its primal meets the axioms.
+
+    The edges come from one sweep of the faces' directed sides.  dc is
+    attached as the complex's dual, each vertex's faces are its sorted
+    triangle, and simple=True (which the caller must have certified)
+    records that it has no prismatic 3-circuit, so that none of these is
+    rebuilt."""
+    triangles = sorted(dc.triangles)
+    faces = tuple(_primal_faces(dc, triangles))
+    side: Dict[Tuple[int, int], int] = {}
+    for f, cycle in enumerate(faces):
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            side[(u, v)] = f
+    edges = tuple(sorted([(u, v, f, side[(v, u)])
+                          for (u, v), f in side.items() if u < v]))
+    ap = AbstractPolyhedron(vertex_count=len(triangles), faces=faces,
+                            edges=edges, name=name)
+    ap.__dict__.update(_dual=dc, _vertex_faces=tuple(triangles))
+    if simple:
+        ap._circuits[3] = ()
+    return ap
 
 
 def _simple_cycles(dc: DualComplex, k: int) -> List[Tuple[int, ...]]:
@@ -486,7 +606,11 @@ class ContractedComplex:
     surrounding_faces: Tuple[int, int, int, int]
 
 
-def collapse_edge(ap: AbstractPolyhedron, edge: int) -> ContractedComplex:
+def collapse_surroundings(ap: AbstractPolyhedron, edge: int) -> Tuple[
+        Tuple[int, int, int, int], Tuple[int, int, int, int]]:
+    """The four edges and the four faces around the vertex that
+    collapsing `edge` would make, in cyclic order, after collapse_edge's
+    checks: ap is simple and no face at the edge is a triangle."""
     if not is_simple(ap):
         raise NotSimple("edge collapse requires a simple complex")
     u, v, fa, fb = ap.edges[edge]
@@ -496,15 +620,19 @@ def collapse_edge(ap: AbstractPolyhedron, edge: int) -> ContractedComplex:
 
     fu = next(f for f in ap.vertex_faces(u) if f not in (fa, fb))
     fv = next(f for f in ap.vertex_faces(v) if f not in (fa, fb))
-    e1 = next(e for e in ap.vertex_edges(u) if e != edge and fa in ap.edges[e][2:])
-    e2 = next(e for e in ap.vertex_edges(u) if e != edge and e != e1)
-    e3 = next(e for e in ap.vertex_edges(v) if e != edge and fb in ap.edges[e][2:])
-    e4 = next(e for e in ap.vertex_edges(v) if e != edge and e != e3)
     # Cyclic order around the merged vertex: e1 (on fa), e2, e3 (on fb), e4,
-    # with faces fa, fu, fb, fv between consecutive edges.
-    surrounding = (e1, e2, e3, e4)
-    around = (fa, fu, fb, fv)
+    # with faces fa, fu, fb, fv between consecutive edges.  The other two
+    # edges at u lie between fu and fa or fb, those at v between fv and
+    # fb or fa.
+    pair = ap.edge_between_faces
+    return ((pair(fa, fu), pair(fu, fb), pair(fb, fv), pair(fv, fa)),
+            (fa, fu, fb, fv))
 
+
+def collapse_edge(ap: AbstractPolyhedron, edge: int) -> ContractedComplex:
+    """ap with `edge` contracted to one 4-valent vertex."""
+    surrounding, around = collapse_surroundings(ap, edge)
+    u, v, _, _ = ap.edges[edge]
     keep, drop = (u, v) if u < v else (v, u)
     faces = []
     for cycle in ap.faces:
@@ -625,9 +753,9 @@ def from_json(text: str) -> AbstractPolyhedron:
     if not isinstance(data, dict):
         data = {}
     count, faces = data.get("vertex_count"), data.get("faces")
-    if not (isinstance(count, int) and isinstance(faces, list)
-            and all(isinstance(f, list) and all(isinstance(v, int) for v in f)
-                    for f in faces)):
+    whole = lambda x: isinstance(x, int) and not isinstance(x, bool)
+    if not (whole(count) and isinstance(faces, list)
+            and all(isinstance(f, list) and all(map(whole, f)) for f in faces)):
         raise ValueError('expected {"vertex_count": int, '
                          '"faces": [[int, ...], ...]}')
     return build(count, faces, name=str(data.get("name", "complex")))

@@ -135,9 +135,8 @@ def _centred(normals, points) -> np.ndarray:
 def _recentred(ap: AbstractPolyhedron, X: np.ndarray) -> np.ndarray:
     """X centred on its own vertex points, or X itself when one of them
     is not a finite point."""
-    faces = [ap.vertex_faces(v) for v in range(ap.vertex_count)]
     try:
-        return _centred(X, minkowski.vertex_points(X, faces))
+        return _centred(X, minkowski.vertex_points(X, ap.vertex_face_triples))
     except GeometryError:
         return X
 
@@ -154,8 +153,7 @@ class _GramSystem:
         N, E = ap.face_count, ap.edge_count
         self.ia = np.array([e[2] for e in ap.edges])
         self.ib = np.array([e[3] for e in ap.edges])
-        self.vertex_faces = np.array(
-            [ap.vertex_faces(v) for v in range(ap.vertex_count)])
+        self.vertex_faces = np.array(ap.vertex_face_triples)
         # Jacobian sparsity: per face row its four coordinates, per edge
         # row the coordinates of both faces; the slice rows are dense.
         n = 4 * N
@@ -291,6 +289,12 @@ def _continue_core(r: Realization, start_rad: np.ndarray,
         dets = _vertex_dets(ap, X, system)
         return tuple(watched[dets[watched] < EVENT_TOL].tolist())
 
+    # |d cos(theta_e)/dt| <= |target_e - start_e|, so over a parameter
+    # interval of this width every Gram target moves by RESIDUAL_TOL / 4
+    # at most.
+    speed = float(np.max(np.abs(target_rad - start_rad), initial=0.0))
+    resolution = RESIDUAL_TOL / (4.0 * speed) if speed else 1.0
+
     t, X, step = 0.0, _centred(r.normals, r.points), max_step
     while t < 1.0:
         tn = min(1.0, t + step)
@@ -312,9 +316,12 @@ def _continue_core(r: Realization, start_rad: np.ndarray,
             continue
         if bad:
             # Bisect between the good and bad parameters to localize
-            # the first ideal-vertex event.
+            # the first ideal-vertex event, down to the width over which
+            # no target cosine moves by more than RESIDUAL_TOL / 4.
+            # Narrower, the RESIDUAL_TOL solves no longer tell the two
+            # ends apart: they return their seeds.
             lo, hi, Xg = t, tn, X
-            while hi - lo >= 1e-12:
+            while hi - lo >= resolution:
                 mid = 0.5 * (lo + hi)
                 try:
                     Xm = solve_at(mid, Xg)
@@ -392,10 +399,11 @@ def _collapse_profile(ap: AbstractPolyhedron, edge: int) -> AngleAssignment:
     """The angle profile that pinches the given edge: REPLAY_EPSILON
     there, pi/2 on the four surrounding edges, 2*pi/5 elsewhere.
 
-    collapse_edge first checks exactly that ap is simple (no prismatic
-    3-circuit) and that no face at the edge is a triangle.  On such a
-    complex the profile lies in the angle set, so the replay walks to
-    and from it without checking the condition table:
+    collapse_surroundings first checks, as collapse_edge does, exactly
+    that ap is simple (no prismatic 3-circuit) and that no face at the
+    edge is a triangle.  On such a complex the profile lies in the angle
+    set, so the replay walks to and from it without checking the
+    condition table:
     - every edge lies in (0, 1/2];
     - the edge's two ends sum to 1 + REPLAY_EPSILON, every other vertex
       to at least 6/5;
@@ -408,9 +416,9 @@ def _collapse_profile(ap: AbstractPolyhedron, edge: int) -> AngleAssignment:
       sum of at most 14/5 < 3.
     Uniform 2/5 gives 6/5, 8/5 and 12/5 on every simple complex, so it
     lies in the angle set as well."""
-    con = complexes.collapse_edge(ap, edge)
+    surrounding, _ = complexes.collapse_surroundings(ap, edge)
     values = [TWO_FIFTHS] * ap.edge_count
-    for s in con.surrounding_edges:
+    for s in surrounding:
         values[s] = HALF
     values[edge] = REPLAY_EPSILON
     return AngleAssignment(tuple(values))
@@ -428,7 +436,6 @@ def replay_whitehead(realization: Realization,
     set by the argument of _collapse_profile, so no leg rechecks it.
     """
     ap = realization.complex
-    dc = complexes.dual(ap)
     a_node, b_node = move.removed_edge
     edge = ap.edge_between_faces(a_node, b_node)
     if edge is None:
@@ -437,8 +444,9 @@ def replay_whitehead(realization: Realization,
 
     squeezed = _walk(realization, _radians(_collapse_profile(ap, edge)))
 
-    dc2 = whitehead.apply_move(dc, move)
-    ap2 = complexes.primal(dc2, name=ap.name)
+    # ap is simple (collapse_surroundings checked it), so the moved
+    # complex is patched from ap's and known simple without a rebuild.
+    ap2 = whitehead.primal_after(ap, move)
     edge2 = ap2.edge_between_faces(*move.inserted_edge)
     profile2 = _collapse_profile(ap2, edge2)
     target2 = _radians(profile2)

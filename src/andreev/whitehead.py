@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalog, complexes
-from .complexes import DualComplex
+from .complexes import AbstractPolyhedron, DualComplex
 
 
 class WhiteheadError(ValueError):
@@ -78,6 +78,8 @@ def move_on(dc: DualComplex, a: int, b: int) -> WhiteheadMove:
 
 
 def apply_move(dc: DualComplex, move: WhiteheadMove) -> DualComplex:
+    """The moved complex, patched from dc at the move's four nodes by
+    `DualComplex.flip`: no triangle, edge or link cycle is rebuilt."""
     a, b = move.removed_edge
     x, y = _flank_apexes(dc, a, b)
     if (min(x, y), max(x, y)) != tuple(sorted(move.inserted_edge)):
@@ -85,27 +87,31 @@ def apply_move(dc: DualComplex, move: WhiteheadMove) -> DualComplex:
             f"move inserts {move.inserted_edge} but flanks give {{{x},{y}}}")
     if y in dc.adjacency()[x]:
         raise TargetEdgeExists(f"dual edge {{{x},{y}}} already present")
-    drop = {tuple(sorted((a, b, x))), tuple(sorted((a, b, y)))}
-    add = [tuple(sorted((a, x, y))), tuple(sorted((b, x, y)))]
-    tris = [t for t in dc.triangles if t not in drop] + add
-    return DualComplex(node_count=dc.node_count, triangles=tuple(sorted(tris)))
-
-
-def _inserted_3cycles(after: DualComplex,
-                      move: WhiteheadMove) -> List[Tuple[int, int, int]]:
-    """The 3-cycles through the inserted edge of `move`, read off the
-    complex `after` it produced.  Every 3-cycle a move creates uses the
-    inserted edge, so these include all the new ones."""
-    x, y = move.inserted_edge
-    adj = after.adjacency()
-    return sorted(tuple(sorted((x, y, v))) for v in adj[x] & adj[y])
+    return dc.flip(a, b, x, y)
 
 
 def _keeps_simple(after: DualComplex, move: WhiteheadMove) -> bool:
     """Whether `move`, applied to a simple complex, left `after` simple:
-    every 3-cycle through the inserted edge is a triangle."""
-    tri = after.triangle_set
-    return all(c in tri for c in _inserted_3cycles(after, move))
+    every 3-cycle through the inserted edge xy is a triangle.  Every
+    3-cycle a move creates uses xy, and the only triangles on xy are the
+    two the move made, with the ends of the removed edge; so that holds
+    exactly when those two ends are the only common neighbours of x and
+    y."""
+    x, y = move.inserted_edge
+    adj = after.adjacency()
+    return adj[x] & adj[y] == set(move.removed_edge)
+
+
+def primal_after(ap: AbstractPolyhedron,
+                 move: WhiteheadMove) -> AbstractPolyhedron:
+    """The complex ap after `move`, derived without a rebuild: its dual
+    is `apply_move` of ap's, its primal `complexes.derived_primal` of
+    that, with the numbering and name `complexes.primal` would give.  It
+    is marked simple when ap is and `_keeps_simple` holds, the check
+    `_Reducer.do` makes of every move of a reduction."""
+    after = apply_move(complexes.dual(ap), move)
+    simple = complexes.is_simple(ap) and _keeps_simple(after, move)
+    return complexes.derived_primal(after, name=ap.name, simple=simple)
 
 
 @dataclass(frozen=True)

@@ -54,11 +54,22 @@ def test_missing_file_is_usage_error(tmp_path):
     assert main(["validate", "--input", str(tmp_path / "nope.json")]) == 2
 
 
+def _dodeca_table(first) -> str:
+    """2/5 on all 30 edges of the dodecahedron but the first, which gets
+    the given JSON value."""
+    table = {str(i): "2/5" for i in range(30)}
+    table["0"] = first
+    return json.dumps({"angles": table})
+
+
 @pytest.mark.parametrize("text", [
     '{"foo": 1}',
     '{"angles": {"1": "2/5"}}',
     '{"angles": ["2/5"]}',
     '{"angles": {"0": null}}',
+    pytest.param(_dodeca_table("1e400"), id="exponent-string"),
+    pytest.param(_dodeca_table(True), id="bool"),
+    pytest.param(_dodeca_table(0.4), id="float"),
 ])
 def test_malformed_angles_are_usage_errors(paths, text):
     bad = paths["dir"] / "bad_angles.json"
@@ -67,7 +78,11 @@ def test_malformed_angles_are_usage_errors(paths, text):
                  "--angles", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("text", ['{"vertex_count": 4, "faces": 5}', "[1, 2]"])
+@pytest.mark.parametrize("text", [
+    '{"vertex_count": 4, "faces": 5}', "[1, 2]",
+    pytest.param(json.dumps({"vertex_count": True, "faces": [
+        list(f) for f in catalog.tetrahedron().faces]}), id="bool-count"),
+])
 def test_malformed_complexes_are_usage_errors(tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

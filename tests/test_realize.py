@@ -649,14 +649,17 @@ def test_bind_agrees_with_extraction(case):
 
 def test_circuits_enumerated_once_per_complex(monkeypatch):
     """realize asks for the circuits of one complex many times (the
-    is_simple of every collapse_edge along the replay, and the
+    is_simple of every collapse_surroundings along the replay, and the
     check_conditions of the walks outside it); each complex object
-    enumerates its cycles once per k."""
+    enumerates its cycles once per k, and a complex the replay derived
+    by a move, known simple, enumerates none."""
     ap = complexes.primal(whitehead.random_simple(12, 0), name="r12")
     requested = {}
+    derived = {}
     enumerations = []
     enumerate_cycles = complexes._simple_cycles
     ask = complexes.prismatic_circuits
+    primal_after = whitehead.primal_after
 
     def counting_cycles(dc, k):
         enumerations.append(k)
@@ -666,11 +669,20 @@ def test_circuits_enumerated_once_per_complex(monkeypatch):
         requested[(id(ap), k)] = ap    # holds ap, so its id stays unique
         return ask(ap, k)
 
+    def recording_after(ap, move):
+        out = primal_after(ap, move)
+        derived[id(out)] = out
+        return out
+
     monkeypatch.setattr(complexes, "_simple_cycles", counting_cycles)
     monkeypatch.setattr(complexes, "prismatic_circuits", recording_ask)
+    monkeypatch.setattr(whitehead, "primal_after", recording_after)
     realize.realize(ap, uniform(ap, Fraction(2, 5)))
-    assert len(requested) > 10
-    assert len(enumerations) == len(requested)
+    scanned = [key for key in requested if key[0] not in derived]
+    assert len(requested) > 10 and len(derived) > 4
+    assert {key for key in requested if key[0] in derived} == {
+        (i, 3) for i in derived}
+    assert len(enumerations) == len(scanned)
 
 
 def test_simple_branch_computes_no_canonical_form(monkeypatch):
@@ -759,6 +771,66 @@ def test_condition_tables_per_realize_do_not_grow_with_moves(monkeypatch):
         counts[moves] = len(builds)
     assert sorted(counts) == [6, 8, 12]
     assert len(set(counts.values())) == 1
+
+
+def test_rebuilds_per_realize_do_not_grow_with_moves(monkeypatch):
+    """The replay derives each moved complex from the last one by
+    whitehead.primal_after, and the reducer patches its duals: the
+    number of complexes.build calls and of rotation systems propagated
+    from scratch per realize does not depend on the number of moves."""
+    builds, rotations = [], []
+    build = complexes.build
+    propagate = complexes.DualComplex.__dict__["rotation"].func
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    def counting_rotation(dc):
+        rotations.append(dc)
+        return propagate(dc)
+
+    rotation = functools.cached_property(counting_rotation)
+    rotation.__set_name__(complexes.DualComplex, "rotation")
+    monkeypatch.setattr(complexes, "build", counting_build)
+    monkeypatch.setattr(complexes.DualComplex, "rotation", rotation)
+    counts = {}
+    for n, seed in ((12, 0), (16, 1), (24, 0)):
+        ap = complexes.primal(whitehead.random_simple(n, seed))
+        moves = len(whitehead.reduce_to_dn(complexes.dual(ap)).moves)
+        builds.clear()
+        rotations.clear()
+        realize.realize(ap, uniform(ap, Fraction(2, 5)))
+        counts[moves] = (len(builds), len(rotations))
+    assert sorted(counts) == [6, 8, 12]
+    assert len(set(counts.values())) == 1, counts
+
+
+def test_bisection_stops_at_the_solve_resolution(monkeypatch):
+    """near_ideal_event's walk bisects its event down to the width over
+    which the target cosines move by RESIDUAL_TOL / 4, not to 1e-12: at
+    most 32 bisection solves (38 before), and t within 1e-9 of the
+    1e-12 bisection's."""
+    r = dodeca_two_fifths()
+    vals = [Fraction(2, 5)] * r.complex.edge_count
+    for e in r.complex.vertex_edges(0):
+        vals[e] = Fraction(1, 3)
+    flagged = []
+    solve_raw = realize._solve_raw
+
+    def recording(ap, target_rad, seed, *args):
+        X = solve_raw(ap, target_rad, seed, *args)
+        flagged.append(realize._vertex_dets(ap, X)[0] < realize.EVENT_TOL)
+        return X
+
+    monkeypatch.setattr(realize, "_solve_raw", recording)
+    with pytest.raises(realize.EventDetected) as exc:
+        realize.continue_path(r, AngleAssignment(tuple(vals)))
+    # The walk's steps end at the first solve that flags vertex 0; every
+    # later solve bisects.
+    bisection = flagged[flagged.index(True) + 1:]
+    assert 0 < len(bisection) <= 32
+    assert abs(exc.value.t - 0.9999998776174834) < 1e-9
 
 
 def _prism_label_inputs():

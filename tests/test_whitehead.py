@@ -1,9 +1,12 @@
 """Whitehead moves and the reduction to the split prism."""
 
+import dataclasses
 import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from andreev import catalog, complexes, minkowski, whitehead
 
@@ -30,11 +33,12 @@ class TestApplyMove:
         a, b = first_edge(dc)
         mv = whitehead.move_on(dc, a, b)
         after = whitehead.apply_move(dc, mv)
-        created = whitehead._inserted_3cycles(after, mv)
-        assert len(created) == 2
         x, y = sorted(set(mv.inserted_edge))
-        for cyc in created:
-            assert x in cyc and y in cyc
+        adj = after.adjacency()
+        created = sorted(tuple(sorted((x, y, v))) for v in adj[x] & adj[y])
+        assert len(created) == 2
+        assert set(created) <= after.triangle_set
+        assert whitehead._keeps_simple(after, mv)
 
     def test_missing_edge(self):
         dc = icosa()
@@ -311,3 +315,121 @@ def test_random_simple_pinned(n, seed):
     dc = whitehead.random_simple(n, seed, moves=30)
     digest = hashlib.sha256(repr(dc.triangles).encode()).hexdigest()
     assert digest == RANDOM_SIMPLE_SHA256[(n, seed)]
+
+
+# The patched move against the from-scratch constructions.
+
+
+def scratch_move(dc, move):
+    """The moved dual built as apply_move built it before it patched:
+    the triangle list filtered and sorted, then validated, and every
+    derived structure (edges, adjacency, rotation) left to compute."""
+    a, b = move.removed_edge
+    x, y = move.inserted_edge
+    drop = {tuple(sorted((a, b, x))), tuple(sorted((a, b, y)))}
+    add = [tuple(sorted((a, x, y))), tuple(sorted((b, x, y)))]
+    tris = [t for t in dc.triangles if t not in drop] + add
+    return complexes.DualComplex(dc.node_count, tuple(sorted(tris)))
+
+
+def assert_dual_matches(after, ref):
+    assert after.node_count == ref.node_count
+    assert after.triangles == ref.triangles
+    assert after.edges == ref.edges
+    assert after.adjacency() == ref.adjacency()
+    assert after.rotation == ref.rotation
+
+
+def assert_primal_matches(ap, ref):
+    """ap, derived by primal_after, against ref = complexes.primal of the
+    same dual built from scratch: every field, the attached dual, and the
+    3-circuit scan (which ap may answer from the empty cache it was
+    given)."""
+    assert (ap.vertex_count, ap.faces, ap.edges, ap.name) == (
+        ref.vertex_count, ref.faces, ref.edges, ref.name)
+    assert ap.vertex_face_triples == ref.vertex_face_triples
+    assert_dual_matches(complexes.dual(ap), complexes.dual(ref))
+    assert (complexes.prismatic_circuits(ap, 3)
+            == reference_circuits(ref))
+
+
+def reference_circuits(ap):
+    """Prismatic 3-circuits of ap by a scan of a fresh copy."""
+    return complexes.prismatic_circuits(dataclasses.replace(ap), 3)
+
+
+def checked_moves(monkeypatch):
+    """Make every apply_move compare its patched output with
+    scratch_move; returns the list the checked moves go to."""
+    seen = []
+    apply_move = whitehead.apply_move
+
+    def checked(dc, move):
+        after = apply_move(dc, move)
+        assert_dual_matches(after, scratch_move(dc, move))
+        seen.append(move)
+        return after
+
+    monkeypatch.setattr(whitehead, "apply_move", checked)
+    return seen
+
+
+def replayed_complexes(trace, name):
+    """The complexes the Whitehead replay derives, without the geometry:
+    from the primal of the trace's end, primal_after of every inverse
+    move in reverse order; each is checked against complexes.primal."""
+    cur = complexes.primal(trace.end, name=name)
+    for mv in reversed(trace.moves):
+        nxt = whitehead.primal_after(cur, mv.inverse())
+        ref = complexes.primal(
+            scratch_move(complexes.dual(cur), mv.inverse()), name=name)
+        assert_primal_matches(nxt, ref)
+        assert complexes.is_simple(nxt)
+        cur = nxt
+    return cur
+
+
+ORACLE_CASES = ([("dodecahedron", catalog.dodecahedron)]
+                + [(f"random_simple({n},{s})",
+                    lambda n=n, s=s: complexes.primal(
+                        whitehead.random_simple(n, s, moves=30)))
+                   for n in range(8, 49) for s in range(3)])
+
+
+@pytest.mark.parametrize("name,make", ORACLE_CASES,
+                         ids=[name for name, _ in ORACLE_CASES])
+def test_patched_moves_match_scratch(name, make, monkeypatch):
+    """Every move of the reduction and of the replay's complexes equals
+    what the from-scratch constructions give."""
+    ap = make()
+    seen = checked_moves(monkeypatch)
+    trace = whitehead.reduce_to_dn(complexes.dual(ap))
+    assert seen == list(trace.moves)
+    # Replayed back to the start, the moves give ap itself: every case
+    # is the primal of its dual, numbered as primal numbers it.
+    end = replayed_complexes(trace, name)
+    assert (end.faces, end.edges) == (ap.faces, ap.edges)
+    assert len(seen) == 2 * len(trace.moves)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(8, 0), (12, 1), (16, 2), (20, 0)]),
+       st.lists(st.integers(0, 10**6), min_size=1, max_size=40))
+def test_random_move_sequences_match_scratch(case, picks):
+    """Arbitrary sequences of moves, simple or not: the dual is patched
+    as scratch_move builds it, and primal_after gives what primal does,
+    with the empty 3-circuit cache exactly when the scan finds none."""
+    dc = whitehead.random_simple(*case, moves=10)
+    ap = complexes.primal(dc, name="r")
+    for pick in picks:
+        dc = complexes.dual(ap)
+        a, b = dc.edges[pick % len(dc.edges)]
+        try:
+            move = whitehead.move_on(dc, a, b)
+            after = whitehead.apply_move(dc, move)
+        except whitehead.WhiteheadError:
+            continue
+        assert_dual_matches(after, scratch_move(dc, move))
+        nxt = whitehead.primal_after(ap, move)
+        assert_primal_matches(nxt, complexes.primal(after, name="r"))
+        ap = nxt
