@@ -64,7 +64,7 @@ class Circuit:
 
 @dataclass(frozen=True)
 class AbstractPolyhedron:
-    """A trivalent cell complex.  `primal` and `derived_primal` attach
+    """A trivalent cell complex.  `primal` and `flipped` attach
     the dual they were made from as `_dual`, which `dual` returns; like
     the cached properties it is no field, so `dataclasses.replace`
     starts without it."""
@@ -115,16 +115,11 @@ class AbstractPolyhedron:
         for i, (u, v, _, _) in enumerate(self.edges):
             incident[u].append(i)
             incident[v].append(i)
-        return tuple([tuple(sorted(e)) for e in incident])
+        return tuple(tuple(sorted(e)) for e in incident)
 
     def vertex_faces(self, v: int) -> Tuple[int, ...]:
         """The three faces meeting at v, ascending."""
         return self._vertex_faces[v]
-
-    @property
-    def vertex_face_triples(self) -> Tuple[Tuple[int, ...], ...]:
-        """vertex_faces(v) of every vertex v, in vertex order."""
-        return self._vertex_faces
 
     @cached_property
     def _vertex_faces(self) -> Tuple[Tuple[int, ...], ...]:
@@ -132,7 +127,7 @@ class AbstractPolyhedron:
         for f, cycle in enumerate(self.faces):
             for v in cycle:
                 around[v].add(f)
-        return tuple([tuple(sorted(s)) for s in around])
+        return tuple(tuple(sorted(s)) for s in around)
 
     def face_edge_cycle(self, f: int) -> Tuple[int, ...]:
         """Edge indices along the boundary of face f, in face order.
@@ -141,8 +136,7 @@ class AbstractPolyhedron:
         """
         cycle = self.faces[f]
         n = len(cycle)
-        return tuple([self.edge_index(cycle[i], cycle[(i + 1) % n])
-                      for i in range(n)])
+        return tuple(self.edge_index(cycle[i], cycle[(i + 1) % n]) for i in range(n))
 
     @cached_property
     def _circuits(self) -> Dict[int, Tuple[Circuit, ...]]:
@@ -164,14 +158,8 @@ class DualComplex:
     triangles: Tuple[Tuple[int, int, int], ...]  # each sorted ascending
 
     def __post_init__(self):
-        n, tris = self.node_count, self.triangles
-        odd = [t for t in tris
-               if not (len(t) == 3 and 0 <= t[0] < t[1] < t[2] < n)]
-        if not odd and len(set(tris)) == len(tris):
-            return
-        # Name the first defect.
         seen = set()
-        for t in tris:
+        for t in self.triangles:
             if len(set(t)) != 3 or tuple(sorted(t)) != tuple(t):
                 raise ComplexError("triangles must be sorted triples of distinct nodes")
             if t in seen:
@@ -235,7 +223,7 @@ class DualComplex:
                 j = by_edge[e][0] if by_edge[e][0] != i else by_edge[e][1]
                 if j in orient:
                     continue
-                w = sum(tri[j]) - u - v
+                w = next(x for x in tri[j] if x not in (u, v))
                 orient[j] = (v, u, w)  # shared edge reversed in the neighbor
                 stack.append(j)
         if len(orient) != len(tri):
@@ -264,8 +252,8 @@ class DualComplex:
 
     def flip(self, a: int, b: int, x: int, y: int) -> "DualComplex":
         """This complex with its edge ab, on the triangles abx and aby,
-        replaced by the edge xy, on axy and bxy.  The caller has checked
-        that x and y flank ab and are not adjacent.
+        replaced by the edge xy, on axy and bxy.  Raises ComplexError
+        unless abx and aby are two triangles and xy is no edge.
 
         Nothing is rebuilt: the sorted triangles and edges lose and gain
         two triangles and one edge, the adjacency and rotation change at
@@ -277,7 +265,13 @@ class DualComplex:
         """
         tris = list(self.triangles)
         for t in (a, b, x), (a, b, y):
-            del tris[bisect_left(tris, tuple(sorted(t)))]
+            t = tuple(sorted(t))
+            i = bisect_left(tris, t)
+            if tris[i:i + 1] != [t]:
+                raise ComplexError(f"no triangle {t} to flip")
+            del tris[i]
+        if y in self._adjacency[x]:
+            raise ComplexError(f"flip target {{{x},{y}}} is already an edge")
         for t in (a, x, y), (b, x, y):
             insort(tris, tuple(sorted(t)))
         edges = list(self.edges)
@@ -320,7 +314,7 @@ def build(vertex_count: int, faces: Sequence[Sequence[int]], name: str = "comple
     Faces must be cyclic vertex lists oriented consistently (each edge
     traversed once in each direction across the two incident faces).
     """
-    faces_t = tuple([tuple(map(int, f)) for f in faces])
+    faces_t = tuple(tuple(int(v) for v in f) for f in faces)
     n_faces = len(faces_t)
     if n_faces <= 3:
         raise EulerViolation(f"need at least 4 faces, got {n_faces}")
@@ -357,7 +351,7 @@ def build(vertex_count: int, faces: Sequence[Sequence[int]], name: str = "comple
     # Trivalence: every vertex on exactly 3 edges and 3 faces.  A vertex
     # count above the number of corners leaves some vertex on no face;
     # reject it before any per-vertex list is allocated.
-    corners = sum(map(len, faces_t))
+    corners = sum(len(c) for c in faces_t)
     if vertex_count > corners:
         raise NotTrivalent(
             f"{vertex_count} vertices but only {corners} face corners")
@@ -416,12 +410,12 @@ def dual(ap: AbstractPolyhedron) -> DualComplex:
     """Dual triangulation: one node per face, one triangle per vertex.
 
     A complex made by `primal` from a dual with sorted triangles, or by
-    `derived_primal`, returns that dual, which is what dualizing it
+    `flipped`, returns that dual, which is what dualizing it
     gives; any other is dualized anew on every call."""
     attached = ap.__dict__.get("_dual")
     if attached is not None:
         return attached
-    triangles = tuple(sorted(ap.vertex_face_triples))
+    triangles = tuple(sorted(ap.vertex_faces(v) for v in range(ap.vertex_count)))
     dc = DualComplex(node_count=ap.face_count, triangles=triangles)
     if len(dc.edges) != ap.edge_count:
         raise ComplexError("dual edge count mismatch")
@@ -433,18 +427,16 @@ def _primal_faces(dc: DualComplex,
                   ) -> List[Tuple[int, ...]]:
     """The faces of dc's primal, its vertices numbered by their place
     in `triangles` (sorted): face n runs through the triangles at n in
-    the order of n's rotation cycle.  Each triangle is keyed by all six
-    orders of its nodes, so no corner is sorted."""
+    the order of n's rotation cycle."""
     rotation = dc.rotation
-    tri_ids = {}
-    for i, (p, q, r) in enumerate(triangles):
-        tri_ids[p, q, r] = tri_ids[q, r, p] = tri_ids[r, p, q] = i
-        tri_ids[p, r, q] = tri_ids[r, q, p] = tri_ids[q, p, r] = i
+    tri_ids = {t: i for i, t in enumerate(triangles)}
     faces = []
     for n in range(dc.node_count):
         cyc = rotation[n]
-        faces.append(tuple([tri_ids[n, u, v]
-                            for u, v in zip(cyc, cyc[1:] + cyc[:1])]))
+        k = len(cyc)
+        face = tuple(
+            tri_ids[tuple(sorted((n, cyc[i], cyc[(i + 1) % k])))] for i in range(k))
+        faces.append(face)
     return faces
 
 
@@ -462,18 +454,31 @@ def primal(dc: DualComplex, name: str = "complex") -> AbstractPolyhedron:
     return ap
 
 
-def derived_primal(dc: DualComplex, name: str = "complex",
-                   simple: bool = False) -> AbstractPolyhedron:
-    """The primal of a dual derived from a valid complex by Whitehead
-    moves, numbered as `primal` numbers it, without `build`'s checks: a
-    flip of a sphere triangulation is one, so its primal meets the axioms.
+def flip_keeps_simple(after: DualComplex, a: int, b: int, x: int,
+                      y: int) -> bool:
+    """Whether `after`, the flip of a simple complex's edge ab to xy, is
+    simple: every 3-cycle through xy is a triangle.  Every 3-cycle a
+    flip creates uses xy, and the only triangles on xy are axy and bxy;
+    so that holds exactly when a and b are the only common neighbours of
+    x and y."""
+    adj = after.adjacency()
+    return adj[x] & adj[y] == {a, b}
 
-    The edges come from one sweep of the faces' directed sides.  dc is
-    attached as the complex's dual, each vertex's faces are its sorted
-    triangle, and simple=True (which the caller must have certified)
-    records that it has no prismatic 3-circuit, so that none of these is
-    rebuilt."""
-    triangles = sorted(dc.triangles)
+
+def flipped(ap: AbstractPolyhedron, a: int, b: int, x: int,
+            y: int) -> AbstractPolyhedron:
+    """ap after the Whitehead move that replaces its dual edge ab, on the
+    triangles abx and aby, by xy: what `primal` gives for
+    dual(ap).flip(a, b, x, y), numbered and named the same way, without
+    `build`'s checks, since a flip of a sphere triangulation is one and
+    its primal meets the axioms.
+
+    The edges come from one sweep of the faces' directed sides.  The
+    flipped dual is attached, each vertex's faces are its sorted
+    triangle, and when ap is simple and flip_keeps_simple holds the
+    3-circuit cache starts empty, so none of these is rebuilt."""
+    dc = dual(ap).flip(a, b, x, y)
+    triangles = list(dc.triangles)  # flip keeps them sorted
     faces = tuple(_primal_faces(dc, triangles))
     side: Dict[Tuple[int, int], int] = {}
     for f, cycle in enumerate(faces):
@@ -481,12 +486,12 @@ def derived_primal(dc: DualComplex, name: str = "complex",
             side[(u, v)] = f
     edges = tuple(sorted([(u, v, f, side[(v, u)])
                           for (u, v), f in side.items() if u < v]))
-    ap = AbstractPolyhedron(vertex_count=len(triangles), faces=faces,
-                            edges=edges, name=name)
-    ap.__dict__.update(_dual=dc, _vertex_faces=tuple(triangles))
-    if simple:
-        ap._circuits[3] = ()
-    return ap
+    out = AbstractPolyhedron(vertex_count=len(triangles), faces=faces,
+                             edges=edges, name=ap.name)
+    out.__dict__.update(_dual=dc, _vertex_faces=tuple(triangles))
+    if flip_keeps_simple(dc, a, b, x, y) and is_simple(ap):
+        out._circuits[3] = ()
+    return out
 
 
 def _simple_cycles(dc: DualComplex, k: int) -> List[Tuple[int, ...]]:
@@ -594,23 +599,12 @@ def quadrilateral_contexts(ap: AbstractPolyhedron):
     return out
 
 
-@dataclass(frozen=True)
-class ContractedComplex:
-    """Result of collapsing an edge: one 4-valent vertex, with the four
-    surrounding edges and faces recorded in cyclic order."""
-
-    vertex_count: int
-    faces: Tuple[Tuple[int, ...], ...]
-    merged_vertex: int
-    surrounding_edges: Tuple[int, int, int, int]   # original edge indices
-    surrounding_faces: Tuple[int, int, int, int]
-
-
 def collapse_surroundings(ap: AbstractPolyhedron, edge: int) -> Tuple[
         Tuple[int, int, int, int], Tuple[int, int, int, int]]:
-    """The four edges and the four faces around the vertex that
-    collapsing `edge` would make, in cyclic order, after collapse_edge's
-    checks: ap is simple and no face at the edge is a triangle."""
+    """The four edges and the four faces around the 4-valent vertex that
+    collapsing `edge` to a point would make, in cyclic order.  Raises
+    NotSimple unless ap is simple, EdgeOnTriangle when a face at the
+    edge is a triangle."""
     if not is_simple(ap):
         raise NotSimple("edge collapse requires a simple complex")
     u, v, fa, fb = ap.edges[edge]
@@ -627,33 +621,6 @@ def collapse_surroundings(ap: AbstractPolyhedron, edge: int) -> Tuple[
     pair = ap.edge_between_faces
     return ((pair(fa, fu), pair(fu, fb), pair(fb, fv), pair(fv, fa)),
             (fa, fu, fb, fv))
-
-
-def collapse_edge(ap: AbstractPolyhedron, edge: int) -> ContractedComplex:
-    """ap with `edge` contracted to one 4-valent vertex."""
-    surrounding, around = collapse_surroundings(ap, edge)
-    u, v, _, _ = ap.edges[edge]
-    keep, drop = (u, v) if u < v else (v, u)
-    faces = []
-    for cycle in ap.faces:
-        new = []
-        for w in cycle:
-            w2 = keep if w == drop else w
-            if new and new[-1] == w2:
-                continue
-            new.append(w2)
-        if new[0] == new[-1]:
-            new.pop()
-        new = [w - 1 if w > drop else w for w in new]
-        faces.append(tuple(new))
-    merged = keep if keep < drop else keep - 1
-    return ContractedComplex(
-        vertex_count=ap.vertex_count - 1,
-        faces=tuple(faces),
-        merged_vertex=merged,
-        surrounding_edges=surrounding,
-        surrounding_faces=around,
-    )
 
 
 def _canonical_form(dc: DualComplex):

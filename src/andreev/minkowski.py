@@ -250,7 +250,7 @@ def certify(ap: AbstractPolyhedron, normals) -> Realization:
     if X.shape != (ap.face_count, 4):
         raise WrongCells(
             f"{len(X)} planes for a complex with {ap.face_count} faces")
-    faces = np.array(ap.vertex_face_triples)
+    faces = np.array([ap.vertex_faces(v) for v in range(ap.vertex_count)])
     units = _unit_rows(X)
     points = vertex_points(units, faces)
     margin = points @ _METRIC @ units.T

@@ -135,8 +135,9 @@ def _centred(normals, points) -> np.ndarray:
 def _recentred(ap: AbstractPolyhedron, X: np.ndarray) -> np.ndarray:
     """X centred on its own vertex points, or X itself when one of them
     is not a finite point."""
+    faces = [ap.vertex_faces(v) for v in range(ap.vertex_count)]
     try:
-        return _centred(X, minkowski.vertex_points(X, ap.vertex_face_triples))
+        return _centred(X, minkowski.vertex_points(X, faces))
     except GeometryError:
         return X
 
@@ -153,7 +154,8 @@ class _GramSystem:
         N, E = ap.face_count, ap.edge_count
         self.ia = np.array([e[2] for e in ap.edges])
         self.ib = np.array([e[3] for e in ap.edges])
-        self.vertex_faces = np.array(ap.vertex_face_triples)
+        self.vertex_faces = np.array(
+            [ap.vertex_faces(v) for v in range(ap.vertex_count)])
         # Jacobian sparsity: per face row its four coordinates, per edge
         # row the coordinates of both faces; the slice rows are dense.
         n = 4 * N
@@ -290,8 +292,8 @@ def _continue_core(r: Realization, start_rad: np.ndarray,
         return tuple(watched[dets[watched] < EVENT_TOL].tolist())
 
     # |d cos(theta_e)/dt| <= |target_e - start_e|, so over a parameter
-    # interval of this width every Gram target moves by RESIDUAL_TOL / 4
-    # at most.
+    # interval narrower than this every Gram target moves by less than
+    # RESIDUAL_TOL / 4.
     speed = float(np.max(np.abs(target_rad - start_rad), initial=0.0))
     resolution = RESIDUAL_TOL / (4.0 * speed) if speed else 1.0
 
@@ -316,10 +318,13 @@ def _continue_core(r: Realization, start_rad: np.ndarray,
             continue
         if bad:
             # Bisect between the good and bad parameters to localize
-            # the first ideal-vertex event, down to the width over which
-            # no target cosine moves by more than RESIDUAL_TOL / 4.
+            # the first ideal-vertex event, down to `resolution`.
             # Narrower, the RESIDUAL_TOL solves no longer tell the two
-            # ends apart: they return their seeds.
+            # ends apart: they return their seeds.  Xg is solved to
+            # RESIDUAL_TOL at lo, so its residual at the reported
+            # t = hi is below 1.25 * RESIDUAL_TOL.  It can exceed
+            # RESIDUAL_TOL: hi is bad when a solve seeded with Xg has to
+            # move, and then lands past the threshold.
             lo, hi, Xg = t, tn, X
             while hi - lo >= resolution:
                 mid = 0.5 * (lo + hi)
@@ -399,11 +404,10 @@ def _collapse_profile(ap: AbstractPolyhedron, edge: int) -> AngleAssignment:
     """The angle profile that pinches the given edge: REPLAY_EPSILON
     there, pi/2 on the four surrounding edges, 2*pi/5 elsewhere.
 
-    collapse_surroundings first checks, as collapse_edge does, exactly
-    that ap is simple (no prismatic 3-circuit) and that no face at the
-    edge is a triangle.  On such a complex the profile lies in the angle
-    set, so the replay walks to and from it without checking the
-    condition table:
+    collapse_surroundings first checks exactly that ap is simple (no
+    prismatic 3-circuit) and that no face at the edge is a triangle.  On
+    such a complex the profile lies in the angle set, so the replay
+    walks to and from it without checking the condition table:
     - every edge lies in (0, 1/2];
     - the edge's two ends sum to 1 + REPLAY_EPSILON, every other vertex
       to at least 6/5;

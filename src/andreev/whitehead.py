@@ -77,9 +77,10 @@ def move_on(dc: DualComplex, a: int, b: int) -> WhiteheadMove:
     return WhiteheadMove((lo, hi), (x, y))
 
 
-def apply_move(dc: DualComplex, move: WhiteheadMove) -> DualComplex:
-    """The moved complex, patched from dc at the move's four nodes by
-    `DualComplex.flip`: no triangle, edge or link cycle is rebuilt."""
+def _check_move(dc: DualComplex, move: WhiteheadMove) -> None:
+    """Raise the WhiteheadError that names why `move` is no flip of dc:
+    its removed edge is missing, the triangles on it do not have the
+    inserted edge's ends as apexes, or the inserted edge is present."""
     a, b = move.removed_edge
     x, y = _flank_apexes(dc, a, b)
     if (min(x, y), max(x, y)) != tuple(sorted(move.inserted_edge)):
@@ -87,31 +88,36 @@ def apply_move(dc: DualComplex, move: WhiteheadMove) -> DualComplex:
             f"move inserts {move.inserted_edge} but flanks give {{{x},{y}}}")
     if y in dc.adjacency()[x]:
         raise TargetEdgeExists(f"dual edge {{{x},{y}}} already present")
-    return dc.flip(a, b, x, y)
+
+
+def apply_move(dc: DualComplex, move: WhiteheadMove) -> DualComplex:
+    """The moved complex, patched from dc at the move's four nodes by
+    `DualComplex.flip`: no triangle, edge or link cycle is rebuilt.
+    flip checks the move; a refused one is named by _check_move."""
+    try:
+        return dc.flip(*move.removed_edge, *move.inserted_edge)
+    except complexes.ComplexError:
+        _check_move(dc, move)
+        raise
 
 
 def _keeps_simple(after: DualComplex, move: WhiteheadMove) -> bool:
-    """Whether `move`, applied to a simple complex, left `after` simple:
-    every 3-cycle through the inserted edge xy is a triangle.  Every
-    3-cycle a move creates uses xy, and the only triangles on xy are the
-    two the move made, with the ends of the removed edge; so that holds
-    exactly when those two ends are the only common neighbours of x and
-    y."""
-    x, y = move.inserted_edge
-    adj = after.adjacency()
-    return adj[x] & adj[y] == set(move.removed_edge)
+    """Whether `move`, applied to a simple complex, left `after` simple
+    (`complexes.flip_keeps_simple`)."""
+    return complexes.flip_keeps_simple(after, *move.removed_edge,
+                                       *move.inserted_edge)
 
 
 def primal_after(ap: AbstractPolyhedron,
                  move: WhiteheadMove) -> AbstractPolyhedron:
-    """The complex ap after `move`, derived without a rebuild: its dual
-    is `apply_move` of ap's, its primal `complexes.derived_primal` of
-    that, with the numbering and name `complexes.primal` would give.  It
-    is marked simple when ap is and `_keeps_simple` holds, the check
-    `_Reducer.do` makes of every move of a reduction."""
-    after = apply_move(complexes.dual(ap), move)
-    simple = complexes.is_simple(ap) and _keeps_simple(after, move)
-    return complexes.derived_primal(after, name=ap.name, simple=simple)
+    """The complex ap after `move`, derived without a rebuild by
+    `complexes.flipped`, with the numbering and name `complexes.primal`
+    would give; a refused move is named as apply_move names it."""
+    try:
+        return complexes.flipped(ap, *move.removed_edge, *move.inserted_edge)
+    except complexes.ComplexError:
+        _check_move(complexes.dual(ap), move)
+        raise
 
 
 @dataclass(frozen=True)

@@ -221,27 +221,34 @@ def test_quadrilateral_contexts():
 
 
 class TestCollapseEdge:
+    """collapse_surroundings: what is left around the 4-valent vertex
+    that collapsing an edge would make."""
+
+    def check_surroundings(self, ap, edge):
+        edges, faces = complexes.collapse_surroundings(ap, edge)
+        u, v, fa, fb = ap.edges[edge]
+        # The other four edges at the two ends, each between the two
+        # faces it separates in the cyclic order fa, fu, fb, fv.
+        at_ends = set(ap.vertex_edges(u)) | set(ap.vertex_edges(v))
+        assert set(edges) == at_ends - {edge}
+        assert faces[0::2] == (fa, fb)
+        assert len(set(faces)) == 4
+        for i in range(4):
+            assert set(ap.edges[edges[i]][2:]) == {faces[i], faces[(i + 1) % 4]}
+
     def test_cube_collapse(self):
-        con = complexes.collapse_edge(catalog.cube(), 0)
-        assert con.vertex_count == 7
-        incidence = [0] * con.vertex_count
-        for cycle in con.faces:
-            for v in cycle:
-                incidence[v] += 1
-        assert sorted(incidence) == [3, 3, 3, 3, 3, 3, 4]
-        assert incidence[con.merged_vertex] == 4
-        assert len(con.surrounding_edges) == 4
-        assert len(set(con.surrounding_faces)) == 4
+        cube = catalog.cube()
+        for edge in range(cube.edge_count):
+            self.check_surroundings(cube, edge)
 
     def test_dodecahedron_collapse(self):
-        con = complexes.collapse_edge(catalog.dodecahedron(), 0)
-        assert con.vertex_count == 19
-        quads = sum(1 for f in con.faces if len(f) == 4)
-        assert quads == 2
+        dodeca = catalog.dodecahedron()
+        for edge in range(dodeca.edge_count):
+            self.check_surroundings(dodeca, edge)
 
     def test_prism_refused(self):
         with pytest.raises(complexes.NotSimple):
-            complexes.collapse_edge(catalog.prism(5), 0)
+            complexes.collapse_surroundings(catalog.prism(5), 0)
 
 
 class TestIsomorphic:

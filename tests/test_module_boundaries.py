@@ -30,9 +30,6 @@ CALLERLESS = {
     "realize.truncate_ideal": (
         "bench trace attribute", "bench_trace.TRACED, looked up with no "
         "default"),
-    "complexes.collapse_edge": (
-        "test reference", "the contraction that the replay's pinch profile "
-        "stands for; the replay needs only collapse_surroundings"),
     "minkowski.dihedral": (
         "test reference", "the scalar oracle of Realization.edge_angles"),
     "minkowski.coseqn_determinant": (
