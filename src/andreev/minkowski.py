@@ -170,6 +170,60 @@ def vertex_points(units: np.ndarray, triples) -> np.ndarray:
     return np.where(p[:, :1] > 0, p, -p)
 
 
+# The 3x3 minors of three rows a, b, c of R^4 by expansion along c: with
+# m_kl = a_k b_l - a_l b_k, the minor on the columns x < y < z is
+# c_x m_yz - c_y m_xz + c_z m_xy, and the cross product's entry j is
+# (-1)^j times the minor without column j.
+_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+_PAIR_K, _PAIR_L = np.array(_PAIRS).T
+_MINOR_C = np.array([[k for k in range(4) if k != j] for j in range(4)])
+_MINOR_M = np.array([[_PAIRS.index((y, z)), _PAIRS.index((x, z)),
+                      _PAIRS.index((x, y))] for x, y, z in _MINOR_C])
+_MINOR_SIGN = np.array([[s, -s, s] for s in (1.0, -1.0, 1.0, -1.0)])
+
+
+def vertex_cofactors(normals: np.ndarray, triples
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """For every row (i, j, k) of triples, the generalized cross product p
+    of the rows normals[i] eta, normals[j] eta, normals[k] eta, which is
+    orthogonal in the form to all three normals, and the determinant of
+    their Gram matrix, which equals -<p, p>.  Returned stacked as (V,4)
+    and (V,): no SVD or eigenvalue solve, only products of cofactors.
+    A triple has a finite common point exactly when its determinant is
+    positive; that point is p scaled to the hyperboloid."""
+    rows = (np.asarray(normals, dtype=float)[np.asarray(triples)]
+            * _METRIC.diagonal())
+    a, b, c = rows[:, 0], rows[:, 1], rows[:, 2]
+    m = a[:, _PAIR_K] * b[:, _PAIR_L] - a[:, _PAIR_L] * b[:, _PAIR_K]
+    p = np.einsum("vjk,jk,vjk->vj", c[:, _MINOR_C], _MINOR_SIGN,
+                  m[:, _MINOR_M])
+    return p, -_mdot_rows(p, p)
+
+
+def _worst_margin(points: np.ndarray, units: np.ndarray, triples
+                  ) -> Tuple[int, int, float]:
+    """The vertex v and face f outside triples[v] of the largest margin
+    <points[v], units[f]>, and that margin."""
+    margin = points @ _METRIC @ units.T
+    margin[np.arange(len(margin))[:, None], triples] = -np.inf
+    v, f = np.unravel_index(np.argmax(margin), margin.shape)
+    return int(v), int(f), float(margin[v, f])
+
+
+def cofactor_cells_hold(normals: np.ndarray, triples, p: np.ndarray,
+                        dets: np.ndarray) -> bool:
+    """certify's test on the vertices of triples, with the points taken
+    from vertex_cofactors (p, dets) instead of an SVD: every determinant
+    is positive and every point lies inside the half space of every face
+    outside its triple by more than CLASSIFY_TOL, on unit rows."""
+    if not np.all(dets > 0):
+        return False
+    X = np.asarray(normals, dtype=float)
+    points = p / np.sqrt(dets)[:, None]
+    points = np.where(points[:, :1] > 0, points, -points)
+    return _worst_margin(points, _unit_rows(X), triples)[2] < -CLASSIFY_TOL
+
+
 def perp_plane(v1, v2, v3, interior=(1.0, 0.0, 0.0, 0.0)) -> np.ndarray:
     """The plane meeting all three given planes at right angles, which
     exists when they pairwise intersect but share no point, even at
@@ -253,13 +307,11 @@ def certify(ap: AbstractPolyhedron, normals) -> Realization:
     faces = np.array([ap.vertex_faces(v) for v in range(ap.vertex_count)])
     units = _unit_rows(X)
     points = vertex_points(units, faces)
-    margin = points @ _METRIC @ units.T
-    np.put_along_axis(margin, faces, -np.inf, axis=1)
-    v, f = np.unravel_index(np.argmax(margin), margin.shape)
-    if not margin[v, f] < -CLASSIFY_TOL:
+    v, f, worst = _worst_margin(points, units, faces)
+    if not worst < -CLASSIFY_TOL:
         raise WrongCells(
             f"vertex {v} is not inside the half space of face {f} "
-            f"(<p, n> = {margin[v, f]:.3g})")
+            f"(<p, n> = {worst:.3g})")
     return Realization(complex=ap, normals=X, points=points)
 
 

@@ -42,6 +42,7 @@ PATH_TOL = 1e-6
 NEWTON_STEPS = 50
 EVENT_TOL = 1e-7
 STEP_FLOOR = 1e-6
+MAX_STEP = 0.5
 GLUE_TOL = 1e-8
 REPLAY_EPSILON = Fraction(1, 60)
 TWO_FIFTHS = Fraction(2, 5)
@@ -70,8 +71,12 @@ class StepFloorReached(RealizeError):
 class EventDetected(RealizeError):
     """A vertex Gram minor hit the ideal threshold mid-path.
 
-    Carries the localized parameter t, the affected vertex ids and the
-    last realization on the good side of the event.
+    Carries the localized parameter t, the affected vertex ids and a
+    realization from the good side of the event: solved to RESIDUAL_TOL
+    at a parameter less than t, and so close to t that no target cosine
+    moves by more than RESIDUAL_TOL / 4 in between.  Its Gram residual
+    against the angles at t is therefore below 1.25 * RESIDUAL_TOL, not
+    RESIDUAL_TOL.
     """
 
     def __init__(self, t: float, vertices: Tuple[int, ...],
@@ -144,7 +149,8 @@ def _recentred(ap: AbstractPolyhedron, X: np.ndarray) -> np.ndarray:
 
 class _GramSystem:
     """The index arrays of one complex's Gram system, built once and
-    shared by every solve and vertex test of a walk on that complex: the
+    shared by every solve and vertex test of a walk on that complex (and
+    by the crossing solve that starts a replay's relax walk): the
     two faces ia, ib of every edge, the flat positions in the Jacobian
     of the face and edge entries, and the (V,3) faces of every vertex.
     Nothing is cached on the complex itself: a complex is usually
@@ -169,14 +175,23 @@ class _GramSystem:
 
 def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
                seed: Sequence, tol: float = RESIDUAL_TOL,
-               system: Optional[_GramSystem] = None) -> np.ndarray:
+               system: Optional[_GramSystem] = None,
+               rate: Optional[np.ndarray] = None
+               ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Solve the Gram system for the face normals to a max residual below
-    tol, without extracting combinatorics.  Returns an (N,4) array.
+    tol, without extracting combinatorics.  Returns the (N,4) normals X
+    and the path tangent dX/dt (or None).
 
     The unit-norm and edge rows leave the six directions of the Lorentz
     group free; six slice rows <X G_k^T, delta> = 0 take every step
     orthogonal to that orbit, so the solution stays in the seed's frame
     and the callers' centring keeps its coordinates small.
+
+    rate is d(target_rad)/dt along a path through target_rad.  When it
+    is given, each iteration also solves J Xdot = -dF/dt on the same
+    factorization (dF_e/dt = -sin(theta_e) rate_e on the edge rows, 0 on
+    the others), and the tangent of the last iteration's Jacobian is
+    returned; it is None without rate or when the seed already met tol.
 
     system is the complex's _GramSystem, built here when not given.  J
     and F are allocated once per solve; every iteration rewrites the
@@ -193,6 +208,10 @@ def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
     F = np.zeros(n_unknown)
     J = np.zeros((n_unknown, n_unknown))
     J_flat = J.reshape(-1)
+    if rate is not None:
+        minus_dF = np.zeros(n_unknown)
+        minus_dF[N:N + E] = np.sin(target_rad) * rate
+    tangent = None
 
     def residual(Y: np.ndarray) -> np.ndarray:
         """Write the residual at Y into F; return Y @ _ETA, which the
@@ -220,24 +239,25 @@ def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
         J_flat[system.edge_slots_b] = eX[ia].ravel()
         J[N + E:] = (X @ _SO31.transpose(0, 2, 1)).reshape(6, n_unknown)
         try:
-            delta = np.linalg.solve(J, -F).reshape(N, 4)
+            if rate is None:
+                delta = np.linalg.solve(J, -F)
+            else:
+                delta, tangent = np.linalg.solve(
+                    J, np.column_stack((-F, minus_dF))).T
         except np.linalg.LinAlgError:
             raise SingularJacobian("slice-gauged Jacobian is singular")
         # Plain full steps.  Monotone damping looks tempting but creeps
         # along curved valleys near ill-conditioned stages (a tiny face
         # right after a truncation, say), where the full step converges
         # through a short residual excursion.
-        X = X + delta
+        X = X + delta.reshape(N, 4)
         eX = residual(X)
-    return X
+    return X, None if tangent is None else tangent.reshape(N, 4)
 
 
-def _vertex_dets(ap: AbstractPolyhedron, X: np.ndarray,
-                 system: Optional[_GramSystem] = None) -> np.ndarray:
-    if system is None:
-        system = _GramSystem(ap)
-    rows = X[system.vertex_faces]
-    return np.linalg.det(rows @ _ETA @ rows.transpose(0, 2, 1))
+def _vertex_dets(ap: AbstractPolyhedron, X: np.ndarray) -> np.ndarray:
+    faces = [ap.vertex_faces(v) for v in range(ap.vertex_count)]
+    return minkowski.vertex_cofactors(X, faces)[1]
 
 
 def _bind(ap: AbstractPolyhedron, X: np.ndarray) -> Realization:
@@ -256,7 +276,7 @@ def newton_solve(ap: AbstractPolyhedron, target,
     caller-supplied seed, then certify its combinatorics.  A seed whose
     corners are all finite points is centred first."""
     X = _recentred(ap, np.array(initial_normals, dtype=float))
-    return _bind(ap, _solve_raw(ap, _radians(target), X))
+    return _bind(ap, _solve_raw(ap, _radians(target), X)[0])
 
 
 # Continuation along straight angle paths
@@ -265,52 +285,73 @@ def newton_solve(ap: AbstractPolyhedron, target,
 def _continue_core(r: Realization, start_rad: np.ndarray,
                    target_rad: np.ndarray,
                    expect_ideal: FrozenSet[int] = frozenset(),
-                   max_step: float = 0.25) -> np.ndarray:
-    """Step r, centred, from start_rad to target_rad, halving the step
-    on a failed solve (down to STEP_FLOOR) and doubling it back after a
-    success.
+                   system: Optional[_GramSystem] = None) -> np.ndarray:
+    """Step r, centred, from start_rad to target_rad by Euler predictor
+    and Newton corrector: each solve is seeded with the last point moved
+    along the path tangent its own solve returned.  A step is taken only
+    when its solve converges and its watched vertices (those outside
+    expect_ideal) pass minkowski.cofactor_cells_hold; otherwise it is
+    halved (down to STEP_FLOOR) and retried from the last point centred
+    again, without a tangent.  After a success the step doubles back up
+    to MAX_STEP.  system is r's complex's _GramSystem, built here when
+    not given.
 
     Only the t = 1 endpoint leaves this walk, so the interior points
     are solved to PATH_TOL, as accurate as the next step's seed needs;
     the endpoint is solved to RESIDUAL_TOL.  Events are decided on
     RESIDUAL_TOL solves only: a step whose vertex dets flag an event is
     first re-solved to RESIDUAL_TOL from itself, the bisection solves to
-    RESIDUAL_TOL, and the realization EventDetected carries is one of
-    those solves (or r itself)."""
+    RESIDUAL_TOL from zero-order seeds, and the realization
+    EventDetected carries is one of those solves (or r itself)."""
     ap = r.complex
-    system = _GramSystem(ap)
+    if system is None:
+        system = _GramSystem(ap)
     watched = np.array([v for v in range(ap.vertex_count)
                         if v not in expect_ideal], dtype=int)
+    watched_faces = system.vertex_faces[watched]
+    rate = target_rad - start_rad
 
-    def solve_at(t: float, seed: np.ndarray,
-                 tol: float = RESIDUAL_TOL) -> np.ndarray:
+    def solve_at(t: float, seed: np.ndarray, tol: float = RESIDUAL_TOL,
+                 tangent: bool = False
+                 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         return _solve_raw(ap, (1.0 - t) * start_rad + t * target_rad, seed,
-                          tol, system)
+                          tol, system, rate if tangent else None)
 
-    def bad_vertices(X: np.ndarray) -> Tuple[int, ...]:
-        dets = _vertex_dets(ap, X, system)
-        return tuple(watched[dets[watched] < EVENT_TOL].tolist())
+    def vertex_test(X: np.ndarray):
+        """The watched vertices past the event threshold, and the
+        cofactors and dets of every watched vertex."""
+        p, dets = minkowski.vertex_cofactors(X, watched_faces)
+        return tuple(watched[dets < EVENT_TOL].tolist()), p, dets
 
     # |d cos(theta_e)/dt| <= |target_e - start_e|, so over a parameter
     # interval narrower than this every Gram target moves by less than
     # RESIDUAL_TOL / 4.
-    speed = float(np.max(np.abs(target_rad - start_rad), initial=0.0))
+    speed = float(np.max(np.abs(rate), initial=0.0))
     resolution = RESIDUAL_TOL / (4.0 * speed) if speed else 1.0
 
-    t, X, step = 0.0, _centred(r.normals, r.points), max_step
+    t, X, Xdot, step = 0.0, _centred(r.normals, r.points), None, MAX_STEP
     while t < 1.0:
         tn = min(1.0, t + step)
+        seed = X if Xdot is None else X + (tn - t) * Xdot
         try:
-            Xn = solve_at(tn, X, RESIDUAL_TOL if tn == 1.0 else PATH_TOL)
-            bad = bad_vertices(Xn)
+            Xn, Xdot_n = solve_at(tn, seed,
+                                  RESIDUAL_TOL if tn == 1.0 else PATH_TOL,
+                                  tangent=True)
+            bad, p, dets = vertex_test(Xn)
             if bad and tn < 1.0:
-                Xn = solve_at(tn, Xn)
-                bad = bad_vertices(Xn)
+                Xn, _ = solve_at(tn, Xn)
+                bad, p, dets = vertex_test(Xn)
+            # A step that flags an event goes on to the bisection.
+            held = bool(bad) or minkowski.cofactor_cells_hold(
+                Xn, watched_faces, p, dets)
         except (Diverged, SingularJacobian):
+            held = False
+        if not held:
             # A long step can land, within PATH_TOL, on a far boost of
             # the polyhedron, whose float64 floor then stalls the next
-            # solves above RESIDUAL_TOL; retry from X centred again.
-            X = _recentred(ap, X)
+            # solves above RESIDUAL_TOL, or converge onto planes that
+            # bound other cells; retry shorter from X centred again.
+            X, Xdot = _recentred(ap, X), None
             step /= 2.0
             if step < STEP_FLOOR:
                 raise StepFloorReached(
@@ -329,20 +370,20 @@ def _continue_core(r: Realization, start_rad: np.ndarray,
             while hi - lo >= resolution:
                 mid = 0.5 * (lo + hi)
                 try:
-                    Xm = solve_at(mid, Xg)
+                    Xm, _ = solve_at(mid, Xg)
                 except (Diverged, SingularJacobian):
                     hi = mid
                     continue
-                worse = bad_vertices(Xm)
+                worse = vertex_test(Xm)[0]
                 if worse:
                     hi, bad = mid, worse
                 else:
                     lo, Xg = mid, Xm
             if lo == t and t > 0.0:
-                Xg = solve_at(t, X)  # X is an interior PATH_TOL point
+                Xg, _ = solve_at(t, X)  # X is an interior PATH_TOL point
             raise EventDetected(hi, bad, _bind(ap, Xg))
-        t, X = tn, Xn
-        step = min(max_step, 2.0 * step)
+        t, X, Xdot = tn, Xn, Xdot_n
+        step = min(MAX_STEP, 2.0 * step)
     return X
 
 
@@ -374,10 +415,12 @@ def continue_path(realization: Realization, target: AngleAssignment,
 
 
 def _walk(realization: Realization, target_rad: np.ndarray,
-          start_rad: Optional[np.ndarray] = None) -> Realization:
+          start_rad: Optional[np.ndarray] = None,
+          system: Optional[_GramSystem] = None) -> Realization:
     """The numeric walk behind continue_path, for endpoints already known
     to lie in the angle set: from start_rad (the measured angles when
-    None) to target_rad, certified at the end by _bind."""
+    None) to target_rad, certified at the end by _bind.  system is the
+    complex's _GramSystem when the caller already has it."""
     ap = realization.complex
     measured = np.array(realization.edge_angles())
     if start_rad is None:
@@ -387,14 +430,8 @@ def _walk(realization: Realization, target_rad: np.ndarray,
         if drift > 1e-6:
             raise ValueError(
                 f"declared start is {drift:.2e} away from the measured angles")
-    try:
-        return _bind(ap, _continue_core(realization, start_rad, target_rad))
-    except WrongCombinatorics:
-        # A long Newton step can converge onto a plane arrangement with
-        # the wrong combinatorics without any warning from the residual;
-        # redo the walk once with shorter strides.
-        return _bind(ap, _continue_core(realization, start_rad, target_rad,
-                                        max_step=0.05))
+    return _bind(ap, _continue_core(realization, start_rad, target_rad,
+                                    system=system))
 
 
 # Whitehead move replay
@@ -455,11 +492,15 @@ def replay_whitehead(realization: Realization,
     profile2 = _collapse_profile(ap2, edge2)
     target2 = _radians(profile2)
 
-    out = _bind(ap2, _solve_raw(ap2, target2,
-                                _centred(squeezed.normals, squeezed.points)))
+    # One system serves the crossing and the relax walk.
+    system2 = _GramSystem(ap2)
+    X2, _ = _solve_raw(ap2, target2,
+                       _centred(squeezed.normals, squeezed.points),
+                       system=system2)
+    out = _bind(ap2, X2)
 
     rest = np.full(ap2.edge_count, float(TWO_FIFTHS) * math.pi)
-    return _walk(out, rest, start_rad=target2)
+    return _walk(out, rest, start_rad=target2, system=system2)
 
 
 # Ideal-vertex truncation

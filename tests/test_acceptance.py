@@ -370,7 +370,7 @@ def test_15_degeneration_diagnostics():
     start = np.array([0.4 * math.pi] * 30)
     full = np.array([float(v) * math.pi for v in vals])
     rad = (1 - ev.t) * start + ev.t * full
-    at_event = realize._solve_raw(ap, rad, np.array(last.normals))
+    at_event, _ = realize._solve_raw(ap, rad, np.array(last.normals))
     assert realize._vertex_dets(ap, at_event)[0] < 1e-7
     balls = [np.array(p[1:]) / (1 + p[0]) for p in last.points]
     for i in range(1, 20):

@@ -31,13 +31,18 @@ def random12_two_fifths():
     return realize.realize(ap, uniform(ap, Fraction(2, 5)))
 
 
+def staged_cut(n, seed):
+    """A random simple complex with its first and last vertices cut off."""
+    ap = complexes.primal(whitehead.random_simple(n, seed, moves=30))
+    return catalog.truncate_vertices(ap, [0, ap.vertex_count - 1],
+                                     name=f"t{n}_{seed}")
+
+
 @functools.lru_cache(maxsize=None)
 def staged_witness(n, seed):
-    """A random simple complex with its first and last vertices cut off,
-    realized at its feasible witness by the staged branch."""
-    ap = complexes.primal(whitehead.random_simple(n, seed, moves=30))
-    cut = catalog.truncate_vertices(ap, [0, ap.vertex_count - 1],
-                                    name=f"t{n}_{seed}")
+    """staged_cut(n, seed) realized at its feasible witness by the
+    staged branch."""
+    cut = staged_cut(n, seed)
     assert not complexes.is_simple(cut)
     assert not realize._essential_circuits(cut)
     a = angles.feasible(cut).witness
@@ -99,14 +104,16 @@ class TestNewtonSolve:
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
-def loop_solve(ap, target_rad, seed, tol=realize.RESIDUAL_TOL):
+def loop_solve(ap, target_rad, seed, tol=realize.RESIDUAL_TOL, rate=None):
     """The slice-gauged Newton solve with per-face and per-edge loops: the
     reference the index-array assembly of _solve_raw must match bit for
     bit, since Newton sits on the float64 floor and any change of
-    rounding can flip an input."""
+    rounding can flip an input.  With rate, each step solves the path
+    tangent as a second column, as _solve_raw does, which changes how
+    the step rounds; returns the tangent of the last step too."""
     N, E = ap.face_count, ap.edge_count
     X = np.array(seed, dtype=float)
-    cos_t = np.cos(target_rad)
+    cos_t, sin_t = np.cos(target_rad), np.sin(target_rad)
     pairs = [(ea, eb) for (_, _, ea, eb) in ap.edges]
     # so(3,1): rotations in the x1x2, x1x3 and x2x3 planes, then boosts
     # along x1, x2 and x3
@@ -131,6 +138,7 @@ def loop_solve(ap, target_rad, seed, tol=realize.RESIDUAL_TOL):
 
     F = residual(X)
     steps = 0
+    tangent = None
     while np.max(np.abs(F[:N + E])) >= tol:
         J = np.zeros((4 * N, 4 * N))
         eX = X @ ETA
@@ -142,10 +150,18 @@ def loop_solve(ap, target_rad, seed, tol=realize.RESIDUAL_TOL):
         for k, G in enumerate(gens):
             for f in range(N):
                 J[N + E + k, 4 * f:4 * f + 4] = G @ X[f]
-        X = X + np.linalg.solve(J, -F).reshape(N, 4)
+        if rate is None:
+            delta = np.linalg.solve(J, -F)
+        else:
+            minus_dF = np.zeros(4 * N)
+            for r in range(E):
+                minus_dF[N + r] = sin_t[r] * rate[r]
+            both = np.linalg.solve(J, np.column_stack((-F, minus_dF)))
+            delta, tangent = both[:, 0], both[:, 1].reshape(N, 4)
+        X = X + delta.reshape(N, 4)
         F = residual(X)
         steps += 1
-    return X, steps
+    return X, steps, tangent
 
 
 @pytest.mark.parametrize("which", ["dodecahedron", "random"])
@@ -156,13 +172,21 @@ def test_newton_assembly_matches_loops(which):
     # 2*pi/5 moved by up to 5% per edge: a few full Newton steps away
     target = 0.4 * math.pi * np.linspace(1.0, 1.05, ap.edge_count)
     seed = realize._centred(r.normals, r.points)
-    want, steps = loop_solve(ap, target, seed)
+    want, steps, _ = loop_solve(ap, target, seed)
     assert steps >= 3
-    got = realize._solve_raw(ap, target, seed)
+    got, tangent = realize._solve_raw(ap, target, seed)
+    assert np.array_equal(got, want) and tangent is None
+    rate = np.linspace(-0.1, 0.1, ap.edge_count)
+    want, _, want_tangent = loop_solve(ap, target, seed, rate=rate)
+    got, tangent = realize._solve_raw(ap, target, seed, rate=rate)
     assert np.array_equal(got, want)
+    assert np.array_equal(tangent, want_tangent)
+    # _vertex_dets takes -<p, p> of the cofactor vector p, which rounds
+    # unlike the LU det of the Gram matrix: equal to a few ulps of |X|^2.
     dets = [np.linalg.det(got[list(f)] @ ETA @ got[list(f)].T)
             for f in map(ap.vertex_faces, range(ap.vertex_count))]
-    assert np.array_equal(realize._vertex_dets(ap, got), dets)
+    tol = 256 * np.finfo(float).eps * np.abs(got).max() ** 2
+    assert np.max(np.abs(realize._vertex_dets(ap, got) - dets)) <= tol
 
 
 def test_solve_workspace_leaks_nothing_between_solves(monkeypatch):
@@ -172,21 +196,26 @@ def test_solve_workspace_leaks_nothing_between_solves(monkeypatch):
     calls = []
     solve_raw = realize._solve_raw
 
-    def recording(ap, target_rad, seed, *args):
-        X = solve_raw(ap, target_rad, seed, *args)
-        calls.append((ap, np.array(target_rad), np.array(seed), args, X))
-        return X
+    def recording(ap, target_rad, seed, tol=realize.RESIDUAL_TOL,
+                  system=None, rate=None):
+        out = solve_raw(ap, target_rad, seed, tol, system, rate)
+        calls.append((ap, np.array(target_rad), np.array(seed), tol, system,
+                      rate, out))
+        return out
 
     monkeypatch.setattr(realize, "_solve_raw", recording)
     realize.realize(ap, uniform(ap, Fraction(2, 5)))
-    tols = [args[0] if args else realize.RESIDUAL_TOL
-            for (_, _, _, args, _) in calls]
+    tols = [tol for (_, _, _, tol, _, _, _) in calls]
     assert realize.PATH_TOL in tols and realize.RESIDUAL_TOL in tols
-    shared = [args[1] for (_, _, _, args, _) in calls if len(args) > 1]
-    assert max(sum(s is t for t in shared) for s in shared) >= 4
-    for (cur, target, seed, _, X), tol in zip(calls, tols):
-        want, _ = loop_solve(cur, target, seed, tol)
+    assert any(rate is not None for (*_, rate, _) in calls)
+    # a two-step walk on a moved complex plus the crossing before it
+    shared = [system for (_, _, _, _, system, _, _) in calls if system]
+    assert max(sum(s is t for t in shared) for s in shared) >= 3
+    for cur, target, seed, tol, _, rate, (X, tangent) in calls:
+        want, _, want_tangent = loop_solve(cur, target, seed, tol, rate)
         assert np.array_equal(X, want)
+        assert (tangent is None and want_tangent is None
+                or np.array_equal(tangent, want_tangent))
 
 
 class TestContinuePath:
@@ -209,27 +238,28 @@ class TestContinuePath:
         assert ev.t > 0.95
 
     def test_event_inside_the_walk(self, monkeypatch):
-        # Toward 3/10 on vertex 0's edges its angle sum 6/5 - 3t/10
-        # crosses 1 at t = 2/3, so a PATH_TOL step flags the event and is
-        # re-solved to RESIDUAL_TOL from itself before the bisection.
+        # Toward 1/5 on vertex 0's edges its angle sum 6/5 - 3t/5
+        # crosses 1 at t = 1/3, inside the first step, so a PATH_TOL step
+        # flags the event and is re-solved to RESIDUAL_TOL from itself
+        # before the bisection.
         r = dodeca_two_fifths()
         vals = [Fraction(2, 5)] * r.complex.edge_count
         for e in r.complex.vertex_edges(0):
-            vals[e] = Fraction(3, 10)
+            vals[e] = Fraction(1, 5)
         solves = []
         solve_raw = realize._solve_raw
 
         def recording(ap, target_rad, seed, *args):
-            X = solve_raw(ap, target_rad, seed, *args)
+            X, tangent = solve_raw(ap, target_rad, seed, *args)
             solves.append((target_rad, np.array(seed), X))
-            return X
+            return X, tangent
 
         monkeypatch.setattr(realize, "_solve_raw", recording)
         with pytest.raises(realize.EventDetected) as exc:
             realize.continue_path(r, AngleAssignment(tuple(vals)))
         ev = exc.value
         assert ev.vertices == (0,)
-        assert abs(ev.t - 2 / 3) < 1e-6
+        assert abs(ev.t - 1 / 3) < 1e-6
         assert any(np.array_equal(t1, t2) and np.array_equal(X1, seed2)
                    for (t1, _, X1), (t2, seed2, _) in zip(solves, solves[1:]))
         start = np.array(r.edge_angles()) / math.pi
@@ -250,9 +280,11 @@ class TestContinuePath:
         calls = []
 
         def boosting(*args):
-            X = solve_raw(*args)
+            X, tangent = solve_raw(*args)
             calls.append(X)
-            return X @ L.T if len(calls) == 1 else X
+            if len(calls) == 1:
+                return X @ L.T, tangent @ L.T
+            return X, tangent
 
         monkeypatch.setattr(realize, "_solve_raw", boosting)
         X = realize._continue_core(r, np.array(r.edge_angles()),
@@ -274,9 +306,9 @@ class TestContinuePath:
         solve_raw = realize._solve_raw
 
         def recording(ap, target_rad, seed, *args):
-            X = solve_raw(ap, target_rad, seed, *args)
+            X, tangent = solve_raw(ap, target_rad, seed, *args)
             solves.append((target_rad / math.pi, X))
-            return X
+            return X, tangent
 
         monkeypatch.setattr(realize, "_solve_raw", recording)
         vals = [Fraction(2, 5)] * r.complex.edge_count
@@ -647,6 +679,36 @@ def test_bind_agrees_with_extraction(case):
     assert bound == rebuilt == accepted
 
 
+@pytest.mark.parametrize("case", sorted(AUDIT_CASES))
+def test_cofactor_kernel_agrees_with_certify(case):
+    """vertex_cofactors against the slow path: its dets against the LU
+    det of each vertex Gram matrix, its points against the SVD points of
+    vertex_points, and cofactor_cells_hold against certify.  Both sides
+    round at a few ulps of max|X|^2, so the tolerances scale with it
+    (and the points' with 1 / det, by which normalizing divides)."""
+    build, _ = AUDIT_CASES[case]
+    ap, normals = build()
+    X = np.asarray(normals, dtype=float)
+    faces = np.array([ap.vertex_faces(v) for v in range(ap.vertex_count)])
+    p, dets = minkowski.vertex_cofactors(X, faces)
+    rows = X[faces]
+    grams = np.linalg.det(rows @ ETA @ rows.transpose(0, 2, 1))
+    ulps = 256 * np.finfo(float).eps * np.abs(X).max() ** 2
+    assert np.max(np.abs(dets - grams)) <= ulps
+    try:
+        minkowski.certify(ap, X)
+        certified = True
+    except minkowski.GeometryError:
+        certified = False
+    assert minkowski.cofactor_cells_hold(X, faces, p, dets) == certified
+    assert dets.min() > 0
+    points = p / np.sqrt(dets)[:, None]
+    points = np.where(points[:, :1] > 0, points, -points)
+    want = minkowski.vertex_points(X, faces)
+    assert (np.max(np.abs(points - want))
+            <= ulps / dets.min() * np.abs(want).max())
+
+
 def test_circuits_enumerated_once_per_complex(monkeypatch):
     """realize asks for the circuits of one complex many times (the
     is_simple of every collapse_surroundings along the replay, and the
@@ -806,6 +868,121 @@ def test_rebuilds_per_realize_do_not_grow_with_moves(monkeypatch):
     assert len(set(counts.values())) == 1, counts
 
 
+def test_event_realization_within_its_stated_bound():
+    """EventDetected's realization is solved at the last good parameter,
+    so against the angles at the reported t its residual is bounded by
+    1.25 RESIDUAL_TOL, not RESIDUAL_TOL: 1.056e-10 on this walk."""
+    ev = near_ideal_event()
+    r = dodeca_two_fifths()
+    vals = np.full(r.complex.edge_count, 2 / 5)
+    vals[list(r.complex.vertex_edges(0))] = 1 / 3
+    start = np.array(r.edge_angles()) / math.pi
+    at_t = (1 - ev.t) * start + ev.t * vals
+    assert gram_residual(ev.realization, at_t) <= 1.25 * realize.RESIDUAL_TOL
+
+
+def test_tangent_matches_central_difference():
+    """The tangent a solve returns against (X(t+h) - X(t-h)) / 2h of two
+    RESIDUAL_TOL solves seeded with X(t), halfway along the dodecahedron's
+    walk to right angles."""
+    r = dodeca_two_fifths()
+    ap = r.complex
+    start = np.array(r.edge_angles())
+    target = realize._radians(uniform(ap, Fraction(1, 2)))
+
+    def at(t):
+        return (1 - t) * start + t * target
+
+    seed = realize._centred(r.normals, r.points)
+    X, tangent = realize._solve_raw(ap, at(0.5), seed, rate=target - start)
+    h = 1e-4
+    plus, _ = realize._solve_raw(ap, at(0.5 + h), X)
+    minus, _ = realize._solve_raw(ap, at(0.5 - h), X)
+    central = (plus - minus) / (2 * h)
+    assert np.max(np.abs(tangent - central)) <= 1e-4 * np.abs(central).max()
+
+
+def test_one_gram_system_per_moved_complex(monkeypatch):
+    """A replayed move builds one _GramSystem for its pinch walk and one
+    for the moved complex, which the crossing solve and the relax walk
+    share: two per move (three when each built its own)."""
+    built = []
+    init = realize._GramSystem.__init__
+    replay = realize.replay_whitehead
+    per_move = []
+
+    def counting(self, ap):
+        built.append(ap)
+        init(self, ap)
+
+    def recording(r, move):
+        before = len(built)
+        out = replay(r, move)
+        per_move.append(len(built) - before)
+        return out
+
+    monkeypatch.setattr(realize._GramSystem, "__init__", counting)
+    monkeypatch.setattr(realize, "replay_whitehead", recording)
+    ap = complexes.primal(whitehead.random_simple(12, 0), name="r12")
+    realize.realize(ap, uniform(ap, Fraction(2, 5)))
+    assert len(per_move) > 4 and set(per_move) == {2}
+
+
+@pytest.mark.parametrize("which", ["truncated_tetrahedron"]
+                         + [f"staged{n}_{s}" for n, s in STAGED + [(28, 0)]])
+def test_each_walk_continues_once(which, monkeypatch):
+    """Every walk reaches its certified endpoint in one continuation:
+    the per-step cell check rejects a step that converges onto other
+    cells, so no walk is redone with shorter strides.  Without the
+    check, a walk of the truncated tetrahedron, staged (20, 0) and
+    staged (28, 0) ends on other cells."""
+    if which == "truncated_tetrahedron":
+        ap = catalog.truncated_tetrahedron()
+    else:
+        n, s = map(int, which[len("staged"):].split("_"))
+        ap = staged_cut(n, s)
+    walks, from_walks = [], []
+    walk, continue_core = realize._walk, realize._continue_core
+
+    def counting_walk(*args, **kwargs):
+        walks.append(args)
+        return walk(*args, **kwargs)
+
+    def counting_core(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_walk":
+            from_walks.append(args)
+        return continue_core(*args, **kwargs)
+
+    monkeypatch.setattr(realize, "_walk", counting_walk)
+    monkeypatch.setattr(realize, "_continue_core", counting_core)
+    a = angles.feasible(ap).witness
+    r = realize.realize(ap, a)
+    assert gram_residual(r, a) <= 1e-10
+    assert len(walks) > 1 and len(from_walks) == len(walks)
+
+
+@pytest.mark.parametrize("which,ceiling", [("dodecahedron", 164),
+                                           ("random12", 134)])
+def test_linear_solves_per_realize(which, ceiling, monkeypatch):
+    """Linear solves of one uniform 2*pi/5 realize, counted at
+    np.linalg.solve, stay within 10% above what the tangent predictor
+    and the 0.5 stride take: 149 on the dodecahedron and 122 on
+    random_simple(12, 0), against 255 and 198 with zero-order seeds at
+    stride 0.25."""
+    ap = (catalog.dodecahedron() if which == "dodecahedron" else
+          complexes.primal(whitehead.random_simple(12, 0), name="r12"))
+    solves = []
+    solve = np.linalg.solve
+
+    def counting(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    realize.realize(ap, uniform(ap, Fraction(2, 5)))
+    assert len(solves) <= ceiling
+
+
 def test_bisection_stops_at_the_solve_resolution(monkeypatch):
     """near_ideal_event's walk bisects its event down to the width over
     which the target cosines move by RESIDUAL_TOL / 4, not to 1e-12: at
@@ -819,9 +996,9 @@ def test_bisection_stops_at_the_solve_resolution(monkeypatch):
     solve_raw = realize._solve_raw
 
     def recording(ap, target_rad, seed, *args):
-        X = solve_raw(ap, target_rad, seed, *args)
+        X, tangent = solve_raw(ap, target_rad, seed, *args)
         flagged.append(realize._vertex_dets(ap, X)[0] < realize.EVENT_TOL)
-        return X
+        return X, tangent
 
     monkeypatch.setattr(realize, "_solve_raw", recording)
     with pytest.raises(realize.EventDetected) as exc:
