@@ -6,7 +6,10 @@ a plane is the orthogonal complement of a unit spacelike normal v,
 bounding the half space <w,v> <= 0.  Signs are classified with
 CLASSIFY_TOL = 1e-9, which every helper, stacked kernel and the
 certificate use; the 1e-10 residual tolerance of the Newton solves
-belongs to `realize`.
+belongs to `realize`.  Vertices come from one kernel, vertex_cofactors,
+which vertex_points, perp_plane, certify and the walks' step test read;
+the SVD of vertex_point remains only as the oracle behind
+extract_combinatorics.
 """
 
 from __future__ import annotations
@@ -132,7 +135,8 @@ def _minkowski_null(vs: Sequence[np.ndarray]) -> np.ndarray:
 
 def vertex_point(v1, v2, v3) -> np.ndarray:
     """The finite point common to three planes with positive-definite
-    Gram matrix, as a unit timelike vector with x0 > 0."""
+    Gram matrix, as a unit timelike vector with x0 > 0: the scalar SVD
+    oracle of extract_combinatorics, independent of vertex_cofactors."""
     vs = [unit_spacelike(v) for v in (v1, v2, v3)]
     eig = np.linalg.eigvalsh(_gram(vs))
     if eig[0] > CLASSIFY_TOL:
@@ -141,33 +145,6 @@ def vertex_point(v1, v2, v3) -> np.ndarray:
     if eig[0] >= -CLASSIFY_TOL:
         raise IdealPoint("planes meet on the sphere at infinity")
     raise NoCommonPoint("planes have no common point")
-
-
-def vertex_points(units: np.ndarray, triples) -> np.ndarray:
-    """vertex_point of the planes units[i], units[j], units[k] for every
-    row (i, j, k) of triples, stacked into a (V,4) array with identical
-    rounding.  The (V,3,3) Gram matrices come from one broadcast form,
-    entry by entry the products and sums of mdot; the point is the SVD
-    null vector, which stays accurate when the normals are large.
-    Raises IdealPoint or NoCommonPoint for the first triple that
-    vertex_point would refuse."""
-    triples = np.asarray(triples)
-    vs = _unit_rows(np.asarray(units, dtype=float)[triples])
-    gram = _mdot_rows(vs[:, :, None], vs[:, None])
-    least = np.linalg.eigvalsh(gram)[:, 0]
-    bad = np.flatnonzero(~(least > CLASSIFY_TOL))
-    if bad.size:
-        t = bad[0]
-        if least[t] >= -CLASSIFY_TOL:
-            raise IdealPoint(f"planes {triples[t].tolist()} meet on the "
-                             f"sphere at infinity")
-        raise NoCommonPoint(f"planes {triples[t].tolist()} have no common point")
-    p = np.linalg.svd(vs @ _METRIC)[2][:, -1]
-    q = _mdot_rows(p, p)
-    if not np.all(q < 0):
-        raise OutOfRange("point vector is not timelike")
-    p = p / np.sqrt(-q)[:, None]
-    return np.where(p[:, :1] > 0, p, -p)
 
 
 # The 3x3 minors of three rows a, b, c of R^4 by expansion along c: with
@@ -200,39 +177,54 @@ def vertex_cofactors(normals: np.ndarray, triples
     return p, -_mdot_rows(p, p)
 
 
-def _worst_margin(points: np.ndarray, units: np.ndarray, triples
-                  ) -> Tuple[int, int, float]:
-    """The vertex v and face f outside triples[v] of the largest margin
-    <points[v], units[f]>, and that margin."""
+def vertex_points(units: np.ndarray, triples, cofactors=None) -> np.ndarray:
+    """The finite points p / sqrt(det), x0 > 0, common to the planes
+    units[i], units[j], units[k] for every row (i, j, k) of triples,
+    stacked as (V,4), from their vertex_cofactors (p, dets), computed
+    here when not given.  The rows of units are unit normals, so
+    CLASSIFY_TOL bounds the dets as it bounds vertex_point's
+    eigenvalues: raises IdealPoint for the first triple with |det| <=
+    CLASSIFY_TOL and NoCommonPoint for one with det < -CLASSIFY_TOL."""
+    p, dets = cofactors or vertex_cofactors(units, triples)
+    bad = np.flatnonzero(~(dets > CLASSIFY_TOL))
+    if bad.size:
+        t = bad[0]
+        planes = np.asarray(triples)[t].tolist()
+        if dets[t] >= -CLASSIFY_TOL:
+            raise IdealPoint(f"planes {planes} meet on the sphere at infinity")
+        raise NoCommonPoint(f"planes {planes} have no common point")
+    points = p / np.sqrt(dets)[:, None]
+    return np.where(points[:, :1] > 0, points, -points)
+
+
+def cell_points(units: np.ndarray, triples, p: np.ndarray,
+                dets: np.ndarray) -> np.ndarray:
+    """The cell test of certify and of every continuation step: each
+    triple's vertex_cofactors (p, dets) must give a finite point (see
+    vertex_points), and that point must lie inside the half space of
+    every face of units outside its triple by more than CLASSIFY_TOL.
+    Returns the points; raises IdealPoint, NoCommonPoint or WrongCells
+    for the first vertex that fails."""
+    points = vertex_points(units, triples, (p, dets))
     margin = points @ _METRIC @ units.T
     margin[np.arange(len(margin))[:, None], triples] = -np.inf
     v, f = np.unravel_index(np.argmax(margin), margin.shape)
-    return int(v), int(f), float(margin[v, f])
-
-
-def cofactor_cells_hold(normals: np.ndarray, triples, p: np.ndarray,
-                        dets: np.ndarray) -> bool:
-    """certify's test on the vertices of triples, with the points taken
-    from vertex_cofactors (p, dets) instead of an SVD: every determinant
-    is positive and every point lies inside the half space of every face
-    outside its triple by more than CLASSIFY_TOL, on unit rows."""
-    if not np.all(dets > 0):
-        return False
-    X = np.asarray(normals, dtype=float)
-    points = p / np.sqrt(dets)[:, None]
-    points = np.where(points[:, :1] > 0, points, -points)
-    return _worst_margin(points, _unit_rows(X), triples)[2] < -CLASSIFY_TOL
+    if not margin[v, f] < -CLASSIFY_TOL:
+        raise WrongCells(
+            f"vertex {v} is not inside the half space of face {f} "
+            f"(<p, n> = {margin[v, f]:.3g})")
+    return points
 
 
 def perp_plane(v1, v2, v3, interior=(1.0, 0.0, 0.0, 0.0)) -> np.ndarray:
     """The plane meeting all three given planes at right angles, which
     exists when they pairwise intersect but share no point, even at
     infinity.  Oriented away from the given interior point."""
-    vs = [unit_spacelike(v) for v in (v1, v2, v3)]
-    eig = np.linalg.eigvalsh(_gram(vs))
-    if eig[0] >= -CLASSIFY_TOL:
+    p, det = vertex_cofactors(_unit_rows(np.array([v1, v2, v3], dtype=float)),
+                              [(0, 1, 2)])
+    if det[0] >= -CLASSIFY_TOL:
         raise CommonPoint("planes share a point (possibly ideal)")
-    w = unit_spacelike(_minkowski_null(vs))
+    w = p[0] / math.sqrt(-det[0])
     side = mdot(w, interior)
     if abs(side) <= CLASSIFY_TOL:
         raise GeometryError("interior point lies on the perpendicular plane")
@@ -289,16 +281,17 @@ def certify(ap: AbstractPolyhedron, normals) -> Realization:
     """Wrap plane normals as a Realization of ap, after certifying that
     the planes bound exactly that cell structure.
 
-    The certificate is local: each vertex point, computed from its own
-    three faces, must be finite and lie inside every other half space by
-    more than CLASSIFY_TOL.  That suffices.  With P the intersection of
-    the half spaces, each edge's two end points are then the two ends of
-    P's intersection with the edge's line, so every expected vertex has
-    all three of its polytope edges among the expected ones.  The graph of
-    bounded edges of a pointed polytope is connected, so these are all
-    the vertices, and P is their hull, which is compact.  The margin
-    <p, n> = -sinh(distance) is isometry invariant, so far-off
-    coordinates do not erode it.
+    The certificate is local: each vertex point, computed from the
+    cofactors of its own three unit normals (cell_points, the same test
+    every continuation step passes), must be finite and lie inside every
+    other half space by more than CLASSIFY_TOL.  That suffices.  With P
+    the intersection of the half spaces, each edge's two end points are
+    then the two ends of P's intersection with the edge's line, so every
+    expected vertex has all three of its polytope edges among the
+    expected ones.  The graph of bounded edges of a pointed polytope is
+    connected, so these are all the vertices, and P is their hull, which
+    is compact.  The margin <p, n> = -sinh(distance) is isometry
+    invariant, so far-off coordinates do not erode it.
     """
     X = np.asarray(normals, dtype=float)
     if X.shape != (ap.face_count, 4):
@@ -306,12 +299,7 @@ def certify(ap: AbstractPolyhedron, normals) -> Realization:
             f"{len(X)} planes for a complex with {ap.face_count} faces")
     faces = np.array([ap.vertex_faces(v) for v in range(ap.vertex_count)])
     units = _unit_rows(X)
-    points = vertex_points(units, faces)
-    v, f, worst = _worst_margin(points, units, faces)
-    if not worst < -CLASSIFY_TOL:
-        raise WrongCells(
-            f"vertex {v} is not inside the half space of face {f} "
-            f"(<p, n> = {worst:.3g})")
+    points = cell_points(units, faces, *vertex_cofactors(units, faces))
     return Realization(complex=ap, normals=X, points=points)
 
 

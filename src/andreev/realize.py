@@ -33,7 +33,7 @@ from . import catalog, complexes, minkowski, whitehead
 from .angles import HALF, AngleAssignment
 from .complexes import AbstractPolyhedron
 from .minkowski import (GeometryError, Realization, mdot, unit_timelike,
-                        vertex_point, perp_plane)
+                        perp_plane)
 
 _ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -290,11 +290,11 @@ def _continue_core(r: Realization, start_rad: np.ndarray,
     and Newton corrector: each solve is seeded with the last point moved
     along the path tangent its own solve returned.  A step is taken only
     when its solve converges and its watched vertices (those outside
-    expect_ideal) pass minkowski.cofactor_cells_hold; otherwise it is
-    halved (down to STEP_FLOOR) and retried from the last point centred
-    again, without a tangent.  After a success the step doubles back up
-    to MAX_STEP.  system is r's complex's _GramSystem, built here when
-    not given.
+    expect_ideal) pass minkowski.cell_points, the cell test of certify;
+    otherwise it is halved (down to STEP_FLOOR) and retried from the
+    last point centred again, without a tangent.  After a success the
+    step doubles back up to MAX_STEP.  system is r's complex's
+    _GramSystem, built here when not given.
 
     Only the t = 1 endpoint leaves this walk, so the interior points
     are solved to PATH_TOL, as accurate as the next step's seed needs;
@@ -342,9 +342,11 @@ def _continue_core(r: Realization, start_rad: np.ndarray,
                 Xn, _ = solve_at(tn, Xn)
                 bad, p, dets = vertex_test(Xn)
             # A step that flags an event goes on to the bisection.
-            held = bool(bad) or minkowski.cofactor_cells_hold(
-                Xn, watched_faces, p, dets)
-        except (Diverged, SingularJacobian):
+            if not bad:
+                minkowski.cell_points(minkowski.unit_spacelike(Xn),
+                                      watched_faces, p, dets)
+            held = True
+        except (Diverged, SingularJacobian, GeometryError):
             held = False
         if not held:
             # A long step can land, within PATH_TOL, on a far boost of
@@ -430,6 +432,13 @@ def _walk(realization: Realization, target_rad: np.ndarray,
         if drift > 1e-6:
             raise ValueError(
                 f"declared start is {drift:.2e} away from the measured angles")
+        if np.array_equal(start_rad, target_rad):
+            # Nothing to walk: a solve seeded with the realization returns
+            # it unchanged, with no linear solve, when it meets the target.
+            X = _solve_raw(ap, target_rad, realization.normals, system=system)[0]
+            if np.array_equal(X, realization.normals):
+                return realization
+            return _bind(ap, X)
     return _bind(ap, _continue_core(realization, start_rad, target_rad,
                                     system=system))
 
@@ -508,13 +517,10 @@ def replay_whitehead(realization: Realization,
 
 def _interior_point(ap: AbstractPolyhedron, X: np.ndarray,
                     skip: Set[int]) -> np.ndarray:
-    """The normalised sum of the vertex points outside skip, added in
-    vertex order; a GeometryError when one of them is not finite."""
+    """The normalised sum of the vertex points outside skip; a
+    GeometryError when one of them is not finite."""
     kept = [ap.vertex_faces(v) for v in range(ap.vertex_count) if v not in skip]
-    acc = np.zeros(4)
-    for point in minkowski.vertex_points(X, kept):
-        acc += point
-    return unit_timelike(acc)
+    return unit_timelike(minkowski.vertex_points(X, kept).sum(axis=0))
 
 
 def _push_normals(X: np.ndarray, p: np.ndarray, delta: float) -> np.ndarray:
@@ -817,11 +823,9 @@ def _triangle_frame(spec: PieceSpec, normals: np.ndarray, l: int
     """The fill triangle's plane normal and its three corner points, in
     circuit order so both sides of a pair list matching corners."""
     t_face, ca, cb, cc = spec.fills[l]
-    w = normals[t_face]
-    corners = []
-    for x, y in ((ca, cb), (cb, cc), (cc, ca)):
-        corners.append(vertex_point(w, normals[x], normals[y]))
-    return w, corners
+    corners = minkowski.vertex_points(
+        normals, [(t_face, ca, cb), (t_face, cb, cc), (t_face, cc, ca)])
+    return normals[t_face], list(corners)
 
 
 def glue(realizations: Sequence[Realization], plan: CompoundPlan

@@ -96,6 +96,9 @@ class TestVertexPoint:
 
 
 def test_vertex_points_match_vertex_point():
+    """The cofactor kernel refuses exactly the triples the scalar SVD
+    oracle refuses, with the same error, and its points agree with the
+    oracle's within a few ulps of max|X|^2 / det."""
     import itertools
     r = minkowski.build_prism(8, math.pi / 2, 0.05)
     units = r.normals
@@ -112,9 +115,12 @@ def test_vertex_points_match_vertex_point():
         finite.append(t)
         want.append(p)
     assert finite and minkowski.NoCommonPoint in refused
-    # identical rounding, not just agreement within a tolerance
-    assert np.array_equal(minkowski.vertex_points(units, finite),
-                          np.array(want))
+    want = np.array(want)
+    dets = minkowski.vertex_cofactors(units, finite)[1]
+    scale = (np.finfo(float).eps * np.abs(units).max() ** 2 / dets
+             * np.abs(want).max(axis=1))
+    got = minkowski.vertex_points(units, finite)
+    assert np.all(np.abs(got - want).max(axis=1) <= 8 * scale)
     ideal = _corner_triple(math.pi / 3)
     with pytest.raises(minkowski.IdealPoint):
         minkowski.vertex_point(*ideal)

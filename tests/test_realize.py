@@ -681,32 +681,34 @@ def test_bind_agrees_with_extraction(case):
 
 @pytest.mark.parametrize("case", sorted(AUDIT_CASES))
 def test_cofactor_kernel_agrees_with_certify(case):
-    """vertex_cofactors against the slow path: its dets against the LU
-    det of each vertex Gram matrix, its points against the SVD points of
-    vertex_points, and cofactor_cells_hold against certify.  Both sides
-    round at a few ulps of max|X|^2, so the tolerances scale with it
-    (and the points' with 1 / det, by which normalizing divides)."""
+    """The one vertex kernel against independent oracles: the dets of
+    vertex_cofactors against the LU det of each vertex Gram matrix, the
+    points of vertex_points against the scalar SVD vertex_point, and
+    certify's verdict against the margin test on the SVD points.  Both
+    sides round at a few ulps of max|X|^2, so the tolerances scale with
+    it (and the points' with 1 / det, by which normalizing divides)."""
     build, _ = AUDIT_CASES[case]
     ap, normals = build()
     X = np.asarray(normals, dtype=float)
     faces = np.array([ap.vertex_faces(v) for v in range(ap.vertex_count)])
-    p, dets = minkowski.vertex_cofactors(X, faces)
+    _, dets = minkowski.vertex_cofactors(X, faces)
     rows = X[faces]
     grams = np.linalg.det(rows @ ETA @ rows.transpose(0, 2, 1))
     ulps = 256 * np.finfo(float).eps * np.abs(X).max() ** 2
     assert np.max(np.abs(dets - grams)) <= ulps
+    assert dets.min() > 0
+    want = np.array([minkowski.vertex_point(*X[f]) for f in faces])
+    points = minkowski.vertex_points(X, faces)
+    assert (np.max(np.abs(points - want))
+            <= ulps / dets.min() * np.abs(want).max())
+    margin = want @ ETA @ minkowski.unit_spacelike(X).T
+    margin[np.arange(len(faces))[:, None], faces] = -np.inf
     try:
         minkowski.certify(ap, X)
         certified = True
     except minkowski.GeometryError:
         certified = False
-    assert minkowski.cofactor_cells_hold(X, faces, p, dets) == certified
-    assert dets.min() > 0
-    points = p / np.sqrt(dets)[:, None]
-    points = np.where(points[:, :1] > 0, points, -points)
-    want = minkowski.vertex_points(X, faces)
-    assert (np.max(np.abs(points - want))
-            <= ulps / dets.min() * np.abs(want).max())
+    assert certified == (margin.max() < -minkowski.CLASSIFY_TOL)
 
 
 def test_circuits_enumerated_once_per_complex(monkeypatch):
@@ -959,6 +961,56 @@ def test_each_walk_continues_once(which, monkeypatch):
     r = realize.realize(ap, a)
     assert gram_residual(r, a) <= 1e-10
     assert len(walks) > 1 and len(from_walks) == len(walks)
+
+
+@pytest.mark.parametrize("ap", [catalog.prism(6), catalog.cube()],
+                         ids=["prism6", "cube"])
+def test_zero_length_walks_are_skipped(ap, monkeypatch):
+    """At 2/5, prism 6 and the cube are the built regular prism itself:
+    their one walk starts at its target, so it returns the certified
+    start without continuing, and the result still meets the tolerances."""
+    cores = []
+    continue_core = realize._continue_core
+
+    def counting_core(*args, **kwargs):
+        cores.append(args)
+        return continue_core(*args, **kwargs)
+
+    monkeypatch.setattr(realize, "_continue_core", counting_core)
+    a = uniform(ap, Fraction(2, 5))
+    r = realize.realize(ap, a)
+    assert cores == []
+    assert gram_residual(r, a) <= 1e-10
+    assert angle_error(r, a) <= 1e-8
+
+
+@pytest.mark.parametrize("which", ["prism6", "dodecahedron", "random12",
+                                   "truncated_tetrahedron",
+                                   "corner_doubled_cube"])
+def test_realize_uses_one_vertex_kernel(which, monkeypatch):
+    """Every branch (prism, simple, staged, glued) locates its vertices
+    with minkowski.vertex_cofactors alone: no SVD and no eigenvalue
+    solve runs during realize.  The SVD kernel stays in vertex_point,
+    the oracle behind extract_combinatorics."""
+    if which == "random12":
+        ap = complexes.primal(whitehead.random_simple(12, 0), name="r12")
+    else:
+        ap = catalog.prism(6) if which == "prism6" else getattr(catalog, which)()
+    a = (uniform(ap, Fraction(2, 5)) if which in ("prism6", "dodecahedron",
+                                                   "random12")
+         else angles.feasible(ap).witness)
+    calls = []
+    for name in ("svd", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    r = realize.realize(ap, a)
+    assert calls == []
+    assert gram_residual(r, a) <= 1e-10
 
 
 @pytest.mark.parametrize("which,ceiling", [("dodecahedron", 164),
