@@ -17,11 +17,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from . import complexes
+from . import catalog, complexes
 from .complexes import AbstractPolyhedron
 
 CLASSIFY_TOL = 1e-9
@@ -346,19 +346,6 @@ def extract_combinatorics(normals: Sequence) -> Realization:
     return Realization(complex=ap, normals=vs, points=pts)
 
 
-def _certify_triangles(normals: Sequence, triangles, name: str
-                       ) -> Realization:
-    """Certify that the planes of a construction bound exactly the
-    complex its known dual triangles span, and return it with unit
-    normals."""
-    dc = complexes.DualComplex(
-        node_count=len(normals),
-        triangles=tuple(sorted(tuple(sorted(t)) for t in triangles)))
-    checked = certify(complexes.primal(dc, name=name), normals)
-    return Realization(complex=checked.complex, points=checked.points,
-                       normals=_unit_rows(np.asarray(normals, dtype=float)))
-
-
 def build_prism(n: int, polygon_angle: float, gap: float = 0.1
                 ) -> Realization:
     """The prism with n faces over a regular (n-2)-gon whose vertex
@@ -368,8 +355,8 @@ def build_prism(n: int, polygon_angle: float, gap: float = 0.1
         raise BadParameters("a prism needs at least 5 faces")
     if not (0 < polygon_angle <= math.pi / 2):
         raise BadParameters("polygon angle must lie in (0, pi/2]")
-    if gap <= 0:
-        raise BadParameters("angle gap must be positive")
+    if not 0 < gap < math.pi / 2:
+        raise BadParameters("angle gap must lie in (0, pi/2)")
     k = n - 2
     c = math.cos(2 * math.pi / k)
     s2 = (math.cos(polygon_angle) + c) / (1 - c)
@@ -387,9 +374,11 @@ def build_prism(n: int, polygon_angle: float, gap: float = 0.1
                                math.cosh(d) * math.sin(phi), 0.0]))
     top = np.array([math.sinh(t), 0.0, 0.0, math.cosh(t)])
     bottom = np.array([math.sinh(t), 0.0, 0.0, -math.cosh(t)])
-    triangles = [(i, (i + 1) % k, cap) for i in range(k) for cap in (k, k + 1)]
-    return _certify_triangles(sides + [top, bottom], triangles,
-                              f"prism_{n}_realized")
+    dc = complexes.DualComplex(node_count=n, triangles=tuple(sorted(
+        tuple(sorted((i, (i + 1) % k, cap)))
+        for i in range(k) for cap in (k, k + 1))))
+    return certify(complexes.primal(dc, name=f"prism_{n}_realized"),
+                   _unit_rows(np.array(sides + [top, bottom])))
 
 
 def reflect(x, mirror) -> np.ndarray:
@@ -400,11 +389,15 @@ def reflect(x, mirror) -> np.ndarray:
 
 
 def build_split_prism(n: int) -> Realization:
-    """The split prism with n faces: a prism with n-1 faces carrying
-    ring angles pi/3 on top, pi/2 on the verticals and the glued ring
-    except for one pi/4 edge, doubled across its bottom plane.  The
-    perpendicular glued-ring edges make the side faces merge with their
-    mirror images; the pi/4 edge doubles to a right angle."""
+    """The split prism with n faces, its faces in the node order of
+    catalog.split_prism_dual(n).  The glued prism catalog.prism(n-1) is
+    realized by the prism branch of realize.realize with pi/3 on the
+    edges of face 0, pi/4 on the edge between face 1 and face n-3 and
+    pi/2 elsewhere, then doubled across face 1: the top (face 0) is the
+    apex, the sides follow from face n-2 down to face 2, then come the
+    mirror images of face n-3 and of the top.  The perpendicular sides
+    merge with their mirror images; the pi/4 edge doubles to a right
+    angle."""
     if n < 7:
         raise BadParameters("the split prism needs at least 7 faces")
     if n == 7:
@@ -416,52 +409,16 @@ def build_split_prism(n: int) -> Realization:
     from . import realize
     from .angles import AngleAssignment
 
-    m = n - 1
-    k = m - 2
-    seed = build_prism(m, math.pi / 2, math.pi / 10)
-    ap = seed.complex
-    top_face, bottom_face = k, k + 1
-    quarter_edge = min(e for e, (_, _, fa, fb) in enumerate(ap.edges)
-                       if bottom_face in (fa, fb))
-    target = []
-    for e, (_, _, fa, fb) in enumerate(ap.edges):
-        if top_face in (fa, fb):
-            target.append(Fraction(1, 3))
-        elif e == quarter_edge:
-            target.append(Fraction(1, 4))
-        else:
-            target.append(Fraction(1, 2))
-    start = AngleAssignment(tuple(
-        Fraction(2, 5) if top_face in (fa, fb) or bottom_face in (fa, fb)
-        else Fraction(1, 2)
-        for (_, _, fa, fb) in ap.edges))
-    glued = realize.continue_path(seed, AngleAssignment(tuple(target)),
-                                  start=start)
-
-    # Every face but the bottom keeps its plane.  The two faces not
-    # perpendicular to the bottom, the top and the quarter edge's side,
-    # also get their mirror images, listed right after them.
-    b = glued.normals[bottom_face]
-    quarter_side = sum(ap.edges[quarter_edge][2:]) - bottom_face
-    out: List[np.ndarray] = []
-    at: Dict[int, int] = {}       # face -> its plane in out
-    mirror: Dict[int, int] = {}   # face -> its mirror image in out
-    for f, v in enumerate(glued.normals):
-        if f == bottom_face:
-            continue
-        at[f] = len(out)
-        out.append(v)
-        if f in (quarter_side, top_face):
-            mirror[f] = len(out)
-            out.append(reflect(v, b))
-    lower = {**at, quarter_side: mirror[quarter_side]}
-    triangles = [(at[quarter_side], mirror[quarter_side],
-                  at[(quarter_side + d) % k]) for d in (-1, 1)]
-    for i in range(k):
-        j = (i + 1) % k
-        triangles.append((at[i], at[j], at[top_face]))
-        triangles.append((lower[i], lower[j], mirror[top_face]))
-    return _certify_triangles(out, triangles, f"split_prism_{n}_realized")
+    quarter = n - 3
+    glued = catalog.prism(n - 1)   # caps 0 and 1, sides 2..n-2 in a ring
+    target = AngleAssignment(tuple(
+        Fraction(1, 3) if 0 in (fa, fb)
+        else Fraction(1, 4) if {fa, fb} == {1, quarter}
+        else Fraction(1, 2) for (_, _, fa, fb) in glued.edges))
+    X = realize.realize(glued, target).normals
+    planes = np.vstack([X[:1], X[n - 2:1:-1], reflect(X[quarter], X[1]),
+                        reflect(X[0], X[1])])
+    return certify(catalog.split_prism(n), _unit_rows(planes))
 
 
 # Export

@@ -9,9 +9,10 @@ continuation or one-off solve is first boosted so that the mean of its
 vertex points is the origin, so coordinates stay the size of the
 polyhedron.  Continuation moves the target angles along straight lines
 inside the angle polytope, whose membership is checked exactly at
-rational endpoints (or, for the Whitehead replay's profiles, known from
-the lemma in `_collapse_profile`).  On top of that sit the combinatorial
-pipelines: prisms are built directly, simple complexes are reached by
+rational endpoints (or, for the Whitehead replay's profiles and the
+regular prism's angles, known from a lemma: see `_collapse_profile` and
+`_prism_seed`).  On top of that sit the combinatorial pipelines: prisms
+are walked from the regular prism, simple complexes are reached by
 replaying a Whitehead reduction backwards from the split prism,
 complexes whose only prismatic 3-circuits are truncated triangles go
 through a staged schedule that drives vertices to infinity and truncates
@@ -275,7 +276,11 @@ def newton_solve(ap: AbstractPolyhedron, target,
     """Solve for the realization of ap with the given edge angles from a
     caller-supplied seed, then certify its combinatorics.  A seed whose
     corners are all finite points is centred first."""
-    X = _recentred(ap, np.array(initial_normals, dtype=float))
+    X = np.array(initial_normals, dtype=float)
+    if X.shape != (ap.face_count, 4):
+        raise ValueError(f"seed has shape {X.shape}, expected "
+                         f"({ap.face_count}, 4): one normal per face")
+    X = _recentred(ap, X)
     return _bind(ap, _solve_raw(ap, _radians(target), X)[0])
 
 
@@ -653,7 +658,6 @@ def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realizatio
     padded = AngleAssignment(tuple(gamma[ap_edge(base, e0)]
                                    for e0 in range(base.edge_count)))
     assert all(0 < g < HALF for g in padded)
-    assert angle_sets.check_conditions(base, padded).member
 
     current = realize(base, padded)
 
@@ -812,7 +816,6 @@ def decompose(ap: AbstractPolyhedron, a: AngleAssignment) -> CompoundPlan:
                 assert idx is not None
                 values.append(a[idx])
         piece_angles = AngleAssignment(tuple(values))
-        assert angle_sets.check_conditions(piece, piece_angles).member
         assert _prism_labels(piece) is None
         pieces.append(PieceSpec(piece, piece_angles, origin, fills))
     return CompoundPlan(tuple(ess), tuple(pieces))
@@ -924,37 +927,45 @@ def _prism_labels(ap: AbstractPolyhedron) -> Optional[Tuple[int, ...]]:
     return labels
 
 
+def _prism_seed(ap: AbstractPolyhedron, labels: Sequence[int]
+                ) -> Tuple[Fraction, AngleAssignment]:
+    """The vertical angle of the regular prism _realize_prism seeds from
+    (1/4 at five faces, 2/5 at six, 1/2 from seven on) and that prism's
+    angles on ap, whose faces in build_prism order are labels: the
+    vertical angle on the side edges, 2/5 on the cap edges."""
+    n = ap.face_count
+    vertical = {5: Fraction(1, 4), 6: TWO_FIFTHS}.get(n, HALF)
+    caps = {labels[n - 2], labels[n - 1]}
+    return vertical, AngleAssignment(tuple(
+        vertical if fa not in caps and fb not in caps else TWO_FIFTHS
+        for (_, _, fa, fb) in ap.edges))
+
+
 def _realize_prism(ap: AbstractPolyhedron, a: AngleAssignment,
                    labels: Sequence[int]) -> Realization:
     """Realize the prism ap, whose faces in build_prism order are labels,
-    from the regular prism."""
+    from the regular prism.  Neither end of the walk is checked again:
+    realize has checked a, and the seed's angles lie in the angle set of
+    every prism (test_prism_seeds_are_members)."""
     n = ap.face_count
-    seed_angle = {5: Fraction(1, 4), 6: TWO_FIFTHS}.get(n, HALF)
-    built = minkowski.build_prism(n, float(seed_angle) * math.pi,
+    vertical, start = _prism_seed(ap, labels)
+    built = minkowski.build_prism(n, float(vertical) * math.pi,
                                   gap=math.pi / 10)
-    caps = {labels[n - 2], labels[n - 1]}
     normals_ap = np.empty((n, 4))
     normals_ap[list(labels)] = built.normals
-    start = AngleAssignment(tuple(
-        seed_angle if fa not in caps and fb not in caps else TWO_FIFTHS
-        for (_, _, fa, fb) in ap.edges))
-    return continue_path(_bind(ap, normals_ap), a, start=start)
+    return _walk(_bind(ap, normals_ap), _radians(a), _radians(start))
 
 
 def _realize_simple(ap: AbstractPolyhedron, a: AngleAssignment) -> Realization:
     trace = whitehead.reduce_to_dn(complexes.dual(ap))
     n = ap.face_count
+    # build_split_prism lists its planes in catalog.split_prism(n) order,
+    # onto which split_prism_labels labels the reduction's end.
+    labels = whitehead.split_prism_labels(trace.end)
+    assert labels is not None
     built = minkowski.build_split_prism(n)
-    # Both complexes are labelled onto the catalog split prism; compose.
-    end_labels = whitehead.split_prism_labels(trace.end)
-    built_labels = whitehead.split_prism_labels(complexes.dual(built.complex))
-    assert end_labels is not None and built_labels is not None
-    end_node = {lab: v for v, lab in end_labels.items()}
-    normals = np.empty((n, 4))
-    for f in range(n):
-        normals[end_node[built_labels[f]]] = built.normals[f]
     stage_ap = complexes.primal(trace.end, name=f"{ap.name}_stage")
-    current = _bind(stage_ap, normals)
+    current = _bind(stage_ap, built.normals[[labels[v] for v in range(n)]])
     # Neither leg checks its endpoints against the condition table again.
     # Uniform 2/5 lies in the angle set of every simple complex (see
     # _collapse_profile); ap is simple, and so is trace.end, since

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from andreev import catalog, complexes, minkowski
+from andreev import catalog, complexes, minkowski, whitehead
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -245,6 +245,11 @@ class TestBuildPrism:
         with pytest.raises(minkowski.BadParameters):
             minkowski.build_prism(5, math.pi / 2)  # euclidean triangle limit
 
+    @pytest.mark.parametrize("gap", [math.pi - 0.3, math.pi / 2, 3.5])
+    def test_gap_outside_open_quarter_turn(self, gap):
+        with pytest.raises(minkowski.BadParameters):
+            minkowski.build_prism(8, math.pi / 2, gap)
+
 
 class TestSplitPrism:
     def test_seven_faces_is_the_prism(self):
@@ -260,6 +265,13 @@ class TestSplitPrism:
         for ang in r.edge_angles():
             near = min(abs(ang - math.pi / 3), abs(ang - math.pi / 2))
             assert near < 1e-8
+
+    @pytest.mark.parametrize("n", range(8, 17))
+    def test_planes_in_catalog_labels(self, n):
+        r = minkowski.build_split_prism(n)
+        assert r.complex.faces == catalog.split_prism(n).faces
+        labels = whitehead.split_prism_labels(complexes.dual(r.complex))
+        assert labels == {v: v for v in range(n)}
 
     def test_too_small(self):
         with pytest.raises(minkowski.BadParameters):

@@ -93,6 +93,13 @@ class TestNewtonSolve:
             realize.newton_solve(ap, uniform(ap, Fraction(2, 5)),
                                  seed.normals)
 
+    @pytest.mark.parametrize("shape", [(3, 4), (6, 3), (8, 4)])
+    def test_seed_of_wrong_shape_refused(self, shape):
+        ap = catalog.cube()
+        with pytest.raises(ValueError, match=r"expected \(6, 4\)"):
+            realize.newton_solve(ap, uniform(ap, Fraction(2, 5)),
+                                 np.ones(shape))
+
     def test_resolve_from_own_output(self):
         r = dodeca_two_fifths()
         ap = r.complex
@@ -795,6 +802,23 @@ def test_collapse_profiles_are_members():
     assert checked > 4000
 
 
+def test_prism_seeds_are_members():
+    """The prism branch walks from its seed's angles without checking
+    them; the full condition table confirms that they lie in the angle
+    set of every prism at n = 5-40: 1/4 (n = 5), 2/5 (n = 6) or 1/2 on
+    the verticals and 2/5 on the caps."""
+    for n in range(5, 41):
+        ap = catalog.prism(n)
+        labels = realize._prism_labels(ap)
+        vertical, profile = realize._prism_seed(ap, labels)
+        assert vertical == {5: Fraction(1, 4), 6: Fraction(2, 5)}.get(
+            n, Fraction(1, 2))
+        caps = set(labels[-2:])
+        for (_, _, fa, fb), v in zip(ap.edges, profile):
+            assert v == (Fraction(2, 5) if {fa, fb} & caps else vertical)
+        assert angles.check_conditions(ap, profile).member, n
+
+
 @pytest.mark.parametrize("n,seed", [(16, 1), (24, 0)])
 def test_replayed_profiles_are_members(n, seed, monkeypatch):
     ap = complexes.primal(whitehead.random_simple(n, seed))
@@ -814,10 +838,11 @@ def test_replayed_profiles_are_members(n, seed, monkeypatch):
 
 
 def test_condition_tables_per_realize_do_not_grow_with_moves(monkeypatch):
-    """On the simple branch only the caller's target and the walk inside
-    build_split_prism build the condition table: the two legs of
-    _realize_simple call _walk, which checks nothing, and the replay's
-    moves build none."""
+    """Each realize entry builds the condition table once, and nothing
+    else does: a prism builds one, the caller's; a simple complex two,
+    the caller's and that of the glued prism inside build_split_prism.
+    The walks of the prism branch and the two legs of _realize_simple
+    check nothing, and the replay's moves build no table."""
     builds = []
     conditions = angles._conditions
 
@@ -834,7 +859,31 @@ def test_condition_tables_per_realize_do_not_grow_with_moves(monkeypatch):
         realize.realize(ap, uniform(ap, Fraction(2, 5)))
         counts[moves] = len(builds)
     assert sorted(counts) == [6, 8, 12]
-    assert len(set(counts.values())) == 1
+    assert set(counts.values()) == {2}
+    for ap in (catalog.prism(6), catalog.cube(), catalog.prism(9)):
+        builds.clear()
+        realize.realize(ap, uniform(ap, Fraction(2, 5)))
+        assert builds == [ap], ap.name
+
+
+def test_split_prism_labels_twice_per_simple_realize(monkeypatch):
+    """split_prism_labels runs twice per simple-branch realize: once as
+    reduce_to_dn certifies its end, once as _realize_simple reads the
+    end's labels; build_split_prism's planes already come in catalog
+    labels."""
+    calls = []
+    labels = whitehead.split_prism_labels
+
+    def counting(dc):
+        calls.append(dc)
+        return labels(dc)
+
+    monkeypatch.setattr(whitehead, "split_prism_labels", counting)
+    for n, seed in ((10, 0), (12, 0)):
+        ap = complexes.primal(whitehead.random_simple(n, seed))
+        calls.clear()
+        realize.realize(ap, uniform(ap, Fraction(2, 5)))
+        assert len(calls) == 2, (n, seed)
 
 
 def test_rebuilds_per_realize_do_not_grow_with_moves(monkeypatch):
