@@ -16,8 +16,9 @@ are walked from the regular prism, simple complexes are reached by
 replaying a Whitehead reduction backwards from the split prism,
 complexes whose only prismatic 3-circuits are truncated triangles go
 through a staged schedule that drives vertices to infinity and truncates
-them, and everything else is cut along essential 3-circuits, realized
-piecewise, and glued back with Lorentz isometries.
+them, and everything else is cut along one essential 3-circuit, the two
+pieces realized by `realize` itself (which cuts any circuit left in
+them), and glued back with one Lorentz isometry.
 """
 
 from __future__ import annotations
@@ -732,100 +733,74 @@ class PieceSpec:
     complex: AbstractPolyhedron
     angles: AngleAssignment
     face_origin: Dict[int, int]          # piece face -> face of the whole
-    # circuit -> its fill face, then its three circuit faces, in the piece
-    fills: Dict[int, Tuple[int, int, int, int]]
+    # the fill face, then the three circuit faces in circuit order
+    fill: Tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
 class CompoundPlan:
-    circuits: Tuple[complexes.Circuit, ...]
-    pieces: Tuple[PieceSpec, ...]
+    """One cut: the essential circuit and the pieces on its two sides."""
+    circuit: complexes.Circuit
+    pieces: Tuple[PieceSpec, PieceSpec]
 
 
 def decompose(ap: AbstractPolyhedron, a: AngleAssignment) -> CompoundPlan:
-    """Cut the dual along every essential prismatic 3-circuit and fill
-    each hole with a triangle, producing pieces whose circuits all
-    surround triangular faces."""
+    """Cut the dual along the first essential prismatic 3-circuit and
+    fill the hole on each side with a triangle at pi/2 to the circuit's
+    faces.  Each piece is one side of the circuit plus its three nodes;
+    circuits left in a piece are cut when realize meets that piece.
+    The first piece is the side holding a node of the dual's first
+    triangle."""
+    if len(a) != ap.edge_count:
+        raise angle_sets.SizeMismatch(
+            f"assignment has {len(a)} angles, complex has {ap.edge_count} edges")
     ess = _essential_circuits(ap)
     if not ess:
         raise NoEssentialCircuits(
             "every prismatic 3-circuit surrounds a triangular face")
+    circuit = ess[0]
     dc = complexes.dual(ap)
-    cut_edges: Set[Tuple[int, int]] = set()
-    for c in ess:
-        ns = c.dual_nodes
-        for i in range(3):
-            x, y = ns[i], ns[(i + 1) % 3]
-            cut_edges.add((min(x, y), max(x, y)))
+    adj = dc.adjacency()
+    ring = set(circuit.dual_nodes)
+    # The circuit is no dual triangle, so every dual triangle has a node
+    # off it, on exactly one of the two sides the circuit splits the
+    # sphere into; an essential circuit walls off no single face.
+    first = next(x for x in dc.triangles[0] if x not in ring)
+    side, stack = {first}, [first]
+    while stack:
+        for y in adj[stack.pop()] - ring - side:
+            side.add(y)
+            stack.append(y)
+    sides = (side, set(range(dc.node_count)) - ring - side)
 
-    # Flood-fill triangles across dual edges not on any circuit.
-    side: Dict[Tuple[int, int, int], int] = {}
-    flanks: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
-    for t in dc.triangles:
-        x, y, z = t
-        for e in ((x, y), (x, z), (y, z)):
-            flanks.setdefault(e, []).append(t)
-    region = 0
-    for t0 in dc.triangles:
-        if t0 in side:
-            continue
-        stack = [t0]
-        side[t0] = region
-        while stack:
-            t = stack.pop()
-            x, y, z = t
-            for e in ((x, y), (x, z), (y, z)):
-                if e in cut_edges:
-                    continue
-                for t2 in flanks[e]:
-                    if t2 not in side:
-                        side[t2] = region
-                        stack.append(t2)
-        region += 1
-    assert region == len(ess) + 1, "circuits do not cut the sphere cleanly"
-
-    pieces: List[PieceSpec] = []
-    for r in range(region):
-        tris = [t for t in dc.triangles if side[t] == r]
-        nodes = sorted({x for t in tris for x in t})
-        borders = []
-        for l, c in enumerate(ess):
-            ns = c.dual_nodes
-            e = (min(ns[0], ns[1]), max(ns[0], ns[1]))
-            if any(side[t] == r for t in flanks[e]):
-                borders.append(l)
+    pieces = []
+    for r, nodes_in in enumerate(sides):
+        nodes = sorted(nodes_in | ring)
         relabel = {x: i for i, x in enumerate(nodes)}
-        new_tris = [tuple(sorted(relabel[x] for x in t)) for t in tris]
-        fills: Dict[int, Tuple[int, int, int, int]] = {}
-        for j, l in enumerate(borders):
-            fill = len(nodes) + j
-            ca, cb, cc = (relabel[x] for x in ess[l].dual_nodes)
-            fills[l] = (fill, ca, cb, cc)
-            for pair in ((ca, cb), (cb, cc), (ca, cc)):
-                new_tris.append(tuple(sorted(pair + (fill,))))
-        piece_dc = complexes.DualComplex(node_count=len(nodes) + len(fills),
-                                         triangles=tuple(sorted(new_tris)))
+        fill = len(nodes)
+        ca, cb, cc = (relabel[x] for x in circuit.dual_nodes)
+        tris = [tuple(sorted(relabel[x] for x in t)) for t in dc.triangles
+                if not nodes_in.isdisjoint(t)]
+        tris += [tuple(sorted(pair + (fill,)))
+                 for pair in ((ca, cb), (cb, cc), (ca, cc))]
+        piece_dc = complexes.DualComplex(node_count=fill + 1,
+                                         triangles=tuple(sorted(tris)))
         piece = complexes.primal(piece_dc, name=f"{ap.name}_piece{r}")
         origin = dict(enumerate(nodes))
-        values: List[Fraction] = []
-        for (_, _, g, h) in piece.edges:
-            if g >= len(nodes) or h >= len(nodes):
-                values.append(HALF)
-            else:
-                idx = ap.edge_between_faces(origin[g], origin[h])
-                assert idx is not None
-                values.append(a[idx])
-        piece_angles = AngleAssignment(tuple(values))
-        assert _prism_labels(piece) is None
-        pieces.append(PieceSpec(piece, piece_angles, origin, fills))
-    return CompoundPlan(tuple(ess), tuple(pieces))
+        values = tuple(
+            HALF if fill in (g, h)
+            else a[ap.edge_between_faces(origin[g], origin[h])]
+            for (_, _, g, h) in piece.edges)
+        pieces.append(PieceSpec(piece, AngleAssignment(values), origin,
+                                (fill, ca, cb, cc)))
+    return CompoundPlan(circuit, tuple(pieces))
 
 
-def _triangle_frame(spec: PieceSpec, normals: np.ndarray, l: int
+def _triangle_frame(spec: PieceSpec, normals: np.ndarray
                     ) -> Tuple[np.ndarray, List[np.ndarray]]:
     """The fill triangle's plane normal and its three corner points, in
-    circuit order so both sides of a pair list matching corners."""
-    t_face, ca, cb, cc = spec.fills[l]
+    circuit order so both pieces list matching corners."""
+    t_face, ca, cb, cc = spec.fill
     corners = minkowski.vertex_points(
         normals, [(t_face, ca, cb), (t_face, cb, cc), (t_face, cc, ca)])
     return normals[t_face], list(corners)
@@ -833,67 +808,41 @@ def _triangle_frame(spec: PieceSpec, normals: np.ndarray, l: int
 
 def glue(realizations: Sequence[Realization], plan: CompoundPlan
          ) -> List[np.ndarray]:
-    """Fit the piece realizations together across their paired fill
-    triangles and return the merged normals indexed by original face."""
-    k = len(plan.circuits)
-    owners: Dict[int, List[int]] = {l: [] for l in range(k)}
-    for r, spec in enumerate(plan.pieces):
-        for l in spec.fills:
-            owners[l].append(r)
-    for l, rs in owners.items():
-        if len(rs) != 2:
-            raise IsometrySolveFailed(
-                f"circuit {l} does not pair exactly two pieces")
+    """Fit the two piece realizations together across their fill
+    triangles and return the merged normals indexed by original face.
 
-    world: Dict[int, np.ndarray] = {}
-    placed: Dict[int, np.ndarray] = {0: np.eye(4)}
-    queue = [0]
-    while queue:
-        r = queue.pop()
-        spec = plan.pieces[r]
-        T = placed[r]
-        for l in spec.fills:
-            other = next(x for x in owners[l] if x != r)
-            if other in placed:
-                continue
-            w1, p1 = _triangle_frame(spec, np.array(realizations[r].normals), l)
-            w2, q2 = _triangle_frame(plan.pieces[other],
-                                     np.array(realizations[other].normals), l)
-            w1 = T @ w1
-            p1 = [T @ p for p in p1]
-            P = np.column_stack(p1 + [-w1])
-            Q = np.column_stack(q2 + [w2])
-            gp = P.T @ _ETA @ P
-            gq = Q.T @ _ETA @ Q
-            if np.max(np.abs(gp - gq)) > 1e-6:
-                raise IncongruentTriangles(
-                    f"paired triangles for circuit {l} do not match")
-            try:
-                L = P @ np.linalg.inv(Q)
-            except np.linalg.LinAlgError:
-                raise IsometrySolveFailed(
-                    f"triangle frames for circuit {l} are degenerate")
-            if np.max(np.abs(L.T @ _ETA @ L - _ETA)) > 1e-6:
-                raise IsometrySolveFailed(
-                    f"matching map for circuit {l} is not a Lorentz isometry")
-            placed[other] = L
-            queue.append(other)
+    Each piece is first boosted so that its fill triangle's corners are
+    centred; one Lorentz map then carries the second piece's corners
+    onto the first's and its fill normal onto the first's reversed."""
+    frames, placed = [], []
+    for sign, spec, r in zip((-1.0, 1.0), plan.pieces, realizations):
+        X = np.array(r.normals)
+        X = _centred(X, _triangle_frame(spec, X)[1])
+        w, corners = _triangle_frame(spec, X)
+        frames.append(np.column_stack(corners + [sign * w]))
+        placed.append(X)
+    P, Q = frames
+    if np.max(np.abs(P.T @ _ETA @ P - Q.T @ _ETA @ Q)) > 1e-6:
+        raise IncongruentTriangles("the fill triangles do not match")
+    try:
+        L = P @ np.linalg.inv(Q)
+    except np.linalg.LinAlgError:
+        raise IsometrySolveFailed("the fill triangle frames are degenerate")
+    if np.max(np.abs(L.T @ _ETA @ L - _ETA)) > 1e-6:
+        raise IsometrySolveFailed(
+            "the matching map is not a Lorentz isometry")
+    placed[1] = placed[1] @ L.T
 
-    n_faces = 1 + max(f for spec in plan.pieces for f in spec.face_origin.values())
-    merged: List[Optional[np.ndarray]] = [None] * n_faces
-    for r, spec in enumerate(plan.pieces):
-        T = placed[r]
-        normals = np.array(realizations[r].normals)
+    merged: Dict[int, np.ndarray] = {}
+    for spec, X in zip(plan.pieces, placed):
         for f, orig in spec.face_origin.items():
-            v = T @ normals[f]
-            if merged[orig] is None:
-                merged[orig] = v
-            elif np.max(np.abs(merged[orig] - v)) > GLUE_TOL:
+            if orig not in merged:
+                merged[orig] = X[f]
+            elif np.max(np.abs(merged[orig] - X[f])) > GLUE_TOL:
                 raise IncongruentTriangles(
                     f"face {orig} disagrees across the glue by more than "
                     f"{GLUE_TOL}")
-    assert all(v is not None for v in merged)
-    return merged
+    return [merged[f] for f in range(len(merged))]
 
 
 # Orchestration
@@ -907,7 +856,8 @@ def _prism_labels(ap: AbstractPolyhedron) -> Optional[Tuple[int, ...]]:
     The labels are read off the edge cycle of one (n-2)-gon, taken as a
     cap (on the cube any face is one); the other cap is the one face
     left.  They are returned only when the prism's triangles (side i,
-    side i+1, cap) carry onto exactly the triangles of dual(ap)."""
+    side i+1, cap) carry onto exactly the face triples of ap's vertices,
+    the triangles of dual(ap)."""
     n = ap.face_count
     k = n - 2
     cap = next((f for f, cycle in enumerate(ap.faces) if len(cycle) == k),
@@ -922,7 +872,7 @@ def _prism_labels(ap: AbstractPolyhedron) -> Optional[Tuple[int, ...]]:
     labels = tuple(sides) + (cap, rest.pop())
     moved = {tuple(sorted((labels[i], labels[(i + 1) % k], labels[c])))
              for i in range(k) for c in (k, k + 1)}
-    if moved != complexes.dual(ap).triangle_set:
+    if moved != {ap.vertex_faces(v) for v in range(ap.vertex_count)}:
         return None
     return labels
 

@@ -52,6 +52,43 @@ def gram_residual(r, target):
     return worst
 
 
+def glued_duals(d1, t1, d2, t2):
+    """The dual of two polyhedra glued across triangular faces t1 of d1
+    and t2 of d2: both nodes are deleted and their links identified with
+    reversed orientation.  d1's other nodes keep their order, renumbered
+    past t1; d2's non-link nodes follow."""
+    link1, link2 = d1.rotation[t1], d2.rotation[t2]
+    assert len(link1) == len(link2) == 3
+    ids = {x: i for i, x in enumerate(x for x in range(d1.node_count)
+                                      if x != t1)}
+    ids2 = {link2[i]: ids[link1[-i % 3]] for i in range(3)}
+    for x in range(d2.node_count):
+        if x != t2 and x not in ids2:
+            ids2[x] = len(ids) + len(ids2) - 3
+    tris = [tuple(sorted(ids[x] for x in t))
+            for t in d1.triangles if t1 not in t]
+    tris += [tuple(sorted(ids2[x] for x in t))
+             for t in d2.triangles if t2 not in t]
+    return complexes.DualComplex(node_count=len(ids) + len(ids2) - 3,
+                                 triangles=tuple(sorted(tris)))
+
+
+def cube_with_corner_cubes(corners):
+    """The cube with the listed corners cut and a corner-truncated cube
+    glued across each cut triangle: one essential 3-circuit per corner,
+    made of the corner's three faces, so two circuits share the faces
+    their corners share."""
+    d = complexes.dual(catalog.truncate_vertices(catalog.cube(), corners,
+                                                 name="cube_cut"))
+    cap = complexes.dual(catalog.corner_truncated_cube())
+    # truncate_vertices appends the triangles after the cube's six faces;
+    # gluing the last first keeps the earlier ones' node ids.
+    for t in reversed(range(6, 6 + len(corners))):
+        d = glued_duals(d, t, cap, 6)
+    return complexes.primal(
+        d, name="cube_glued_" + "_".join(map(str, corners)))
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return catalog.corpus()

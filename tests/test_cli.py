@@ -12,6 +12,7 @@ import pytest
 import andreev
 from andreev import angles, catalog, complexes, realize, whitehead
 from andreev.cli import main
+from conftest import cube_with_corner_cubes
 
 
 @pytest.fixture
@@ -174,6 +175,18 @@ def test_realize_and_export(paths, capsys):
                  "--angles", paths["a25"], "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert len(data["normals"]) == 12
+
+
+def test_realize_multi_circuit_star(tmp_path, capsys):
+    """Three essential circuits pairwise sharing a face: realize cuts
+    them one at a time."""
+    ap = cube_with_corner_cubes((0, 2, 5))
+    cpath, apath = tmp_path / "star.json", tmp_path / "star_angles.json"
+    cpath.write_text(complexes.to_json(ap))
+    apath.write_text(angles.to_json(angles.feasible(ap).witness))
+    assert main(["realize", "--input", str(cpath), "--angles", str(apath),
+                 "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["normals"]) == 15
 
 
 def test_realize_infeasible(paths, capsys):

@@ -11,7 +11,7 @@ import pytest
 
 from andreev import angles, catalog, complexes, minkowski, realize, whitehead
 from andreev.angles import AngleAssignment
-from conftest import gram_residual
+from conftest import cube_with_corner_cubes, gram_residual
 from test_complexes import relabelled
 
 
@@ -416,16 +416,22 @@ class TestDecompose:
         ap = catalog.corner_doubled_cube()
         a = angles.feasible(ap).witness
         plan = realize.decompose(ap, a)
-        assert len(plan.circuits) == 1
+        assert [plan.circuit] == realize._essential_circuits(ap)
         assert len(plan.pieces) == 2
         for spec in plan.pieces:
             assert angles.check_conditions(spec.complex, spec.angles).member
             assert spec.complex.face_count >= 6  # never a triangular prism
-            for pf, *_ in spec.fills.values():
-                assert len(spec.complex.faces[pf]) == 3
-                for e, (_, _, fa, fb) in enumerate(spec.complex.edges):
-                    if pf in (fa, fb):
-                        assert spec.angles[e] == Fraction(1, 2)
+            pf = spec.fill[0]
+            assert len(spec.complex.faces[pf]) == 3
+            for e, (_, _, fa, fb) in enumerate(spec.complex.edges):
+                if pf in (fa, fb):
+                    assert spec.angles[e] == Fraction(1, 2)
+
+    def test_wrong_number_of_angles(self):
+        ap = catalog.corner_doubled_cube()
+        a = uniform(catalog.cube(), Fraction(2, 5))
+        with pytest.raises(angles.SizeMismatch):
+            realize.decompose(ap, a)
 
     def test_only_truncated_triangles_refused(self):
         ap = catalog.truncated_tetrahedron()
@@ -448,6 +454,43 @@ class TestGlue:
         with pytest.raises((realize.IncongruentTriangles,
                             realize.IsometrySolveFailed)):
             realize.glue(parts, plan)
+
+
+# Cube corners cut and capped by corner-truncated cubes: three circuits
+# pairwise sharing one face, two pairs sharing two faces (the corners of
+# a cube edge), and two circuits sharing none (a chain of three pieces).
+MULTI_CIRCUIT = {"star": (0, 2, 5), "pair_0_1": (0, 1), "pair_1_2": (1, 2),
+                 "chain": (0, 6)}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_CIRCUIT))
+def test_multi_circuit_complexes_realize(name, monkeypatch):
+    """decompose cuts one circuit per call, once per essential circuit of
+    the whole, and each cut's two pieces cover the faces of the complex
+    cut, sharing just the circuit's."""
+    ap = cube_with_corner_cubes(MULTI_CIRCUIT[name])
+    a = angles.feasible(ap).witness
+    cuts = []
+    decompose = realize.decompose
+
+    def recording(whole, angles_):
+        plan = decompose(whole, angles_)
+        cuts.append((whole, plan))
+        return plan
+
+    monkeypatch.setattr(realize, "decompose", recording)
+    r = realize.realize(ap, a)
+    assert gram_residual(r, a) <= 1e-10
+    assert angle_error(r, a) <= 1e-8
+    ext = minkowski.extract_combinatorics(r.normals)
+    assert (complexes.dual(ext.complex).triangle_set
+            == complexes.dual(ap).triangle_set)
+    assert len(cuts) == len(realize._essential_circuits(ap)) >= 2
+    for whole, plan in cuts:
+        first, second = (set(spec.face_origin.values())
+                         for spec in plan.pieces)
+        assert first | second == set(range(whole.face_count))
+        assert first & second == set(plan.circuit.dual_nodes)
 
 
 class TestRealize:

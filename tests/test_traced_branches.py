@@ -1,6 +1,7 @@
-"""The bench tracer's branch attribution on a simple complex, whose
-realize nests a second realize: build_split_prism realizes the glued
-prism through the prism branch."""
+"""The bench tracer's branch attribution on complexes whose realize nests
+further realize calls: on a simple complex build_split_prism realizes
+the glued prism through the prism branch, and on a compound complex
+each cut's pieces are realized, and cut again, by realize itself."""
 
 import dataclasses
 import sys
@@ -11,9 +12,11 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
 import run  # noqa: E402
-from bench_workloads import WORKLOADS, random_item  # noqa: E402
+from bench_workloads import WORKLOADS, Item, random_item  # noqa: E402
 
+from andreev import angles  # noqa: E402
 from andreev.angles import AngleAssignment  # noqa: E402
+from conftest import cube_with_corner_cubes  # noqa: E402
 
 
 def _one_simple(w):
@@ -30,3 +33,19 @@ def test_nested_prism_realize_is_not_a_branch():
     m = result["metrics"]
     assert m["realize.branch.simple.calls"]["value"] == 1
     assert m["realize.branch.prism.calls"]["value"] == 0
+
+
+def _star(w):
+    ap = cube_with_corner_cubes((0, 2, 5))
+    return [Item("star", ap, angles.feasible(ap).witness)]
+
+
+def test_nested_piece_realizes_are_not_branches():
+    wl = dataclasses.replace(WORKLOADS["realize"], corpus=_star)
+    result, lines = run.run_workload(wl, seed=0, seconds=0, trace=True,
+                                     import_s=0.0, expected={})
+    assert result["correct"] and result["failed"] == 0, lines
+    m = result["metrics"]
+    assert m["realize.branch.compound.calls"]["value"] == 1
+    for branch in ("simple", "prism", "truncated"):
+        assert m[f"realize.branch.{branch}.calls"]["value"] == 0
