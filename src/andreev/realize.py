@@ -14,9 +14,10 @@ regular prism's angles, known from a lemma: see `_collapse_profile` and
 `_prism_seed`).  On top of that sit the combinatorial pipelines: prisms
 are walked from the regular prism, simple complexes are reached by
 replaying a Whitehead reduction backwards from the split prism,
-complexes whose only prismatic 3-circuits are truncated triangles go
-through a staged schedule that drives vertices to infinity and truncates
-them, and everything else is cut along one essential 3-circuit, the two
+complexes whose only prismatic 3-circuits are truncated triangles have
+their shrunken base walked until the would-be triangle vertices pass
+ideal and turn hyperideal, then cut off all at once, and everything
+else is cut along one essential 3-circuit, the two
 pieces realized by `realize` itself (which cuts any circuit left in
 them), and glued back with one Lorentz isometry.
 """
@@ -299,8 +300,10 @@ def _continue_core(r: Realization, start_rad: np.ndarray,
     expect_ideal) pass minkowski.cell_points, the cell test of certify;
     otherwise it is halved (down to STEP_FLOOR) and retried from the
     last point centred again, without a tangent.  After a success the
-    step doubles back up to MAX_STEP.  system is r's complex's
-    _GramSystem, built here when not given.
+    step doubles back up to MAX_STEP.  The expect_ideal vertices are
+    neither tested nor watched for events: they may pass ideal and end
+    hyperideal.  system is r's complex's _GramSystem, built here when
+    not given.
 
     Only the t = 1 endpoint leaves this walk, so the interior points
     are solved to PATH_TOL, as accurate as the next step's seed needs;
@@ -542,27 +545,26 @@ def _push_normals(X: np.ndarray, p: np.ndarray, delta: float) -> np.ndarray:
 
 
 def _truncate_normals(ap: AbstractPolyhedron, X: np.ndarray,
-                      cut: Sequence[int], delta: float) -> Realization:
-    """Push all planes out by delta so the cut vertices turn hyperideal,
-    then close each of them off with the common perpendicular plane."""
+                      cut: Sequence[int]) -> Realization:
+    """Close each cut vertex, hyperideal in X, off with the plane
+    perpendicular to its three faces."""
     cut = sorted(set(cut))
     new_ap = catalog.truncate_vertices(ap, cut, name=ap.name)
     try:
         p = _interior_point(ap, X, set(cut))
-        Y = _push_normals(X, p, delta)
-        extra = [perp_plane(*Y[list(ap.vertex_faces(v))], interior=p)
+        extra = [perp_plane(*X[list(ap.vertex_faces(v))], interior=p)
                  for v in cut]
     except GeometryError as exc:
-        raise WrongCombinatorics(
-            f"no interior point or cutting plane at a push of {delta}: {exc}")
-    return _bind(new_ap, np.vstack([Y, extra]))
+        raise WrongCombinatorics(f"no interior point or cutting plane: {exc}")
+    return _bind(new_ap, np.vstack([X, extra]))
 
 
 def truncate_ideal(realization: Realization,
                    vertices: Optional[Sequence[int]] = None) -> Realization:
-    """Cut off the (near-)ideal vertices of a realization with planes
-    perpendicular to their three faces; with no such vertex this is the
-    identity."""
+    """Cut off the (near-)ideal vertices of a realization: push every
+    plane out by 1e-2 so they turn hyperideal, then close each with the
+    plane perpendicular to its three faces; with no such vertex this is
+    the identity."""
     ap = realization.complex
     X = np.array(realization.normals)
     if vertices is None:
@@ -570,7 +572,11 @@ def truncate_ideal(realization: Realization,
         vertices = [v for v in range(ap.vertex_count) if dets[v] < EVENT_TOL]
     if not vertices:
         return realization
-    return _truncate_normals(ap, X, vertices, 1e-2)
+    try:
+        p = _interior_point(ap, X, set(vertices))
+    except GeometryError as exc:
+        raise WrongCombinatorics(f"no interior point to push from: {exc}")
+    return _truncate_normals(ap, _push_normals(X, p, 1e-2), vertices)
 
 
 # Staged realization of complexes whose only circuits are truncated
@@ -625,104 +631,53 @@ def _collapse_base(ap: AbstractPolyhedron) -> Tuple[
 def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realization:
     """The staged pipeline for complexes whose prismatic 3-circuits all
     surround triangular faces: realize the shrunken complex with padded
-    angles, then march the schedule that sends each reinstated vertex to
-    infinity and truncate it there."""
+    angles, walk it once to beta, where every reinstated vertex has
+    passed ideal and is hyperideal, and cut all of them off there with
+    the planes perpendicular to their faces.  A hyperideal polyhedron is
+    determined by its angles (Bao and Bonahon), so the cut is the
+    truncated polyhedron at beta whatever the walk's route."""
     beta = angle_sets.interior_path(ap, a, Fraction(9, 10))
-    delta = Fraction(1, 24)
     base, labels, removed = _collapse_base(ap)
-    n0 = base.face_count
+    base_edges = [ap.edge_between_faces(labels[g], labels[h])
+                  for (_, _, g, h) in base.edges]
 
-    # labels maps each face of the current complex to its face of ap:
-    # the base faces first, then each cut's triangles as they come back.
-    def ap_edge(cur: AbstractPolyhedron, e: int) -> int:
-        _, _, g, h = cur.edges[e]
-        return ap.edge_between_faces(labels[g], labels[h])
-
-    # Three pairwise disjoint edges keep their angles; every other edge
-    # of the base gets padded up by 2*delta, which lifts each reinstated
-    # vertex's angle sum above pi at the start of the schedule.  gamma is
-    # indexed by ap edges, and only the base's edges are read.
-    if not complexes.is_simple(base):
-        specials = set(complexes.prismatic_circuits(base, 3)[0].crossed_edges)
-    else:
-        specials, met = set(), set()
-        for e0, (u, v, _, _) in enumerate(base.edges):
-            if u not in met and v not in met:
-                specials.add(e0)
-                met.update((u, v))
-            if len(specials) == 3:
-                break
-    gamma = list(beta)
-    for e0 in range(base.edge_count):
-        if e0 not in specials:
-            gamma[ap_edge(base, e0)] += 2 * delta
-    padded = AngleAssignment(tuple(gamma[ap_edge(base, e0)]
-                                   for e0 in range(base.edge_count)))
+    # Every base edge but the crossed edges of a non-simple base's
+    # circuit is padded up by 1/12, which lifts each reinstated vertex's
+    # angle sum above pi at the start of the walk.
+    specials = (set() if complexes.is_simple(base) else
+                set(complexes.prismatic_circuits(base, 3)[0].crossed_edges))
+    padded = AngleAssignment(tuple(
+        beta[e] if e0 in specials else beta[e] + Fraction(1, 12)
+        for e0, e in enumerate(base_edges)))
     assert all(0 < g < HALF for g in padded)
 
-    current = realize(base, padded)
-
-    # Event times: when does each reinstated vertex's angle sum cross pi
-    # along (1-t)*gamma + t*beta?
-    events: Dict[Fraction, List[int]] = {}
-    for v in range(base.vertex_count):
-        if frozenset(labels[f] for f in base.vertex_faces(v)) not in removed:
-            continue
-        edges = [ap_edge(base, e) for e in base.vertex_edges(v)]
-        sg = sum(gamma[e] for e in edges)
-        sb = sum(beta[e] for e in edges)
+    # Each reinstated vertex's angle sum is linear along the walk from
+    # padded to beta, so it crosses pi once and ends below it.
+    corners = [frozenset(labels[f] for f in base.vertex_faces(v))
+               for v in range(base.vertex_count)]
+    cut = [v for v, corner in enumerate(corners) if corner in removed]
+    for v in cut:
+        edges = base.vertex_edges(v)
+        sg = sum(padded[e] for e in edges)
+        sb = sum(beta[base_edges[e]] for e in edges)
         assert sb < 1 < sg
-        events.setdefault((sg - 1) / (sg - sb), []).append(v)
-    schedule = sorted(events.items())
+    X = _continue_core(realize(base, padded), _radians(padded),
+                       np.array([float(beta[e]) * math.pi for e in base_edges]),
+                       expect_ideal=frozenset(cut))
+    truncated = _truncate_normals(base, X, cut)
+    labels += [removed[corners[v]] for v in cut]
 
-    def value_at(cur: AbstractPolyhedron, e: int, t: Fraction) -> Fraction:
-        _, _, g, h = cur.edges[e]
-        if g >= n0 or h >= n0:
-            return HALF
-        e = ap_edge(cur, e)
-        return (1 - t) * gamma[e] + t * beta[e]
-
-    cur_ap = base
-    t_prev = Fraction(0)
-
-    for stage, (T, group_base) in enumerate(schedule + [(Fraction(1), [])]):
-        start_rad = np.array([float(value_at(cur_ap, e, t_prev)) * math.pi
-                              for e in range(cur_ap.edge_count)])
-        target_rad = np.array([float(value_at(cur_ap, e, T)) * math.pi
-                               for e in range(cur_ap.edge_count)])
-        # Locate the stage's vertices in the current complex; their three
-        # faces are original base faces, whose ids never move.
-        group = [next(v for v in range(cur_ap.vertex_count)
-                      if cur_ap.vertex_faces(v) == base.vertex_faces(v0))
-                 for v0 in group_base]
-        X = _continue_core(current, start_rad, target_rad,
-                           expect_ideal=frozenset(group))
-        if not group:
-            break
-        cut = _truncate_normals(cur_ap, X, group, 1e-3)
-        labels += [removed[frozenset(labels[f] for f in cur_ap.vertex_faces(v))]
-                   for v in sorted(group)]
-        cur_ap = cut.complex
-        # Walk from the cut's own angles back onto the schedule, midway
-        # to the next event: right at the event the cut triangles sit
-        # near the sphere at infinity and the system is terribly
-        # conditioned.
-        t_next = schedule[stage + 1][0] if stage + 1 < len(schedule) else Fraction(1)
-        t_prev = (T + t_next) / 2
-        rad = np.array([float(value_at(cur_ap, e, t_prev)) * math.pi
-                        for e in range(cur_ap.edge_count)])
-        current = _walk(cut, rad)
-
-    # Map the staged complex back onto the caller's labels and finish
-    # with an exact-endpoint continuation to the requested angles.
+    # Map the truncated complex back onto the caller's labels and finish
+    # with an exact-endpoint continuation to the requested angles, from
+    # beta on the base edges and pi/2 on the triangles' edges.
     assert sorted(labels) == list(range(ap.face_count))
     normals_ap = np.empty((ap.face_count, 4))
-    normals_ap[labels] = X
-    start_vals: List[Fraction] = [Fraction(0)] * ap.edge_count
-    for e in range(cur_ap.edge_count):
-        start_vals[ap_edge(cur_ap, e)] = value_at(cur_ap, e, Fraction(1))
-    bound = _bind(ap, normals_ap)
-    return continue_path(bound, a, start=AngleAssignment(tuple(start_vals)))
+    normals_ap[labels] = truncated.normals
+    triangles = set(removed.values())
+    start = AngleAssignment(tuple(
+        HALF if {g, h} & triangles else beta[e]
+        for e, (_, _, g, h) in enumerate(ap.edges)))
+    return continue_path(_bind(ap, normals_ap), a, start=start)
 
 
 # Decomposition along essential circuits and gluing

@@ -31,18 +31,20 @@ def random12_two_fifths():
     return realize.realize(ap, uniform(ap, Fraction(2, 5)))
 
 
-def staged_cut(n, seed):
-    """A random simple complex with its first and last vertices cut off."""
+def staged_cut(n, seed, vertices=None):
+    """A random simple complex with the given vertices cut off, by
+    default its first and last."""
     ap = complexes.primal(whitehead.random_simple(n, seed, moves=30))
-    return catalog.truncate_vertices(ap, [0, ap.vertex_count - 1],
-                                     name=f"t{n}_{seed}")
+    if vertices is None:
+        vertices = [0, ap.vertex_count - 1]
+    return catalog.truncate_vertices(ap, list(vertices), name=f"t{n}_{seed}")
 
 
 @functools.lru_cache(maxsize=None)
-def staged_witness(n, seed):
-    """staged_cut(n, seed) realized at its feasible witness by the
-    staged branch."""
-    cut = staged_cut(n, seed)
+def staged_witness(n, seed, vertices=None):
+    """staged_cut(n, seed, vertices) realized at its feasible witness by
+    the staged branch."""
+    cut = staged_cut(n, seed, vertices)
     assert not complexes.is_simple(cut)
     assert not realize._essential_circuits(cut)
     a = angles.feasible(cut).witness
@@ -609,19 +611,46 @@ def test_large_two_fifths_realize(n, seed):
     assert angle_error(r, a) <= 1e-8
 
 
-# Staged cuts of random simple complexes; each of these failed while the
-# staged branch rejoined its schedule after a cut by one Newton solve.
-STAGED = [(16, 0), (16, 2), (20, 0), (32, 0)]
+# Staged cuts of random simple complexes, each of which once failed in
+# the staged branch: the first four in a solve after a cut, the last
+# two and the four-vertex cut below in the cut itself.
+STAGED = [(16, 0), (16, 2), (20, 0), (32, 0), (36, 4), (40, 0)]
 
 
-@pytest.mark.parametrize("n,seed", STAGED)
-def test_staged_corpus_realize(n, seed):
-    r, a = staged_witness(n, seed)
+@pytest.mark.parametrize(
+    "n,seed,vertices",
+    [pytest.param(n, s, None, id=f"{n}-{s}") for n, s in STAGED]
+    + [pytest.param(24, 0, (0, 3, 5, 7), id="24-0-cut0357")])
+def test_staged_corpus_realize(n, seed, vertices):
+    r, a = staged_witness(n, seed, vertices)
     assert gram_residual(r, a) <= 1e-10
     assert angle_error(r, a) <= 1e-8
     ext = minkowski.extract_combinatorics(list(r.normals))
     assert (complexes.dual(ext.complex).triangle_set
             == complexes.dual(r.complex).triangle_set)
+
+
+def test_staged_branch_walks_and_cuts_once(monkeypatch):
+    """The staged branch walks its base once, through the ideal point of
+    every reinstated vertex, and cuts them all off together at the end:
+    one continuation and one truncation of its own, and no rejoin walk."""
+    calls = {"_continue_core": [], "_truncate_normals": [], "_walk": []}
+    for name, log in calls.items():
+        original = getattr(realize, name)
+
+        def recording(*args, _original=original, _log=log, **kwargs):
+            if sys._getframe(1).f_code.co_name == "_realize_truncated":
+                _log.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(realize, name, recording)
+    ap = staged_cut(16, 0)
+    a = angles.feasible(ap).witness
+    r = realize.realize(ap, a)
+    assert gram_residual(r, a) <= 1e-10
+    assert len(calls["_continue_core"]) == 1 and calls["_walk"] == []
+    (cut,) = calls["_truncate_normals"]
+    assert len(cut[2]) == 2
 
 
 def _schlafli_matrix(r):
@@ -1028,8 +1057,9 @@ def test_each_walk_continues_once(which, monkeypatch):
     """Every walk reaches its certified endpoint in one continuation:
     the per-step cell check rejects a step that converges onto other
     cells, so no walk is redone with shorter strides.  Without the
-    check, a walk of the truncated tetrahedron, staged (20, 0) and
-    staged (28, 0) ends on other cells."""
+    check, the final walk of the truncated tetrahedron and of staged
+    (20, 0), (36, 4) and (40, 0) ends on other cells, and so does the
+    cut after staged (28, 0)'s base walk."""
     if which == "truncated_tetrahedron":
         ap = catalog.truncated_tetrahedron()
     else:

@@ -2,13 +2,17 @@
 
 import dataclasses
 import hashlib
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from andreev import catalog, complexes, minkowski, whitehead
+from andreev import catalog, complexes, minkowski, realize, whitehead
+from andreev.angles import AngleAssignment
+from conftest import gram_residual
 
 
 def icosa():
@@ -224,6 +228,46 @@ def test_reduction_builds_one_primal(monkeypatch):
     trace = whitehead.reduce_to_dn(dc)
     assert len(trace.moves) > 10
     assert built == [dc]
+
+
+def hub_dual(m):
+    """An apex over a 2m-gon p_0..p_{2m-1}; below it m endpoints e_j,
+    each over the polygon nodes p_2j, p_2j+1, p_2j+2, fanned around a
+    hub joined to every endpoint and every even polygon node."""
+    k = 2 * m
+    p = lambda i: 2 + i % k
+    e = lambda j: 2 + k + j
+    tris = [(0, p(i), p(i + 1)) for i in range(k)]
+    for j in range(m):
+        tris += [(e(j), p(2 * j), p(2 * j + 1)),
+                 (e(j), p(2 * j + 1), p(2 * j + 2)),
+                 (1, e(j), p(2 * j)), (1, e(j), p(2 * j + 2))]
+    return complexes.DualComplex(2 + k + m, tuple(sorted(
+        tuple(sorted(t)) for t in tris)))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_hub_reduction_runs_case3(m, monkeypatch):
+    """The hub's endpoints each touch three polygon nodes and the hub
+    touches the polygon in single nodes, so the reducer's third case
+    grows the polygon; its trace replays and the complex realizes."""
+    dc = hub_dual(m)
+    calls = []
+    case3 = whitehead._case3
+
+    def counting(*args):
+        calls.append(args)
+        return case3(*args)
+
+    monkeypatch.setattr(whitehead, "_case3", counting)
+    trace = whitehead.reduce_to_dn(dc)
+    assert calls
+    assert whitehead.replay(trace).triangle_set == trace.end.triangle_set
+    ap = complexes.primal(dc)
+    a = AngleAssignment.uniform(ap.edge_count, Fraction(2, 5))
+    r = realize.realize(ap, a)
+    assert gram_residual(r, a) <= 1e-10
+    assert max(abs(got - 0.4 * math.pi) for got in r.edge_angles()) <= 1e-8
 
 
 class TestNonSimpleRefused:
