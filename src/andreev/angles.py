@@ -12,22 +12,30 @@ common denominator of the assignment and R = r*D, a row is violated
 when sign * sum(R_e) >= bound * D.
 
 The feasibility program is the same table plus two rows per edge, with
-integer data, and `_simplex_max` solves it under Bland's rule with a
-condensed tableau held in one numpy int64 array: the nonbasic columns,
-one column of each row's own basic coefficient, and the rhs, so the
-basic columns, each zero but for one entry, are never stored.  Each
-stored row is the exact tableau row times a positive scale that is
+integer data in int64 arrays, and `_simplex_max` solves it under
+Bland's rule in three layers.  `_float_simplex` pivots a float64
+dictionary tableau, the nonbasic columns and the rhs, by whole-array
+rank-1 exchanges in elementwise numpy, so the result does not depend on
+BLAS threads; its decisions read the exact rule with a tolerance.  Its
+optimizer x and its dual y, the objective entries under the nonbasic
+slacks, are rounded to fractions, and `_certified` checks exactly, on
+the integer data, that x and y are feasible and that c.x = b.y, which
+proves x optimal by weak duality.  Only when that check fails does
+`_exact_simplex_max` decide instead: the same rule on a condensed
+fraction-free tableau held in one numpy int64 array, the nonbasic
+columns, one column of each row's own basic coefficient, and the rhs,
+so the basic columns, each zero but for one entry, are never stored.
+Each stored row is the exact tableau row times a positive scale that is
 never written down; a pivot cross-multiplies all the rows it touches at
-once instead of dividing, then removes each row's gcd.  The objective
-row ends as the reduced costs times that scale: its entries under the
-nonbasic slacks are a dual optimum, and every basic slack's is 0.
-Every entry stays below 2**31 in absolute value, so each product a
-pivot forms is exact in int64; a pivot whose rows reach that bound
-turns the tableau, once and for good, into Python ints, and the same
-loop goes on.  Every pivoting decision reads only signs and ratios
-within one row, which the scale leaves alone, so the pivots, the
-optimum and the optimizer are exactly those of the same tableau kept
-in Fractions, on either dtype.
+once instead of dividing, then removes each row's gcd.  Every entry
+stays below 2**31 in absolute value, so each product a pivot forms is
+exact in int64; a pivot whose rows reach that bound turns the tableau,
+once and for good, into Python ints, and the same loop goes on.  Every
+pivoting decision reads only signs and ratios within one row, which
+the scale leaves alone, so the pivots, the optimum and the optimizer
+are exactly those of the same tableau kept in Fractions, on either
+dtype.  A float run whose decisions all agree with the exact ones makes
+the same pivots, so either layer returns the same optimizer.
 The witness is rechecked against the same table.
 """
 
@@ -171,8 +179,9 @@ def _evaluate(table: Sequence[Condition], a: AngleAssignment) -> ConditionReport
         **{field: tuple(labels) for field, labels in hits.items()})
 
 
-# Bound on the absolute value of every entry of an int64 tableau: below
-# it, p*row - f*row_k is exact in int64.
+# Bound on the absolute value of every entry of an int64 tableau, below
+# which p*row - f*row_k is exact in int64, and of the integer data that
+# `_certified` checks in int64.
 _INT64_LIMIT = 2 ** 31
 
 
@@ -194,8 +203,164 @@ def _tableau(c: Sequence[int], rows: Sequence[Sequence[int]],
     return tab
 
 
+# The float simplex reads an entry within _TOL of 0 as 0, and a ratio
+# within _TOL of the least as a tie.
+_TOL = 1e-9
+# The float optimizer and dual are rounded to the nearest fractions
+# whose denominators are at most this.
+_MAX_DENOMINATOR = 10 ** 6
+
+
+def _integer_data(c, rows, rhs) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, A, b) as int64 arrays when every entry is below _INT64_LIMIT
+    in absolute value, else as arrays of Python ints."""
+    try:
+        data = [np.asarray(v, dtype=np.int64) for v in (c, rows, rhs)]
+    except OverflowError:
+        return tuple(np.asarray(v, dtype=object) for v in (c, rows, rhs))
+    if all(-_INT64_LIMIT < v.min(initial=0)
+           and v.max(initial=0) < _INT64_LIMIT for v in data):
+        return tuple(data)
+    return tuple(v.astype(object) for v in data)
+
+
+def _float_simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray):
+    """Bland's rule on a float64 dictionary tableau of the integer data:
+    (tab, basis, nonbasic) at the optimum, or None when a pivot column
+    has no positive entry or the run outlasts 8 (m + n) pivots, far
+    more than Bland's rule takes on these programs, so that a float run
+    that cycles still ends.
+
+    The tableau is (m+1) x (n+1): the nonbasic columns, whose variables
+    `nonbasic` lists, and the rhs, over the objective row [-c | 0].  A
+    pivot on p = tab[k, col] is one rank-1 exchange of the whole array,
+    which swaps the pivot column for the leaving variable's, whose entry
+    is 1/p in row k and -f/p in a row whose entry was f.  It is
+    elementwise numpy alone, so no BLAS call, and with it no thread
+    count, can move a bit of the result.  The decisions are those of
+    `_exact_simplex_max`, read with a tolerance: the entering variable
+    is the one of least label among the objective entries below -_TOL,
+    and the leaving one the least label among the rows whose entry is
+    above _TOL and whose ratio is within _TOL of the least.
+    """
+    m, n = A.shape
+    tab = np.zeros((m + 1, n + 1))
+    tab[:m, :n] = A
+    tab[:m, n] = b
+    tab[m, :n] = -c
+    nonbasic = np.arange(n)
+    basis = np.arange(n, n + m)
+    for _ in range(8 * (m + n)):
+        entering = (tab[m, :n] < -_TOL).nonzero()[0]
+        if not entering.size:
+            return tab, basis, nonbasic
+        col = entering[nonbasic[entering].argmin()]
+        column = tab[:, col].copy()
+        rising = (column[:m] > _TOL).nonzero()[0]
+        if not rising.size:
+            return None
+        ratio = tab[rising, n] / column[rising]
+        ties = rising[ratio <= ratio.min() + _TOL]
+        k = ties[basis[ties].argmin()]
+        prow = tab[k] / column[k]
+        prow[col] = 1 / column[k]
+        column[k] = 0
+        tab[:, col] = 0
+        tab -= column[:, None] * prow
+        tab[k] = prow
+        nonbasic[col], basis[k] = basis[k], nonbasic[col]
+    return None
+
+
+def _rationals(values: np.ndarray) -> List[Fraction]:
+    """Each float as the nearest fraction whose denominator is at most
+    _MAX_DENOMINATOR, rounded once per distinct value: optimizers
+    repeat a few values, and equal ones share one Fraction."""
+    memo: Dict[float, Fraction] = {}
+    for v in values.tolist():
+        if v not in memo:
+            memo[v] = Fraction(v).limit_denominator(_MAX_DENOMINATOR)
+    return [memo[v] for v in values.tolist()]
+
+
+def _over_common_denominator(
+        values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    D = lcm(*{v.denominator for v in values})
+    return [v.numerator * (D // v.denominator) for v in values], D
+
+
+def _certified(c: np.ndarray, A: np.ndarray, b: np.ndarray,
+               x: Dict[int, Fraction], y: Dict[int, Fraction]) -> bool:
+    """Whether y proves x an optimum of max c.x subject to A x <= b,
+    x >= 0, checked exactly on the integer data.  x and y map indices
+    of variables and of rows to their values; the others are 0.  The
+    checks are
+        A x <= b and x >= 0  (x is feasible),
+        y A >= c and y >= 0  (y is dual feasible),
+        c.x = b.y,
+    and by weak duality no feasible point then beats c.x.
+
+    x and y are scaled to integers X = x Dx and Y = y Dy over their
+    common denominators.  With the data in int64, every entry is below
+    2**31 = _INT64_LIMIT in absolute value.  Then a sum of len(X)
+    products A_ij X_j stays below len(X) max|X| 2**31, and each b_i Dx
+    below Dx 2**31.  So int64 is exact when len(X) max|X| and Dx are
+    at most 2**32, and the same for Y.  Otherwise the checks run on
+    Python ints.
+    """
+    xi, X, Dx = list(x), *_over_common_denominator(list(x.values()))
+    yi, Y, Dy = list(y), *_over_common_denominator(list(y.values()))
+    if min(X, default=0) < 0 or min(Y, default=0) < 0:
+        return False
+    dtype = np.int64
+    if A.dtype == object or any(
+            len(v) * max(map(abs, v), default=0) > 2 ** 32 or D > 2 ** 32
+            for v, D in ((X, Dx), (Y, Dy))):
+        dtype = object
+        c, A, b = c.astype(object), A.astype(object), b.astype(object)
+    X, Y = np.array(X, dtype=dtype), np.array(Y, dtype=dtype)
+    if not ((A[:, xi] @ X <= b * Dx).all() and (Y @ A[yi] >= c * Dy).all()):
+        return False
+    return int(c[xi] @ X) * Dy == int(b[yi] @ Y) * Dx
+
+
 def _simplex_max(c: Sequence[int], rows: Sequence[Sequence[int]],
                  rhs: Sequence[int]) -> Tuple[Fraction, List[Fraction]]:
+    """Maximize c.x subject to rows.x <= rhs, x >= 0, all rhs >= 0, for
+    integer data.  Returns (optimal value, optimizer) as exact
+    fractions; an unbounded objective raises ArithmeticError.
+
+    `_float_simplex` makes the pivots of `_exact_simplex_max` in
+    float64.  Its optimizer x, the rhs of the rows whose basic variable
+    is structural, and its dual y, the objective entries under the
+    nonbasic slacks (a basic slack's is 0), are rounded to fractions,
+    and `_certified` proves x optimal on the original integer data.
+    When the float run stops short or the proof fails, the exact
+    tableau decides instead.  A float run whose every decision agrees
+    with the exact run's makes the same pivots and ends on the same
+    basis, so x is the exact run's optimizer, not just an optimum.
+    """
+    c, A, b = _integer_data(c, rows, rhs)
+    solved = _float_simplex(c, A, b)
+    if solved is not None:
+        tab, basis, nonbasic = solved
+        m, n = A.shape
+        at = (basis < n).nonzero()[0]
+        slacks = (nonbasic >= n).nonzero()[0]
+        values, duals = tab[at, n], tab[m, slacks]
+        if np.isfinite(values).all() and np.isfinite(duals).all():
+            x = dict(zip(basis[at].tolist(), _rationals(values)))
+            y = dict(zip((nonbasic[slacks] - n).tolist(), _rationals(duals)))
+            if _certified(c, A, b, x, y):
+                zero = Fraction(0)
+                value = sum((ci * x[i] for i, ci in enumerate(c.tolist())
+                             if ci and i in x), zero)
+                return value, [x.get(i, zero) for i in range(n)]
+    return _exact_simplex_max(c, A, b)
+
+
+def _exact_simplex_max(c: Sequence[int], rows: Sequence[Sequence[int]],
+                       rhs: Sequence[int]) -> Tuple[Fraction, List[Fraction]]:
     """Maximize c.x subject to rows.x <= rhs, x >= 0, all rhs >= 0, for
     integer data.  Returns (optimal value, optimizer) as exact fractions.
     Problems fed in here are always bounded; an unbounded pivot column
@@ -311,38 +476,37 @@ def _simplex_max(c: Sequence[int], rows: Sequence[Sequence[int]],
         if b < n:
             v = Fraction(int(tab[i, -1]), int(tab[i, n]))
             x[b] = values.setdefault(v, v)
-    return sum((ci * x[i] for i, ci in enumerate(c) if ci), Fraction(0)), x
+    return sum((ci * x[i] for i, ci in enumerate(map(int, c)) if ci),
+               Fraction(0)), x
 
 
 def _program(edge_count: int, table: Sequence[Condition]) -> Tuple[
-        List[int], List[List[int]], List[int]]:
-    """The max-slack program of `feasible` as integer data (c, rows, rhs)
+        np.ndarray, np.ndarray, np.ndarray]:
+    """The max-slack program of `feasible` as int64 arrays (c, rows, rhs)
     for `_simplex_max`, in u = t + 1 over the variables r_0..r_{E-1}, u:
-    two rows per edge, then one row sign * sum + u <= bound + 1 per
-    condition of the table.
+    two rows per edge, u - r_i <= 1 and 2 r_i <= 1, then one row
+    sign * sum + u <= bound + 1 per condition of the table, scattered
+    from its edge tuples.
     """
     E = edge_count
-    n = E + 1
-    rows: List[List[int]] = []
-    rhs: List[int] = []
-
-    def row(edges, sign: int, bound: int):
-        vec = [0] * n
-        vec[E] = 1
-        for e in edges:
-            vec[e] += sign
-        rows.append(vec)
-        rhs.append(bound)
-
-    for i in range(E):
-        row((i,), -1, 1)                      # u - r_i <= 1
-        vec = [0] * n
-        vec[i] = 2
-        rows.append(vec)                      # 2 r_i <= 1
-        rhs.append(1)
-    for _, _, sign, edges, bound in table:
-        row(edges, sign, bound + 1)
-    return [0] * E + [1], rows, rhs
+    m = 2 * E + len(table)
+    rows = np.zeros((m, E + 1), dtype=np.int64)
+    rhs = np.ones(m, dtype=np.int64)
+    edges = np.arange(E)
+    rows[2 * edges, edges] = -1
+    rows[2 * edges + 1, edges] = 2
+    rows[0:2 * E:2, E] = 1
+    rows[2 * E:, E] = 1
+    at, cols, signs = [], [], []
+    for i, (_, _, sign, row_edges, _) in enumerate(table, 2 * E):
+        at += [i] * len(row_edges)
+        cols += row_edges
+        signs += [sign] * len(row_edges)
+    np.add.at(rows, (at, cols), signs)
+    rhs[2 * E:] = [bound + 1 for *_, bound in table]
+    c = np.zeros(E + 1, dtype=np.int64)
+    c[E] = 1
+    return c, rows, rhs
 
 
 def feasible(ap: AbstractPolyhedron) -> FeasibilityReport:

@@ -317,13 +317,10 @@ ORACLE_CASES = ([(ap.name, ap) for ap in catalog.corpus()]
                    for n in (8, 10, 12, 14, 16) for s in range(3)])
 
 
-@pytest.mark.parametrize("name,case", ORACLE_CASES,
+@pytest.mark.parametrize("name", [name for name, _ in ORACLE_CASES],
                          ids=[name for name, _ in ORACLE_CASES])
-def test_simplex_matches_fraction_tableau(name, case):
-    ap = (complexes.primal(whitehead.random_simple(*case, moves=30))
-          if isinstance(case, tuple) else case)
-    program = angles._program(ap.edge_count, angles._conditions(ap))
-    assert angles._simplex_max(*program) == reference_simplex_max(*program)
+def test_simplex_matches_fraction_tableau(name):
+    assert angles._simplex_max(*_program_of(name)) == _oracle_optimum(name)
 
 
 @st.composite
@@ -396,7 +393,8 @@ def test_simplex_promoted_mid_run_matches_fraction_tableau(
 
     monkeypatch.setattr(angles, "_INT64_LIMIT", largest + 1)
     monkeypatch.setattr(angles, "_fits_int64_limit", recorded)
-    assert angles._simplex_max(c, rows, rhs) == reference_simplex_max(c, rows, rhs)
+    assert (angles._exact_simplex_max(c, rows, rhs)
+            == reference_simplex_max(c, rows, rhs))
     assert fits[0] and not all(fits)
 
 
@@ -430,7 +428,7 @@ def test_condensed_tableau_matches_full_int_tableau(name, case, monkeypatch):
     full, full_fits, full_shape = _recorded_run(
         reference_full_int_tableau, (c, rows, rhs), monkeypatch)
     got, fits, shape = _recorded_run(
-        angles._simplex_max, (c, rows, rhs), monkeypatch)
+        angles._exact_simplex_max, (c, rows, rhs), monkeypatch)
     assert got == full
     assert fits == full_fits and all(fits)
     m, n = len(rows), len(c)
@@ -452,15 +450,16 @@ def test_condensed_tableau_promotes_at_the_full_tableau_pivot(
     full, full_fits, _ = _recorded_run(
         reference_full_int_tableau, (c, rows, rhs), monkeypatch)
     got, fits, _ = _recorded_run(
-        angles._simplex_max, (c, rows, rhs), monkeypatch)
+        angles._exact_simplex_max, (c, rows, rhs), monkeypatch)
     assert fits == full_fits
     assert fits[0] and not fits[-1]
     assert got == full
 
 
-@pytest.mark.parametrize("simplex", [angles._simplex_max, reference_simplex_max,
+@pytest.mark.parametrize("simplex", [angles._exact_simplex_max,
+                                     angles._simplex_max, reference_simplex_max,
                                      reference_full_int_tableau],
-                         ids=["condensed", "fraction", "full_int"])
+                         ids=["condensed", "certified", "fraction", "full_int"])
 def test_unbounded_objective_raises(simplex):
     # max x subject to -x <= 0: x grows without bound.
     with pytest.raises(ArithmeticError, match="unbounded objective"):
@@ -525,6 +524,131 @@ def test_feasibility_fractions_hold_python_ints(name):
     for v in values:
         assert type(v) is Fraction
         assert type(v.numerator) is int and type(v.denominator) is int
+
+
+@functools.lru_cache(maxsize=None)
+def _program_of(name):
+    ap = _pinned_complex(name)
+    return angles._program(ap.edge_count, angles._conditions(ap))
+
+
+# The Fraction tableau takes about 24 s on random_simple(20, 0) and 128 s
+# on random_simple(24, 0); those programs, which only FEASIBILITY_PINS
+# holds, are checked against the full-width integer tableau instead.
+_FRACTION_ORACLE = {name for name, _ in ORACLE_CASES}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_optimum(name):
+    """The exact Bland's-rule optimum and optimizer of `name`'s program,
+    by a tableau kept in this file."""
+    oracle = (reference_simplex_max if name in _FRACTION_ORACLE
+              else reference_full_int_tableau)
+    return oracle(*_program_of(name))
+
+
+def _exact_refused(*program):
+    raise AssertionError("the float simplex fell back to the exact tableau")
+
+
+@pytest.mark.parametrize("name",
+                         sorted(_FRACTION_ORACLE | set(FEASIBILITY_PINS)))
+def test_float_simplex_certifies_without_fallback(name, monkeypatch):
+    """On every program of the corpus and the pins, the float run is
+    certified as it stands and returns the exact tableau's answer."""
+    monkeypatch.setattr(angles, "_exact_simplex_max", _exact_refused)
+    assert angles._simplex_max(*_program_of(name)) == _oracle_optimum(name)
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "cube", "prism_5",
+                                  "dodecahedron", "truncated_tetrahedron",
+                                  "alternately_truncated_cube",
+                                  "random_simple(8,0)"])
+def test_failed_certificate_falls_back_to_the_exact_answer(name, monkeypatch):
+    """Rounded to integers, the float optimizer no longer proves itself,
+    and the exact tableau answers instead."""
+    calls = []
+    exact = angles._exact_simplex_max
+
+    def spied(*program):
+        calls.append(name)
+        return exact(*program)
+
+    monkeypatch.setattr(angles, "_MAX_DENOMINATOR", 1)
+    monkeypatch.setattr(angles, "_exact_simplex_max", spied)
+    assert angles._simplex_max(*_program_of(name)) == _oracle_optimum(name)
+    assert calls == [name]
+
+
+# max x0 + x1 subject to x0 + 2 x1 <= 4, 3 x0 + x1 <= 6: the optimum is
+# x = (8/5, 6/5), proved by y = (2/5, 1/5), with c.x = b.y = 14/5.
+CERT_LP = ([1, 1], [[1, 2], [3, 1]], [4, 6])
+CERT_X = {0: Fraction(8, 5), 1: Fraction(6, 5)}
+CERT_Y = {0: Fraction(2, 5), 1: Fraction(1, 5)}
+# max x0 subject to x0 + x1 <= 2, -x0 <= 1: the optimum is x = (2, 0),
+# proved by y = (1, 0), with c.x = b.y = 2.
+SIGN_LP = ([1, 0], [[1, 1], [-1, 0]], [2, 1])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("lp,x,y,ok", [
+    (CERT_LP, CERT_X, CERT_Y, True),
+    # 3 * 14/5 > 6 breaks the second row; c.x = 14/5 = b.y still.
+    (CERT_LP, {0: Fraction(14, 5)}, CERT_Y, False),
+    # 7/15 < 1 breaks the second column; b.y = 6 * 7/15 = 14/5 = c.x still.
+    (CERT_LP, CERT_X, {1: Fraction(7, 15)}, False),
+    # Both feasible, but c.x = 2 < 14/5 = b.y.
+    (CERT_LP, {0: Fraction(1), 1: Fraction(1)}, CERT_Y, False),
+    (SIGN_LP, {0: Fraction(2)}, {0: Fraction(1)}, True),
+    # Every other check passes on these two.
+    (SIGN_LP, {0: Fraction(2), 1: Fraction(-1)}, {0: Fraction(1)}, False),
+    (SIGN_LP, {0: Fraction(2)}, {0: Fraction(7, 6), 1: Fraction(-1, 3)},
+     False),
+], ids=["optimal", "row", "column", "gap", "optimal_2", "negative_x",
+        "negative_y"])
+def test_certificate_rejects_bad_pairs(lp, x, y, ok, dtype):
+    c, rows, rhs = (np.array(v, dtype=dtype) for v in lp)
+    assert angles._certified(c, rows, rhs, x, y) is ok
+
+
+def test_certificate_rejects_a_pair_past_int64():
+    """max x1 subject to (2**31 - 1) x0 <= 1, x1 <= 1.  The pair
+    x = (2**33, 1), y = (0, 1) passes every check but the first row,
+    where (2**31 - 1) * 2**33 wraps around in int64 to a negative
+    number; so the check must not run in int64 there."""
+    big = 2 ** 31 - 1
+    c, rows, rhs = (np.array(v, dtype=np.int64)
+                    for v in ([0, 1], [[big, 0], [0, 1]], [1, 1]))
+    x = {0: Fraction(2 ** 33), 1: Fraction(1)}
+    assert (rows @ np.array([2 ** 33, 1]) <= rhs).all()
+    assert not angles._certified(c, rows, rhs, x, {1: Fraction(1)})
+
+
+def test_feasibility_output_ignores_blas_threads():
+    """The float tableau pivots by elementwise numpy alone, so the
+    output does not depend on how many threads BLAS may use."""
+    names = ["dodecahedron", "random_simple(12,0)"]
+    code = textwrap.dedent("""
+        import sys
+        from andreev import angles, catalog, complexes, whitehead
+        for ap in (catalog.dodecahedron(),
+                   complexes.primal(whitehead.random_simple(12, 0, moves=30))):
+            print(angles.feasibility_to_json(angles.feasible(ap)))
+    """)
+    src = os.path.dirname(os.path.dirname(andreev.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path,
+                                       OPENBLAS_NUM_THREADS=threads))
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert [hashlib.sha256(line.encode()).hexdigest()
+            for line in outputs[0].splitlines()] == [
+                FEASIBILITY_PINS[name] for name in names]
 
 
 HIGHS_CASES = {
