@@ -1,10 +1,11 @@
 """Abstract polyhedra: trivalent cell complexes on the sphere.
 
 An abstract polyhedron is given by its faces, each a cyclic vertex list
-oriented counterclockwise as seen from outside the sphere.  Validation
-enforces the incidence axioms (trivalence, edges on exactly two faces,
-faces meeting in at most one edge or vertex, Euler relation) and derives
-the edge list and the dual triangulation.
+oriented counterclockwise as seen from outside the sphere.  `build`
+checks a face list against the incidence axioms (trivalence, edges on
+exactly two faces, faces meeting in at most one edge or vertex, Euler
+relation); `primal` makes the complex dual to a triangulation, whose
+rotation system proves all of them but the Euler relation.
 """
 
 from __future__ import annotations
@@ -64,10 +65,10 @@ class Circuit:
 
 @dataclass(frozen=True)
 class AbstractPolyhedron:
-    """A trivalent cell complex.  `primal` and `flipped` attach
-    the dual they were made from as `_dual`, which `dual` returns; like
-    the cached properties it is no field, so `dataclasses.replace`
-    starts without it."""
+    """A trivalent cell complex.  `primal` attaches the dual it was
+    made from as `_dual`, which `dual` returns; like the cached
+    properties it is no field, so `dataclasses.replace` starts without
+    it."""
 
     vertex_count: int
     faces: Tuple[Tuple[int, ...], ...]
@@ -201,10 +202,14 @@ class DualComplex:
         successor rule of its oriented triangles, starting at its least
         neighbor; so triangle 0, (p, q, r) ascending, turns from q to r
         around p.  Raises ComplexError when a dual edge does not lie on
-        exactly two triangles, the triangles are not connected, or a
-        link does not close into one cycle.
+        exactly two triangles, two triangles run their shared edge the
+        same way (the surface is not orientable), the triangles are not
+        connected, a node lies on no triangle, or a link is more than one
+        cycle.
         """
         tri = list(self.triangles)
+        if not tri:
+            raise ComplexError("no triangles")
         by_edge: Dict[Tuple[int, int], List[int]] = {}
         for i, (a, b, c) in enumerate(tri):
             for e in ((a, b), (a, c), (b, c)):
@@ -222,6 +227,9 @@ class DualComplex:
                 e = (u, v) if u < v else (v, u)
                 j = by_edge[e][0] if by_edge[e][0] != i else by_edge[e][1]
                 if j in orient:
+                    p, q, r = orient[j]
+                    if (v, u) not in ((p, q), (q, r), (r, p)):
+                        raise ComplexError("triangulation is not orientable")
                     continue
                 w = next(x for x in tri[j] if x not in (u, v))
                 orient[j] = (v, u, w)  # shared edge reversed in the neighbor
@@ -236,6 +244,8 @@ class DualComplex:
             succ[c][a] = b
         rotation = {}
         for n in range(self.node_count):
+            if not succ[n]:
+                raise ComplexError(f"node {n} lies on no triangle")
             start = min(succ[n])
             cycle = [start]
             while True:
@@ -243,8 +253,8 @@ class DualComplex:
                 if nxt == start:
                     break
                 cycle.append(nxt)
-                if len(cycle) > len(succ[n]):
-                    raise ComplexError(f"rotation at node {n} does not close up")
+            # Oriented consistently, succ[n] is a permutation of n's
+            # neighbours, so the walk closes; it may miss some of them.
             if len(cycle) != len(succ[n]):
                 raise ComplexError(f"rotation at node {n} misses neighbors")
             rotation[n] = tuple(cycle)
@@ -309,7 +319,8 @@ def _inserted_between(cycle: Tuple[int, ...], a: int, b: int,
 
 
 def build(vertex_count: int, faces: Sequence[Sequence[int]], name: str = "complex") -> AbstractPolyhedron:
-    """Validate the incidence axioms and return the derived complex.
+    """Validate the incidence axioms of a face list from outside (a
+    triangulation goes through `primal`) and return the derived complex.
 
     Faces must be cyclic vertex lists oriented consistently (each edge
     traversed once in each direction across the two incident faces).
@@ -363,30 +374,21 @@ def build(vertex_count: int, faces: Sequence[Sequence[int]], name: str = "comple
         if d != 3:
             raise NotTrivalent(f"vertex {v} has degree {d}")
 
-    face_sets = [frozenset(c) for c in faces_t]
-    shared_edge = {}
-    for (u, v), (fa, fb) in edge_faces.items():
+    # At a trivalent vertex each two of its three faces share one of its
+    # edges.  So two faces that share two vertices share an edge at each:
+    # the one edge joining them, or two edges, which is rejected here.
+    shared = set()
+    for fa, fb in edge_faces.values():
         key = (fa, fb) if fa < fb else (fb, fa)
-        if key in shared_edge:
+        if key in shared:
             raise FacesMeetTwice(f"faces {key[0]} and {key[1]} share two edges")
-        if fa == fb:
-            raise FacesMeetTwice(f"face {fa} meets itself along edge {{{u},{v}}}")
-        shared_edge[key] = (u, v)
-    for a in range(n_faces):
-        for b in range(a + 1, n_faces):
-            common = face_sets[a] & face_sets[b]
-            if len(common) >= 2:
-                uv = shared_edge.get((a, b))
-                if uv is None or set(uv) != common:
-                    raise FacesMeetTwice(
-                        f"faces {a} and {b} meet in more than one edge or vertex")
+        shared.add(key)
 
+    # With 2E = 3V this also gives E = 3(N-2).
     n_edges = len(edges)
     if vertex_count - n_edges + n_faces != 2:
         raise EulerViolation(
             f"V-E+F = {vertex_count}-{n_edges}+{n_faces} != 2")
-    if n_edges != 3 * (n_faces - 2):
-        raise EulerViolation(f"E = {n_edges} != 3(N-2) = {3 * (n_faces - 2)}")
 
     # Dual (face-adjacency) graph must be connected for a sphere complex.
     adj: Dict[int, set] = {i: set() for i in range(n_faces)}
@@ -409,46 +411,50 @@ def build(vertex_count: int, faces: Sequence[Sequence[int]], name: str = "comple
 def dual(ap: AbstractPolyhedron) -> DualComplex:
     """Dual triangulation: one node per face, one triangle per vertex.
 
-    A complex made by `primal` from a dual with sorted triangles, or by
-    `flipped`, returns that dual, which is what dualizing it
+    A complex made by `primal` (so also by `flipped`) from a dual with
+    sorted triangles returns that dual, which is what dualizing it
     gives; any other is dualized anew on every call."""
     attached = ap.__dict__.get("_dual")
     if attached is not None:
         return attached
     triangles = tuple(sorted(ap.vertex_faces(v) for v in range(ap.vertex_count)))
-    dc = DualComplex(node_count=ap.face_count, triangles=triangles)
-    if len(dc.edges) != ap.edge_count:
-        raise ComplexError("dual edge count mismatch")
-    return dc
+    return DualComplex(node_count=ap.face_count, triangles=triangles)
 
 
-def _primal_faces(dc: DualComplex,
-                  triangles: Sequence[Tuple[int, int, int]]
-                  ) -> List[Tuple[int, ...]]:
-    """The faces of dc's primal, its vertices numbered by their place
-    in `triangles` (sorted): face n runs through the triangles at n in
-    the order of n's rotation cycle."""
+def primal(dc: DualComplex, name: str = "complex") -> AbstractPolyhedron:
+    """The abstract polyhedron whose dual is dc.
+
+    Primal vertices are the dual triangles, numbered by lexicographic
+    order of their sorted node triples; face n runs through the
+    triangles at n in the order of n's rotation cycle; the edges come
+    from one sweep of the faces' directed sides.  A rotation that
+    propagates proves every axiom `build` checks but V - E + F = 2:
+    each link is one cycle of distinct triangles, each dual edge ab is
+    the one primal edge of faces a and b, run once each way, and the
+    faces are connected.  So only the Euler relation is checked here.
+    """
+    triangles = sorted(dc.triangles)
     rotation = dc.rotation
     tri_ids = {t: i for i, t in enumerate(triangles)}
     faces = []
     for n in range(dc.node_count):
         cyc = rotation[n]
         k = len(cyc)
-        face = tuple(
-            tri_ids[tuple(sorted((n, cyc[i], cyc[(i + 1) % k])))] for i in range(k))
-        faces.append(face)
-    return faces
-
-
-def primal(dc: DualComplex, name: str = "complex") -> AbstractPolyhedron:
-    """Reconstruct the abstract polyhedron whose dual is dc.
-
-    Primal vertices are the dual triangles, numbered by lexicographic
-    order of their sorted node triples.  Faces are the rotation cycles.
-    `build` checks every incidence axiom.
-    """
-    triangles = sorted(dc.triangle_set)
-    ap = build(len(triangles), _primal_faces(dc, triangles), name=name)
+        faces.append(tuple(
+            tri_ids[tuple(sorted((n, cyc[i], cyc[(i + 1) % k])))]
+            for i in range(k)))
+    side: Dict[Tuple[int, int], int] = {}
+    for f, cycle in enumerate(faces):
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            side[(u, v)] = f
+    edges = tuple(sorted([(u, v, f, side[(v, u)])
+                          for (u, v), f in side.items() if u < v]))
+    if len(triangles) - len(edges) + len(faces) != 2:
+        raise EulerViolation(f"V-E+F = {len(triangles)}-{len(edges)}"
+                             f"+{len(faces)} != 2")
+    ap = AbstractPolyhedron(vertex_count=len(triangles), faces=tuple(faces),
+                            edges=edges, name=name)
+    ap.__dict__["_vertex_faces"] = tuple(triangles)
     if list(dc.triangles) == triangles:
         ap.__dict__["_dual"] = dc
     return ap
@@ -468,27 +474,12 @@ def flip_keeps_simple(after: DualComplex, a: int, b: int, x: int,
 def flipped(ap: AbstractPolyhedron, a: int, b: int, x: int,
             y: int) -> AbstractPolyhedron:
     """ap after the Whitehead move that replaces its dual edge ab, on the
-    triangles abx and aby, by xy: what `primal` gives for
-    dual(ap).flip(a, b, x, y), numbered and named the same way, without
-    `build`'s checks, since a flip of a sphere triangulation is one and
-    its primal meets the axioms.
-
-    The edges come from one sweep of the faces' directed sides.  The
-    flipped dual is attached, each vertex's faces are its sorted
-    triangle, and when ap is simple and flip_keeps_simple holds the
-    3-circuit cache starts empty, so none of these is rebuilt."""
+    triangles abx and aby, by xy: `primal` of dual(ap).flip(a, b, x, y),
+    named as ap.  The flip keeps its triangles sorted, so the flipped
+    dual is attached; and when ap is simple and flip_keeps_simple holds
+    the 3-circuit cache starts empty, so it is not scanned again."""
     dc = dual(ap).flip(a, b, x, y)
-    triangles = list(dc.triangles)  # flip keeps them sorted
-    faces = tuple(_primal_faces(dc, triangles))
-    side: Dict[Tuple[int, int], int] = {}
-    for f, cycle in enumerate(faces):
-        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-            side[(u, v)] = f
-    edges = tuple(sorted([(u, v, f, side[(v, u)])
-                          for (u, v), f in side.items() if u < v]))
-    out = AbstractPolyhedron(vertex_count=len(triangles), faces=faces,
-                             edges=edges, name=ap.name)
-    out.__dict__.update(_dual=dc, _vertex_faces=tuple(triangles))
+    out = primal(dc, name=ap.name)
     if flip_keeps_simple(dc, a, b, x, y) and is_simple(ap):
         out._circuits[3] = ()
     return out

@@ -9,17 +9,18 @@ continuation or one-off solve is first boosted so that the mean of its
 vertex points is the origin, so coordinates stay the size of the
 polyhedron.  Continuation moves the target angles along straight lines
 inside the angle polytope, whose membership is checked exactly at
-rational endpoints (or, for the Whitehead replay's profiles and the
-regular prism's angles, known from a lemma: see `_collapse_profile` and
-`_prism_seed`).  On top of that sit the combinatorial pipelines: prisms
-are walked from the regular prism, simple complexes are reached by
-replaying a Whitehead reduction backwards from the split prism,
-complexes whose only prismatic 3-circuits are truncated triangles have
-their shrunken base walked until the would-be triangle vertices pass
-ideal and turn hyperideal, then cut off all at once, and everything
-else is cut along one essential 3-circuit, the two
-pieces realized by `realize` itself (which cuts any circuit left in
-them), and glued back with one Lorentz isometry.
+rational endpoints (or, for the Whitehead replay's profiles, the
+regular prism's angles and the staged branch's cut, known from a lemma:
+see `_collapse_profile`, `_prism_seed` and `_realize_truncated`).  On
+top of that sit the combinatorial pipelines: prisms are walked from the
+regular prism, simple complexes are reached by replaying a Whitehead
+reduction backwards from the split prism, complexes whose only
+prismatic 3-circuits are truncated triangles have their shrunken base
+walked until the would-be triangle vertices pass ideal and turn
+hyperideal, then cut off all at once onto the caller's complex, and
+everything else is cut along one essential 3-circuit, the two pieces
+realized by `realize` itself (which cuts any circuit left in them), and
+glued back with one Lorentz isometry.
 """
 
 from __future__ import annotations
@@ -544,19 +545,19 @@ def _push_normals(X: np.ndarray, p: np.ndarray, delta: float) -> np.ndarray:
     return out
 
 
-def _truncate_normals(ap: AbstractPolyhedron, X: np.ndarray,
-                      cut: Sequence[int]) -> Realization:
-    """Close each cut vertex, hyperideal in X, off with the plane
-    perpendicular to its three faces."""
+def _cut_planes(ap: AbstractPolyhedron, X: np.ndarray,
+                cut: Sequence[int]) -> np.ndarray:
+    """X followed by, for each cut vertex in ascending order (hyperideal
+    in X), the plane perpendicular to its three faces: the normals of
+    catalog.truncate_vertices(ap, cut) in its face order."""
     cut = sorted(set(cut))
-    new_ap = catalog.truncate_vertices(ap, cut, name=ap.name)
     try:
         p = _interior_point(ap, X, set(cut))
         extra = [perp_plane(*X[list(ap.vertex_faces(v))], interior=p)
                  for v in cut]
     except GeometryError as exc:
         raise WrongCombinatorics(f"no interior point or cutting plane: {exc}")
-    return _bind(new_ap, np.vstack([X, extra]))
+    return np.vstack([X, extra])
 
 
 def truncate_ideal(realization: Realization,
@@ -576,7 +577,8 @@ def truncate_ideal(realization: Realization,
         p = _interior_point(ap, X, set(vertices))
     except GeometryError as exc:
         raise WrongCombinatorics(f"no interior point to push from: {exc}")
-    return _truncate_normals(ap, _push_normals(X, p, 1e-2), vertices)
+    return _bind(catalog.truncate_vertices(ap, vertices, name=ap.name),
+                 _cut_planes(ap, _push_normals(X, p, 1e-2), vertices))
 
 
 # Staged realization of complexes whose only circuits are truncated
@@ -634,8 +636,20 @@ def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realizatio
     angles, walk it once to beta, where every reinstated vertex has
     passed ideal and is hyperideal, and cut all of them off there with
     the planes perpendicular to their faces.  A hyperideal polyhedron is
-    determined by its angles (Bao and Bonahon), so the cut is the
-    truncated polyhedron at beta whatever the walk's route."""
+    determined by its angles (Bao and Bonahon), so the cut is ap's
+    polyhedron at `start`, pi/2 on the reinstated triangles' edges and
+    beta elsewhere; it is bound onto ap and walked to a.
+
+    Neither end of that walk is checked again: realize has checked a,
+    and start is a member.  An edge reads pi/2 only when one of its
+    faces is a triangle T.  A vertex of T sums to pi + beta_e; every
+    other vertex, and every circuit row that avoids the T's, reads beta,
+    a member (interior_path).  A 3- or 4-cycle through T has a
+    consecutive triple (x, T, z) that spans a dual triangle, so it is
+    not prismatic.  A quad row needs all six entries at pi/2, since
+    beta < 1/2: two triangles on opposite sides of the quad, which close
+    up with its two other neighbours into the triangular prism, and a
+    prism takes the prism branch."""
     beta = angle_sets.interior_path(ap, a, Fraction(9, 10))
     base, labels, removed = _collapse_base(ap)
     base_edges = [ap.edge_between_faces(labels[g], labels[h])
@@ -664,20 +678,14 @@ def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realizatio
     X = _continue_core(realize(base, padded), _radians(padded),
                        np.array([float(beta[e]) * math.pi for e in base_edges]),
                        expect_ideal=frozenset(cut))
-    truncated = _truncate_normals(base, X, cut)
     labels += [removed[corners[v]] for v in cut]
-
-    # Map the truncated complex back onto the caller's labels and finish
-    # with an exact-endpoint continuation to the requested angles, from
-    # beta on the base edges and pi/2 on the triangles' edges.
     assert sorted(labels) == list(range(ap.face_count))
-    normals_ap = np.empty((ap.face_count, 4))
-    normals_ap[labels] = truncated.normals
+    normals_ap = _cut_planes(base, X, cut)[np.argsort(labels)]
     triangles = set(removed.values())
     start = AngleAssignment(tuple(
         HALF if {g, h} & triangles else beta[e]
         for e, (_, _, g, h) in enumerate(ap.edges)))
-    return continue_path(_bind(ap, normals_ap), a, start=start)
+    return _walk(_bind(ap, normals_ap), _radians(a), _radians(start))
 
 
 # Decomposition along essential circuits and gluing

@@ -110,9 +110,9 @@ def _keeps_simple(after: DualComplex, move: WhiteheadMove) -> bool:
 
 def primal_after(ap: AbstractPolyhedron,
                  move: WhiteheadMove) -> AbstractPolyhedron:
-    """The complex ap after `move`, derived without a rebuild by
-    `complexes.flipped`, with the numbering and name `complexes.primal`
-    would give; a refused move is named as apply_move names it."""
+    """The complex ap after `move`, by `complexes.flipped`: the primal
+    of ap's flipped dual, named as ap; a refused move is named as
+    apply_move names it."""
     try:
         return complexes.flipped(ap, *move.removed_edge, *move.inserted_edge)
     except complexes.ComplexError:

@@ -531,3 +531,129 @@ def test_edge_index(ap):
     for u, v in far[:1] + [(0, 0), (0, ap.vertex_count)]:
         with pytest.raises(KeyError):
             ap.edge_index(u, v)
+
+
+def same_cycle(a, b):
+    """Whether the sequences a and b are one cycle, read from any start."""
+    return len(a) == len(b) and any(
+        tuple(a[i:] + a[:i]) == tuple(b) for i in range(len(a)))
+
+
+@pytest.mark.parametrize("ap", list(catalog.corpus())
+                         + [random_primal(n, s) for n in range(8, 33, 4)
+                            for s in range(3)],
+                         ids=lambda ap: ap.name)
+def test_primal_matches_build(ap):
+    """primal(dual(ap)) against the face-list validator: build accepts
+    its faces and derives the same edges and vertex faces, and its faces
+    are ap's, with each vertex renamed to the rank of its sorted face
+    triple, all read one way round (the rotation may mirror ap)."""
+    again = complexes.primal(complexes.dual(ap))
+    ref = complexes.build(again.vertex_count, again.faces)
+    assert again.edges == ref.edges
+    assert ([again.vertex_faces(v) for v in range(again.vertex_count)]
+            == [ref.vertex_faces(v) for v in range(ref.vertex_count)])
+    rank = {t: i for i, t in enumerate(sorted(
+        ap.vertex_faces(v) for v in range(ap.vertex_count)))}
+    renamed = [[rank[ap.vertex_faces(v)] for v in cycle] for cycle in ap.faces]
+    forward = [same_cycle(list(c), list(g))
+               for c, g in zip(renamed, again.faces)]
+    backward = [same_cycle(c[::-1], list(g))
+                for c, g in zip(renamed, again.faces)]
+    assert all(forward) or all(backward)
+
+
+def tetrahedron_triangles(a, b, c, d):
+    return [tuple(sorted(t)) for t in ((a, b, c), (a, b, d), (a, c, d), (b, c, d))]
+
+
+# The 7-vertex torus (Csaszar's, as a triangulation: Moebius's), the
+# 6-vertex real projective plane, two disjoint tetrahedra, two
+# tetrahedra sharing node 0, the cube's dual with one node on no
+# triangle, and no triangles at all.
+PRIMAL_REJECTS = {
+    "torus": (complexes.EulerViolation, 7, sorted(
+        tuple(sorted((i, (i + 1) % 7, (i + d) % 7)))
+        for i in range(7) for d in (3, 5))),
+    "rp2": (complexes.ComplexError, 6, sorted(
+        tuple(int(x) for x in t) for t in ("012", "023", "034", "045", "015",
+                                           "124", "235", "134", "135", "245"))),
+    "two_spheres": (complexes.ComplexError, 8,
+                    sorted(tetrahedron_triangles(0, 1, 2, 3)
+                           + tetrahedron_triangles(4, 5, 6, 7))),
+    "wedge": (complexes.ComplexError, 7,
+              sorted(tetrahedron_triangles(0, 1, 2, 3)
+                     + tetrahedron_triangles(0, 4, 5, 6))),
+    "bare_node": (complexes.ComplexError, 7,
+                  list(complexes.dual(catalog.cube()).triangles)),
+    "empty": (complexes.ComplexError, 0, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRIMAL_REJECTS))
+def test_primal_rejects(case):
+    error, nodes, triangles = PRIMAL_REJECTS[case]
+    dc = complexes.DualComplex(node_count=nodes, triangles=tuple(triangles))
+    with pytest.raises(error):
+        complexes.primal(dc)
+
+
+def test_rp2_is_rejected_as_not_orientable():
+    _, nodes, triangles = PRIMAL_REJECTS["rp2"]
+    dc = complexes.DualComplex(node_count=nodes, triangles=tuple(triangles))
+    with pytest.raises(complexes.ComplexError, match="not orientable"):
+        dc.rotation
+
+
+def mutated_triangles(rng, dc):
+    """A seeded defect, or none, in dc's triangles: drop, add or relabel
+    a triangle, add a node, or glue a second copy on at 0-3 nodes (on 3,
+    a connected sum across one triangle of each, which is a sphere)."""
+    tris, n = list(dc.triangles), dc.node_count
+    kind = rng.choice(["drop", "add", "relabel", "node", "glue"])
+    if kind == "drop":
+        del tris[rng.randrange(len(tris))]
+    elif kind == "add":
+        tris.append(tuple(sorted(rng.sample(range(n), 3))))
+    elif kind == "relabel":
+        i = rng.randrange(len(tris))
+        t = list(tris[i])
+        t[rng.randrange(3)] = rng.randrange(n)
+        tris[i] = tuple(sorted(t))
+    elif kind == "node":
+        n += 1
+    else:
+        k = rng.randrange(4)
+        other = [tuple(x + n for x in t) for t in tris]
+        ta, tb = tris[0], other[rng.randrange(len(other))]
+        if k == 3:
+            tris.remove(ta)
+            other.remove(tb)
+        glue = dict(zip(tb[:k], ta[:k]))
+        tris += [tuple(sorted(glue.get(x, x) for x in t)) for t in other]
+        used = sorted({x for t in tris for x in t})
+        rename = {x: i for i, x in enumerate(used)}
+        tris = [tuple(rename[x] for x in t) for t in tris]
+        n = len(used)
+    return n, tris
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutated_triangulations_fail_typed(seed):
+    """Whatever a defect does to a triangle set, primal returns a complex
+    that build accepts as it is, or raises ComplexError."""
+    rng = random.Random(seed)
+    sources = [complexes.dual(ap) for ap in catalog.corpus()] + [
+        whitehead.random_simple(n, seed, moves=30) for n in (8, 12, 20)]
+    accepted = 0
+    for _ in range(150):
+        n, tris = mutated_triangles(rng, rng.choice(sources))
+        try:
+            ap = complexes.primal(complexes.DualComplex(
+                node_count=n, triangles=tuple(sorted(tris))))
+        except complexes.ComplexError:
+            continue
+        ref = complexes.build(ap.vertex_count, ap.faces)
+        assert ap.edges == ref.edges
+        accepted += 1
+    assert 0 < accepted < 150

@@ -27,6 +27,8 @@ CALLERLESS = {
         "bench import", "the realize check rebuilds the cells with it"),
     "whitehead.random_simple": (
         "bench import", "the random complexes of every corpus"),
+    "realize.continue_path": (
+        "acceptance test", "test_15_degeneration_diagnostics"),
     "realize.truncate_ideal": (
         "bench trace attribute", "bench_trace.TRACED, looked up with no "
         "default"),

@@ -630,11 +630,23 @@ def test_staged_corpus_realize(n, seed, vertices):
             == complexes.dual(r.complex).triangle_set)
 
 
+def staged_start(ap, a):
+    """The angles the staged branch's last leg starts from, rebuilt as
+    _realize_truncated builds them: pi/2 on the edges of the reinstated
+    triangles, beta elsewhere."""
+    beta = angles.interior_path(ap, a, Fraction(9, 10))
+    triangles = set(realize._collapse_base(ap)[2].values())
+    return AngleAssignment(tuple(
+        angles.HALF if {g, h} & triangles else beta[e]
+        for e, (_, _, g, h) in enumerate(ap.edges)))
+
+
 def test_staged_branch_walks_and_cuts_once(monkeypatch):
     """The staged branch walks its base once, through the ideal point of
-    every reinstated vertex, and cuts them all off together at the end:
-    one continuation and one truncation of its own, and no rejoin walk."""
-    calls = {"_continue_core": [], "_truncate_normals": [], "_walk": []}
+    every reinstated vertex, cuts them all off together at the end, and
+    walks the cut once to the target: one continuation of the base, one
+    call of the planes helper, and one last leg from staged_start."""
+    calls = {"_continue_core": [], "_cut_planes": [], "_walk": []}
     for name, log in calls.items():
         original = getattr(realize, name)
 
@@ -648,9 +660,34 @@ def test_staged_branch_walks_and_cuts_once(monkeypatch):
     a = angles.feasible(ap).witness
     r = realize.realize(ap, a)
     assert gram_residual(r, a) <= 1e-10
-    assert len(calls["_continue_core"]) == 1 and calls["_walk"] == []
-    (cut,) = calls["_truncate_normals"]
+    assert len(calls["_continue_core"]) == 1
+    (cut,) = calls["_cut_planes"]
     assert len(cut[2]) == 2
+    ((bound, target, start_rad),) = calls["_walk"]
+    assert bound.complex is ap
+    assert np.array_equal(target, a.to_floats())
+    assert np.array_equal(start_rad, staged_start(ap, a).to_floats())
+
+
+def is_staged(ap):
+    """Whether realize takes ap to the staged branch."""
+    return (realize._prism_labels(ap) is None and not complexes.is_simple(ap)
+            and not realize._essential_circuits(ap))
+
+
+STAGED_STARTS = ([staged_cut(n, s) for n, s in STAGED]
+                 + [staged_cut(24, 0, (0, 3, 5, 7))]
+                 + [catalog.truncated_tetrahedron(),
+                    catalog.corner_truncated_cube()])
+
+
+@pytest.mark.parametrize("ap", STAGED_STARTS, ids=lambda ap: ap.name)
+def test_staged_starts_are_members(ap):
+    """The staged branch's last leg starts in the angle set, which it
+    does not check (the lemma in _realize_truncated's docstring)."""
+    assert is_staged(ap)
+    a = angles.feasible(ap).witness
+    assert angles.check_conditions(ap, staged_start(ap, a)).member
 
 
 def _schlafli_matrix(r):

@@ -396,9 +396,12 @@ def assert_dual_matches(after, ref):
 
 def assert_primal_matches(ap, ref):
     """ap, derived by primal_after, against ref = complexes.primal of the
-    same dual built from scratch: every field, the attached dual, and the
-    3-circuit scan (which ap may answer from the empty cache it was
-    given)."""
+    same dual built from scratch, its faces put through complexes.build,
+    so that the edges, vertex faces and dual come from the face-list
+    validator and not from primal's own code: every field, the attached
+    dual, and the 3-circuit scan (which ap may answer from the empty
+    cache it was given)."""
+    ref = complexes.build(ref.vertex_count, ref.faces, name=ref.name)
     assert (ap.vertex_count, ap.faces, ap.edges, ap.name) == (
         ref.vertex_count, ref.faces, ref.edges, ref.name)
     assert ([ap.vertex_faces(v) for v in range(ap.vertex_count)]
