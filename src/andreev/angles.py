@@ -20,7 +20,8 @@ BLAS threads; its decisions read the exact rule with a tolerance.  Its
 optimizer x and its dual y, the objective entries under the nonbasic
 slacks, are rounded to fractions, and `_certified` checks exactly, on
 the integer data, that x and y are feasible and that c.x = b.y, which
-proves x optimal by weak duality.  Only when that check fails does
+proves x optimal by weak duality, with the rows of the nonbasic slacks
+tight, so x is the basis's point.  Only when that check fails does
 `_exact_simplex_max` decide instead: the same rule on a condensed
 fraction-free tableau held in one numpy int64 array, the nonbasic
 columns, one column of each row's own basic coefficient, and the rhs,
@@ -298,7 +299,9 @@ def _certified(c: np.ndarray, A: np.ndarray, b: np.ndarray,
         A x <= b and x >= 0  (x is feasible),
         y A >= c and y >= 0  (y is dual feasible),
         c.x = b.y,
-    and by weak duality no feasible point then beats c.x.
+    and by weak duality no feasible point then beats c.x.  The rows y
+    lists, even at 0, those of the nonbasic slacks, must be tight, so x
+    is the basis's own point, not another optimum rounding landed on.
 
     x and y are scaled to integers X = x Dx and Y = y Dy over their
     common denominators.  With the data in int64, every entry is below
@@ -319,7 +322,9 @@ def _certified(c: np.ndarray, A: np.ndarray, b: np.ndarray,
         dtype = object
         c, A, b = c.astype(object), A.astype(object), b.astype(object)
     X, Y = np.array(X, dtype=dtype), np.array(Y, dtype=dtype)
-    if not ((A[:, xi] @ X <= b * Dx).all() and (Y @ A[yi] >= c * Dy).all()):
+    Ax, bx = A[:, xi] @ X, b * Dx
+    if not ((Ax <= bx).all() and (Ax[yi] == bx[yi]).all()
+            and (Y @ A[yi] >= c * Dy).all()):
         return False
     return int(c[xi] @ X) * Dy == int(b[yi] @ Y) * Dx
 

@@ -253,8 +253,7 @@ class DualComplex:
                 if nxt == start:
                     break
                 cycle.append(nxt)
-            # Oriented consistently, succ[n] is a permutation of n's
-            # neighbours, so the walk closes; it may miss some of them.
+            # Oriented consistently, succ[n] permutes n's neighbours.
             if len(cycle) != len(succ[n]):
                 raise ComplexError(f"rotation at node {n} misses neighbors")
             rotation[n] = tuple(cycle)
@@ -319,8 +318,8 @@ def _inserted_between(cycle: Tuple[int, ...], a: int, b: int,
 
 
 def build(vertex_count: int, faces: Sequence[Sequence[int]], name: str = "complex") -> AbstractPolyhedron:
-    """Validate the incidence axioms of a face list from outside (a
-    triangulation goes through `primal`) and return the derived complex.
+    """Validate the incidence axioms of a face list and return the
+    derived complex.
 
     Faces must be cyclic vertex lists oriented consistently (each edge
     traversed once in each direction across the two incident faces).
@@ -424,15 +423,13 @@ def dual(ap: AbstractPolyhedron) -> DualComplex:
 def primal(dc: DualComplex, name: str = "complex") -> AbstractPolyhedron:
     """The abstract polyhedron whose dual is dc.
 
-    Primal vertices are the dual triangles, numbered by lexicographic
-    order of their sorted node triples; face n runs through the
-    triangles at n in the order of n's rotation cycle; the edges come
-    from one sweep of the faces' directed sides.  A rotation that
-    propagates proves every axiom `build` checks but V - E + F = 2:
-    each link is one cycle of distinct triangles, each dual edge ab is
-    the one primal edge of faces a and b, run once each way, and the
-    faces are connected.  So only the Euler relation is checked here.
-    """
+    Primal vertices are the dual triangles in lexicographic order; face
+    n runs through the triangles at n in the order of n's rotation
+    cycle; the edges come from one sweep of the faces' directed sides.
+    A rotation that propagates proves every axiom `build` checks but the
+    Euler relation: each link is one cycle of distinct triangles, each
+    dual edge ab the one primal edge of faces a and b, run once each
+    way, and the faces are connected."""
     triangles = sorted(dc.triangles)
     rotation = dc.rotation
     tri_ids = {t: i for i, t in enumerate(triangles)}

@@ -637,19 +637,17 @@ def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realizatio
     passed ideal and is hyperideal, and cut all of them off there with
     the planes perpendicular to their faces.  A hyperideal polyhedron is
     determined by its angles (Bao and Bonahon), so the cut is ap's
-    polyhedron at `start`, pi/2 on the reinstated triangles' edges and
-    beta elsewhere; it is bound onto ap and walked to a.
-
-    Neither end of that walk is checked again: realize has checked a,
-    and start is a member.  An edge reads pi/2 only when one of its
-    faces is a triangle T.  A vertex of T sums to pi + beta_e; every
-    other vertex, and every circuit row that avoids the T's, reads beta,
-    a member (interior_path).  A 3- or 4-cycle through T has a
-    consecutive triple (x, T, z) that spans a dual triangle, so it is
-    not prismatic.  A quad row needs all six entries at pi/2, since
-    beta < 1/2: two triangles on opposite sides of the quad, which close
-    up with its two other neighbours into the triangular prism, and a
-    prism takes the prism branch."""
+    polyhedron at `start`: pi/2 on the reinstated triangles' edges, beta
+    elsewhere.  It is bound onto ap and walked to a, which realize has
+    checked; neither end is checked again, as start is a member.  An
+    edge reads pi/2 only when one of its faces is a triangle T.  A vertex
+    of T sums to pi + beta_e; every other vertex, and every circuit row
+    that avoids the T's, reads beta, a member (interior_path).  A 3- or
+    4-cycle through T has a consecutive triple (x, T, z) that spans a
+    dual triangle, so it is not prismatic.  A quad row needs all six
+    entries at pi/2, since beta < 1/2: two triangles on opposite sides
+    of the quad, which close up with its two other neighbours into the
+    triangular prism, and a prism takes the prism branch."""
     beta = angle_sets.interior_path(ap, a, Fraction(9, 10))
     base, labels, removed = _collapse_base(ap)
     base_edges = [ap.edge_between_faces(labels[g], labels[h])

@@ -611,6 +611,20 @@ def test_certificate_rejects_bad_pairs(lp, x, y, ok, dtype):
     assert angles._certified(c, rows, rhs, x, y) is ok
 
 
+def test_certificate_rejects_a_loose_nonbasic_slack_row():
+    """max x1 + x2 subject to 1999999 x1 <= 2, x0 + x1 + x2 <= 1.  The
+    float optimum x1 = 2/1999999 rounds to 1/1000000, which is optimal
+    too (y = (0, 1) proves it) but leaves row 0, whose slack is
+    nonbasic, loose: not the basis's point, so the certificate fails
+    and the exact tableau answers."""
+    lp = ([0, 1, 1], [[0, 1999999, 0], [1, 1, 1]], [2, 1])
+    c, rows, rhs = (np.array(v, dtype=np.int64) for v in lp)
+    x = {1: Fraction(1, 1000000), 2: Fraction(999999, 1000000)}
+    assert not angles._certified(c, rows, rhs, x, {0: Fraction(0), 1: Fraction(1)})
+    assert angles._certified(c, rows, rhs, x, {1: Fraction(1)})
+    assert angles._simplex_max(*lp) == reference_simplex_max(*lp)
+
+
 def test_certificate_rejects_a_pair_past_int64():
     """max x1 subject to (2**31 - 1) x0 <= 1, x1 <= 1.  The pair
     x = (2**33, 1), y = (0, 1) passes every check but the first row,
