@@ -164,11 +164,16 @@ def check_conditions(ap: AbstractPolyhedron, a: AngleAssignment) -> ConditionRep
     return _evaluate(_conditions(ap), a)
 
 
+def _over_common_denominator(
+        values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    D = lcm(*{v.denominator for v in values})
+    return [v.numerator * (D // v.denominator) for v in values], D
+
+
 def _evaluate(table: Sequence[Condition], a: AngleAssignment) -> ConditionReport:
     """The violations of a among the edge bounds and the table's rows,
     decided in integers over the common denominator of a."""
-    D = lcm(*{v.denominator for v in a.values})
-    R = [v.numerator * (D // v.denominator) for v in a.values]
+    R, D = _over_common_denominator(a.values)
     hits: Dict[str, list] = {"low_vertices": [], "heavy_3circuits": [],
                              "heavy_4circuits": [], "heavy_quads": []}
     for field, label, sign, edges, bound in table:
@@ -282,12 +287,6 @@ def _rationals(values: np.ndarray) -> List[Fraction]:
         if v not in memo:
             memo[v] = Fraction(v).limit_denominator(_MAX_DENOMINATOR)
     return [memo[v] for v in values.tolist()]
-
-
-def _over_common_denominator(
-        values: Sequence[Fraction]) -> Tuple[List[int], int]:
-    D = lcm(*{v.denominator for v in values})
-    return [v.numerator * (D // v.denominator) for v in values], D
 
 
 def _certified(c: np.ndarray, A: np.ndarray, b: np.ndarray,

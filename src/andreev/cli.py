@@ -9,6 +9,7 @@ infeasible angles) or a typed realization failure, 2 malformed input.  Output is
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
@@ -80,15 +81,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "check-angles":
             a = _load_angles(args.angles)
             report = angle_sets.check_conditions(ap, a)
-            _emit(json.dumps({
-                "member": report.member,
-                "nonpositive_edges": list(report.nonpositive_edges),
-                "obtuse_edges": list(report.obtuse_edges),
-                "low_vertices": list(report.low_vertices),
-                "heavy_3circuits": [list(c) for c in report.heavy_3circuits],
-                "heavy_4circuits": [list(c) for c in report.heavy_4circuits],
-                "heavy_quads": [list(q) for q in report.heavy_quads],
-            }), args.output)
+            _emit(json.dumps({"member": report.member,
+                              **dataclasses.asdict(report)}), args.output)
             return 0 if report.member else 1
 
         if args.command == "feasible":

@@ -8,8 +8,9 @@ CLASSIFY_TOL = 1e-9, which every helper, stacked kernel and the
 certificate use; the 1e-10 residual tolerance of the Newton solves
 belongs to `realize`.  Vertices come from one kernel, vertex_cofactors,
 which vertex_points, perp_plane, certify and the walks' step test read;
-the SVD of vertex_point remains only as the oracle behind
-extract_combinatorics.
+certify and the step test read it on the same unit normals, so a walk's
+last step test is its certificate.  The SVD of vertex_point remains
+only as the oracle behind extract_combinatorics.
 """
 
 from __future__ import annotations

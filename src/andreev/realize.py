@@ -260,8 +260,9 @@ def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
 
 
 def _vertex_dets(ap: AbstractPolyhedron, X: np.ndarray) -> np.ndarray:
+    """The vertex dets of X's unit normals, as the walks decide events."""
     faces = [ap.vertex_faces(v) for v in range(ap.vertex_count)]
-    return minkowski.vertex_cofactors(X, faces)[1]
+    return minkowski.vertex_cofactors(minkowski.unit_spacelike(X), faces)[1]
 
 
 def _bind(ap: AbstractPolyhedron, X: np.ndarray) -> Realization:
@@ -293,22 +294,25 @@ def newton_solve(ap: AbstractPolyhedron, target,
 def _continue_core(r: Realization, start_rad: np.ndarray,
                    target_rad: np.ndarray,
                    expect_ideal: FrozenSet[int] = frozenset(),
-                   system: Optional[_GramSystem] = None) -> np.ndarray:
+                   system: Optional[_GramSystem] = None
+                   ) -> Tuple[np.ndarray, np.ndarray]:
     """Step r, centred, from start_rad to target_rad by Euler predictor
     and Newton corrector: each solve is seeded with the last point moved
     along the path tangent its own solve returned.  A step is taken only
     when its solve converges and its watched vertices (those outside
-    expect_ideal) pass minkowski.cell_points, the cell test of certify;
-    otherwise it is halved (down to STEP_FLOOR) and retried from the
-    last point centred again, without a tangent.  After a success the
-    step doubles back up to MAX_STEP.  The expect_ideal vertices are
-    neither tested nor watched for events: they may pass ideal and end
-    hyperideal.  system is r's complex's _GramSystem, built here when
-    not given.
+    expect_ideal) pass minkowski.cell_points on the cofactors of the
+    unit normals, the inputs of certify; otherwise it is halved (down to
+    STEP_FLOOR) and retried from the last point centred again, without
+    a tangent.  After a success the step doubles back up to MAX_STEP.
+    The expect_ideal vertices are neither tested nor watched for events:
+    they may pass ideal and end hyperideal.  system is r's complex's
+    _GramSystem, built here when not given.
 
-    Only the t = 1 endpoint leaves this walk, so the interior points
-    are solved to PATH_TOL, as accurate as the next step's seed needs;
-    the endpoint is solved to RESIDUAL_TOL.  Events are decided on
+    Only the t = 1 endpoint leaves this walk: its normals X and the
+    points its cell test gave the watched vertices (with nothing in
+    expect_ideal, certify's result for X, bit for bit).  So the interior
+    points are solved to PATH_TOL, as accurate as the next step's seed
+    needs, the endpoint to RESIDUAL_TOL.  Events are decided on
     RESIDUAL_TOL solves only: a step whose vertex dets flag an event is
     first re-solved to RESIDUAL_TOL from itself, the bisection solves to
     RESIDUAL_TOL from zero-order seeds, and the realization
@@ -328,10 +332,11 @@ def _continue_core(r: Realization, start_rad: np.ndarray,
                           tol, system, rate if tangent else None)
 
     def vertex_test(X: np.ndarray):
-        """The watched vertices past the event threshold, and the
-        cofactors and dets of every watched vertex."""
-        p, dets = minkowski.vertex_cofactors(X, watched_faces)
-        return tuple(watched[dets < EVENT_TOL].tolist()), p, dets
+        """The watched vertices past the event threshold, the unit
+        normals, and the cofactors and dets of every watched vertex."""
+        units = minkowski.unit_spacelike(X)
+        p, dets = minkowski.vertex_cofactors(units, watched_faces)
+        return tuple(watched[dets < EVENT_TOL].tolist()), units, p, dets
 
     # |d cos(theta_e)/dt| <= |target_e - start_e|, so over a parameter
     # interval narrower than this every Gram target moves by less than
@@ -347,14 +352,13 @@ def _continue_core(r: Realization, start_rad: np.ndarray,
             Xn, Xdot_n = solve_at(tn, seed,
                                   RESIDUAL_TOL if tn == 1.0 else PATH_TOL,
                                   tangent=True)
-            bad, p, dets = vertex_test(Xn)
+            bad, units, p, dets = vertex_test(Xn)
             if bad and tn < 1.0:
                 Xn, _ = solve_at(tn, Xn)
-                bad, p, dets = vertex_test(Xn)
+                bad, units, p, dets = vertex_test(Xn)
             # A step that flags an event goes on to the bisection.
             if not bad:
-                minkowski.cell_points(minkowski.unit_spacelike(Xn),
-                                      watched_faces, p, dets)
+                points_n = minkowski.cell_points(units, watched_faces, p, dets)
             held = True
         except (Diverged, SingularJacobian, GeometryError):
             held = False
@@ -394,9 +398,9 @@ def _continue_core(r: Realization, start_rad: np.ndarray,
             if lo == t and t > 0.0:
                 Xg, _ = solve_at(t, X)  # X is an interior PATH_TOL point
             raise EventDetected(hi, bad, _bind(ap, Xg))
-        t, X, Xdot = tn, Xn, Xdot_n
+        t, X, Xdot, points = tn, Xn, Xdot_n, points_n
         step = min(MAX_STEP, 2.0 * step)
-    return X
+    return X, points
 
 
 def continue_path(realization: Realization, target: AngleAssignment,
@@ -431,8 +435,8 @@ def _walk(realization: Realization, target_rad: np.ndarray,
           system: Optional[_GramSystem] = None) -> Realization:
     """The numeric walk behind continue_path, for endpoints already known
     to lie in the angle set: from start_rad (the measured angles when
-    None) to target_rad, certified at the end by _bind.  system is the
-    complex's _GramSystem when the caller already has it."""
+    None) to target_rad, certified by its last step's cell test.  system
+    is the complex's _GramSystem when the caller already has it."""
     ap = realization.complex
     measured = np.array(realization.edge_angles())
     if start_rad is None:
@@ -449,8 +453,9 @@ def _walk(realization: Realization, target_rad: np.ndarray,
             if np.array_equal(X, realization.normals):
                 return realization
             return _bind(ap, X)
-    return _bind(ap, _continue_core(realization, start_rad, target_rad,
-                                    system=system))
+    X, points = _continue_core(realization, start_rad, target_rad,
+                               system=system)
+    return Realization(complex=ap, normals=X, points=points)
 
 
 # Whitehead move replay
@@ -675,7 +680,7 @@ def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realizatio
         assert sb < 1 < sg
     X = _continue_core(realize(base, padded), _radians(padded),
                        np.array([float(beta[e]) * math.pi for e in base_edges]),
-                       expect_ideal=frozenset(cut))
+                       expect_ideal=frozenset(cut))[0]
     labels += [removed[corners[v]] for v in cut]
     assert sorted(labels) == list(range(ap.face_count))
     normals_ap = _cut_planes(base, X, cut)[np.argsort(labels)]

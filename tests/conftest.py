@@ -1,9 +1,24 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from andreev import catalog, complexes
+
+
+def pytest_report_header(config):
+    """The BLAS thread settings and numpy version, on which the last bits
+    of the solves, and so the outcomes of near-tolerance tests, depend."""
+    threads = ", ".join(f"{name}={os.environ.get(name, 'unset')}"
+                        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    return f"numpy {np.__version__}; {threads}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q prints no header; state the same line at the end instead.
+    if terminalreporter.verbosity < 0:
+        terminalreporter.write_line(pytest_report_header(config))
 
 
 def brute_prismatic(ap, k):

@@ -296,8 +296,8 @@ class TestContinuePath:
             return X, tangent
 
         monkeypatch.setattr(realize, "_solve_raw", boosting)
-        X = realize._continue_core(r, np.array(r.edge_angles()),
-                                   realize._radians(target))
+        X, _ = realize._continue_core(r, np.array(r.edge_angles()),
+                                      realize._radians(target))
         assert gram_residual(SimpleNamespace(complex=r.complex, normals=X),
                              target) <= 1e-10
 
@@ -306,8 +306,8 @@ class TestContinuePath:
         # the endpoint or the realization an event carries, does not.
         r = dodeca_two_fifths()
         target = uniform(r.complex, Fraction(1, 2))
-        X = realize._continue_core(r, np.array(r.edge_angles()),
-                                   realize._radians(target))
+        X, _ = realize._continue_core(r, np.array(r.edge_angles()),
+                                      realize._radians(target))
         assert gram_residual(SimpleNamespace(complex=r.complex, normals=X),
                              target) <= 1e-10
 
@@ -1141,6 +1141,48 @@ def test_zero_length_walks_are_skipped(ap, monkeypatch):
     assert cores == []
     assert gram_residual(r, a) <= 1e-10
     assert angle_error(r, a) <= 1e-8
+
+
+@pytest.mark.parametrize("which", ["continue_path", "prism7", "staged16_0"])
+def test_walk_returns_its_certificate(which):
+    """A stepped walk returns the points of its last step's cell test,
+    taken on the unit normals: bit for bit what certify gives for the
+    walk's normals."""
+    if which == "continue_path":
+        r = dodeca_two_fifths()
+        r = realize.continue_path(r, uniform(r.complex, Fraction(1, 2)))
+    elif which == "prism7":
+        ap = catalog.prism(7)
+        r = realize.realize(ap, uniform(ap, Fraction(2, 5)))
+    else:
+        r = staged_witness(16, 0)[0]
+    want = minkowski.certify(r.complex, r.normals)
+    assert np.array_equal(r.normals, want.normals)
+    assert np.array_equal(r.points, want.points)
+
+
+def test_stepped_walks_certify_once(monkeypatch):
+    """After a stepped _continue_core, _walk neither binds nor certifies
+    its endpoint again: the last step's cell test was the certificate."""
+    calls = []
+    for module, name in ((realize, "_continue_core"), (realize, "_bind"),
+                         (minkowski, "certify")):
+        original = getattr(module, name)
+
+        def recording(*args, _name=name, _original=original, **kwargs):
+            out = _original(*args, **kwargs)
+            if sys._getframe(1).f_code.co_name == "_walk":
+                calls.append(_name)
+            return out
+
+        monkeypatch.setattr(module, name, recording)
+    ap = complexes.primal(whitehead.random_simple(12, 0), name="r12")
+    a = uniform(ap, Fraction(2, 5))
+    r = realize.realize(ap, a)
+    assert gram_residual(r, a) <= 1e-10
+    assert calls.count("_continue_core") > 1
+    after_core = [b for a, b in zip(calls, calls[1:]) if a == "_continue_core"]
+    assert set(after_core) <= {"_continue_core"}
 
 
 @pytest.mark.parametrize("which", ["prism6", "dodecahedron", "random12",
