@@ -18,14 +18,16 @@ dictionary tableau, the nonbasic columns and the rhs, by whole-array
 rank-1 exchanges in elementwise numpy, so the result does not depend on
 BLAS threads; its decisions read the exact rule with a tolerance.  Its
 optimizer x and its dual y, the objective entries under the nonbasic
-slacks, are rounded to fractions, and `_certified` checks exactly, on
-the integer data, that x and y are feasible and that c.x = b.y, which
-proves x optimal by weak duality, with the rows of the nonbasic slacks
-tight, so x is the basis's point.  Only when that check fails does
-`_exact_simplex_max` decide instead: the same rule on a condensed
-fraction-free tableau held in one numpy int64 array, the nonbasic
-columns, one column of each row's own basic coefficient, and the rhs,
-so the basic columns, each zero but for one entry, are never stored.
+slacks, are rounded to fractions by a continued fraction run in Python
+ints and scaled to integers over their common denominators, and
+`_proves` checks exactly, on the integer data, that x and y are
+feasible and that c.x = b.y, which proves x optimal by weak duality,
+with the rows of the nonbasic slacks tight, so x is the basis's point.
+Only when that check fails does `_exact_simplex_max` decide instead:
+the same rule on a condensed fraction-free tableau held in one numpy
+int64 array, the nonbasic columns, one column of each row's own basic
+coefficient, and the rhs, so the basic columns, each zero but for one
+entry, are never stored.
 Each stored row is the exact tableau row times a positive scale that is
 never written down; a pivot cross-multiplies all the rows it touches at
 once instead of dividing, then removes each row's gcd.  Every entry
@@ -46,6 +48,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -165,15 +168,18 @@ def check_conditions(ap: AbstractPolyhedron, a: AngleAssignment) -> ConditionRep
 
 
 def _over_common_denominator(
-        values: Sequence[Fraction]) -> Tuple[List[int], int]:
-    D = lcm(*{v.denominator for v in values})
-    return [v.numerator * (D // v.denominator) for v in values], D
+        pairs: Sequence[Tuple[int, int]]) -> Tuple[List[int], int]:
+    """Fractions given as (numerator, denominator) pairs over their
+    common denominator D: the numerators scaled to D, and D."""
+    D = lcm(*{q for _, q in pairs})
+    return [p * (D // q) for p, q in pairs], D
 
 
 def _evaluate(table: Sequence[Condition], a: AngleAssignment) -> ConditionReport:
     """The violations of a among the edge bounds and the table's rows,
     decided in integers over the common denominator of a."""
-    R, D = _over_common_denominator(a.values)
+    R, D = _over_common_denominator(
+        [v.as_integer_ratio() for v in a.values])
     hits: Dict[str, list] = {"low_vertices": [], "heavy_3circuits": [],
                              "heavy_4circuits": [], "heavy_quads": []}
     for field, label, sign, edges, bound in table:
@@ -187,7 +193,7 @@ def _evaluate(table: Sequence[Condition], a: AngleAssignment) -> ConditionReport
 
 # Bound on the absolute value of every entry of an int64 tableau, below
 # which p*row - f*row_k is exact in int64, and of the integer data that
-# `_certified` checks in int64.
+# `_proves` checks in int64.
 _INT64_LIMIT = 2 ** 31
 
 
@@ -278,23 +284,62 @@ def _float_simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray):
     return None
 
 
-def _rationals(values: np.ndarray) -> List[Fraction]:
-    """Each float as the nearest fraction whose denominator is at most
-    _MAX_DENOMINATOR, rounded once per distinct value: optimizers
-    repeat a few values, and equal ones share one Fraction."""
-    memo: Dict[float, Fraction] = {}
-    for v in values.tolist():
-        if v not in memo:
-            memo[v] = Fraction(v).limit_denominator(_MAX_DENOMINATOR)
-    return [memo[v] for v in values.tolist()]
+def _rationals(values: np.ndarray) -> List[Tuple[int, int]]:
+    """Each float v as the numerator and denominator of
+    Fraction(v).limit_denominator(_MAX_DENOMINATOR), the nearest
+    fraction whose denominator is at most _MAX_DENOMINATOR, in lowest
+    terms.  limit_denominator's continued fraction runs here on the
+    integers of v.as_integer_ratio(), with no Fraction made, once per
+    distinct value: optimizers repeat a few values.
+    """
+    top = _MAX_DENOMINATOR
+    memo: Dict[float, Tuple[int, int]] = {}
+    floats = values.tolist()
+    for v in set(floats):
+        num, den = v.as_integer_ratio()
+        if den > top:
+            p0, q0, p1, q1 = 0, 1, 1, 0
+            n, d = num, den
+            while True:
+                a = n // d
+                q2 = q0 + a * q1
+                if q2 > top:
+                    break
+                p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+                n, d = d, n - a * d
+            # v lies between the convergent p1/q1, d/(q1 den) from v,
+            # and the semiconvergent (p0 + k p1)/(q0 + k q1), the two
+            # 1/(q1 (q0 + k q1)) apart; a tie goes to p1/q1.
+            k = (top - q0) // q1
+            if 2 * d * (q0 + k * q1) <= den:
+                num, den = p1, q1
+            else:
+                num, den = p0 + k * p1, q0 + k * q1
+        memo[v] = num, den
+    return [memo[v] for v in floats]
+
+
+# A sparse vector of fractions in integers: (the indices of its
+# entries, those entries times D, D), D their common denominator.  The
+# entries at all other indices are 0.
+Scaled = Tuple[List[int], List[int], int]
 
 
 def _certified(c: np.ndarray, A: np.ndarray, b: np.ndarray,
                x: Dict[int, Fraction], y: Dict[int, Fraction]) -> bool:
+    """`_proves` for x and y given as maps from indices of variables
+    and of rows to Fractions."""
+    return _proves(c, A, b, *(
+        (list(v), *_over_common_denominator(
+            [f.as_integer_ratio() for f in v.values()])) for v in (x, y)))
+
+
+def _proves(c: np.ndarray, A: np.ndarray, b: np.ndarray,
+            x: Scaled, y: Scaled) -> bool:
     """Whether y proves x an optimum of max c.x subject to A x <= b,
-    x >= 0, checked exactly on the integer data.  x and y map indices
-    of variables and of rows to their values; the others are 0.  The
-    checks are
+    x >= 0, checked exactly on the integer data.  x is given by the
+    indices of its variables, their values times Dx, and Dx; y by its
+    rows the same way.  The checks are
         A x <= b and x >= 0  (x is feasible),
         y A >= c and y >= 0  (y is dual feasible),
         c.x = b.y,
@@ -302,16 +347,13 @@ def _certified(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     lists, even at 0, those of the nonbasic slacks, must be tight, so x
     is the basis's own point, not another optimum rounding landed on.
 
-    x and y are scaled to integers X = x Dx and Y = y Dy over their
-    common denominators.  With the data in int64, every entry is below
-    2**31 = _INT64_LIMIT in absolute value.  Then a sum of len(X)
-    products A_ij X_j stays below len(X) max|X| 2**31, and each b_i Dx
-    below Dx 2**31.  So int64 is exact when len(X) max|X| and Dx are
-    at most 2**32, and the same for Y.  Otherwise the checks run on
-    Python ints.
+    With the data in int64, every entry is below 2**31 =
+    _INT64_LIMIT in absolute value.  Then a sum of len(X) products
+    A_ij X_j stays below len(X) max|X| 2**31, and each b_i Dx below
+    Dx 2**31.  So int64 is exact when len(X) max|X| and Dx are at most
+    2**32, and the same for Y.  Otherwise the checks run on Python ints.
     """
-    xi, X, Dx = list(x), *_over_common_denominator(list(x.values()))
-    yi, Y, Dy = list(y), *_over_common_denominator(list(y.values()))
+    (xi, X, Dx), (yi, Y, Dy) = x, y
     if min(X, default=0) < 0 or min(Y, default=0) < 0:
         return False
     dtype = np.int64
@@ -338,7 +380,9 @@ def _simplex_max(c: Sequence[int], rows: Sequence[Sequence[int]],
     float64.  Its optimizer x, the rhs of the rows whose basic variable
     is structural, and its dual y, the objective entries under the
     nonbasic slacks (a basic slack's is 0), are rounded to fractions,
-    and `_certified` proves x optimal on the original integer data.
+    and `_proves` proves x optimal on the original integer data.  Both
+    stay integers over their common denominators until the witness is
+    made.
     When the float run stops short or the proof fails, the exact
     tableau decides instead.  A float run whose every decision agrees
     with the exact run's makes the same pivots and ends on the same
@@ -353,13 +397,18 @@ def _simplex_max(c: Sequence[int], rows: Sequence[Sequence[int]],
         slacks = (nonbasic >= n).nonzero()[0]
         values, duals = tab[at, n], tab[m, slacks]
         if np.isfinite(values).all() and np.isfinite(duals).all():
-            x = dict(zip(basis[at].tolist(), _rationals(values)))
-            y = dict(zip((nonbasic[slacks] - n).tolist(), _rationals(duals)))
-            if _certified(c, A, b, x, y):
-                zero = Fraction(0)
-                value = sum((ci * x[i] for i, ci in enumerate(c.tolist())
-                             if ci and i in x), zero)
-                return value, [x.get(i, zero) for i in range(n)]
+            xi, pairs = basis[at].tolist(), _rationals(values)
+            X, Dx = _over_common_denominator(pairs)
+            y = ((nonbasic[slacks] - n).tolist(),
+                 *_over_common_denominator(_rationals(duals)))
+            if _proves(c, A, b, (xi, X, Dx), y):
+                # Equal values share one Fraction.
+                shared = {pq: Fraction(*pq) for pq in set(pairs)}
+                x = [Fraction(0)] * n
+                for i, pq in zip(xi, pairs):
+                    x[i] = shared[pq]
+                cx = sum(ci * Xi for ci, Xi in zip(c[xi].tolist(), X))
+                return Fraction(cx, Dx), x
     return _exact_simplex_max(c, A, b)
 
 
@@ -501,13 +550,14 @@ def _program(edge_count: int, table: Sequence[Condition]) -> Tuple[
     rows[2 * edges + 1, edges] = 2
     rows[0:2 * E:2, E] = 1
     rows[2 * E:, E] = 1
-    at, cols, signs = [], [], []
-    for i, (_, _, sign, row_edges, _) in enumerate(table, 2 * E):
-        at += [i] * len(row_edges)
-        cols += row_edges
-        signs += [sign] * len(row_edges)
-    np.add.at(rows, (at, cols), signs)
-    rhs[2 * E:] = [bound + 1 for *_, bound in table]
+    _, _, signs, edge_lists, bounds = zip(*table)
+    sizes = list(map(len, edge_lists))
+    np.add.at(rows, (np.repeat(np.arange(2 * E, m), sizes),
+                     np.fromiter(chain.from_iterable(edge_lists), np.intp,
+                                 sum(sizes))),
+              np.repeat(signs, sizes))
+    rhs[2 * E:] = bounds
+    rhs[2 * E:] += 1
     c = np.zeros(E + 1, dtype=np.int64)
     c[E] = 1
     return c, rows, rhs

@@ -2,7 +2,8 @@
 
 Verdict-style subcommands use the exit code for scripting: 0 means
 success, 1 a negative domain verdict (invalid complex, empty angle set,
-infeasible angles) or a typed realization failure, 2 malformed input.  Output is JSON on stdout unless
+infeasible angles) or a typed realization failure, 2 malformed input or
+an --output that cannot be written.  Output is JSON on stdout unless
 --output is given.
 """
 
@@ -34,10 +35,18 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+class _Unwritable(Exception):
+    """--output could not be written; not an OSError, so that no handler
+    for the input's errors takes it."""
+
+
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(output, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise _Unwritable(exc) from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -54,7 +63,14 @@ def _load_angles(path: str) -> angle_sets.AngleAssignment:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
+    try:
+        return _run(args)
+    except _Unwritable as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args: argparse.Namespace) -> int:
     try:
         ap = _load_complex(args.input)
     except (OSError, ValueError) as exc:

@@ -14,7 +14,8 @@ import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Collection, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 
 
 class ComplexError(ValueError):
@@ -482,9 +483,11 @@ def flipped(ap: AbstractPolyhedron, a: int, b: int, x: int,
     return out
 
 
-def _simple_cycles(dc: DualComplex, k: int) -> List[Tuple[int, ...]]:
-    """All simple k-cycles of the dual graph, k in {3,4}, canonical, in
-    no particular order.
+def _simple_cycles(adj: Sequence[Collection[int]],
+                   k: int) -> List[Tuple[int, ...]]:
+    """All simple k-cycles, k in {3,4}, canonical, in no particular
+    order, of the graph on nodes 0..len(adj)-1 whose node a has the
+    neighbours adj[a].
 
     A canonical cycle starts at its least node, followed by the smaller of
     that node's two cycle neighbors.  A 4-cycle is found from its least
@@ -492,9 +495,8 @@ def _simple_cycles(dc: DualComplex, k: int) -> List[Tuple[int, ...]]:
     every pair of common neighbors b < d of a and c, both above a, closes
     the cycle (a, b, c, d), so the scan costs the sum of squared degrees.
     """
-    adj = dc.adjacency()
     found = []
-    nodes = range(dc.node_count)
+    nodes = range(len(adj))
     if k == 3:
         for a in nodes:
             for b in adj[a]:
@@ -533,21 +535,27 @@ def prismatic_circuits(ap: AbstractPolyhedron, k: int) -> List[Circuit]:
     cyclically consecutive nodes span a triangle of the dual.  A 3-cycle
     is prismatic iff it is not itself a triangle.
 
-    The circuits are enumerated once per complex object and k, cached on
-    the complex; each call returns a new list.
+    The dual is read off the complex itself, and none is built: its
+    edges are the face pairs that share an edge, and its triangles the
+    face triples at each vertex.  The circuits are enumerated once per
+    complex object and k, cached on the complex; each call returns a
+    new list.
     """
     if k not in (3, 4):
         raise ValueError("k must be 3 or 4")
     cached = ap._circuits.get(k)
     if cached is None:
-        dc = dual(ap)
-        tris = dc.triangle_set
+        adj: List[set] = [set() for _ in range(ap.face_count)]
+        for a, b in ap._face_pair_edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        tris = set(ap._vertex_faces)
         if k == 3:
-            kept = [c for c in _simple_cycles(dc, 3) if c not in tris]
+            kept = [c for c in _simple_cycles(adj, 3) if c not in tris]
         else:
             # The four consecutive triples of (a, b, c, d), each sorted;
             # a is the least node and b < d.
-            kept = [(a, b, c, d) for a, b, c, d in _simple_cycles(dc, 4)
+            kept = [(a, b, c, d) for a, b, c, d in _simple_cycles(adj, 4)
                     if (a, b, d) not in tris
                     and ((a, b, c) if b < c else (a, c, b)) not in tris
                     and ((a, c, d) if c < d else (a, d, c)) not in tris

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -532,6 +533,36 @@ def _program_of(name):
     return angles._program(ap.edge_count, angles._conditions(ap))
 
 
+def reference_program(E, table):
+    """The max-slack program of `feasible` built row by row in lists:
+    u - r_i <= 1 and 2 r_i <= 1 per edge, then sign * sum + u <=
+    bound + 1 per condition."""
+    rows, rhs = [], []
+    for i in range(E):
+        for coef, u in ((-1, 1), (2, 0)):
+            row = [0] * (E + 1)
+            row[i], row[E] = coef, u
+            rows.append(row)
+            rhs.append(1)
+    for _, _, sign, edges, bound in table:
+        row = [0] * (E + 1)
+        for e in edges:
+            row[e] += sign
+        row[E] = 1
+        rows.append(row)
+        rhs.append(bound + 1)
+    return [0] * E + [1], rows, rhs
+
+
+@pytest.mark.parametrize("name", list(FEASIBILITY_PINS))
+def test_program_matches_row_by_row_reference(name):
+    ap = _pinned_complex(name)
+    table = angles._conditions(ap)
+    for got, want in zip(angles._program(ap.edge_count, table),
+                         reference_program(ap.edge_count, table)):
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
 # The Fraction tableau takes about 24 s on random_simple(20, 0) and 128 s
 # on random_simple(24, 0); those programs, which only FEASIBILITY_PINS
 # holds, are checked against the full-width integer tableau instead.
@@ -636,6 +667,73 @@ def test_certificate_rejects_a_pair_past_int64():
     x = {0: Fraction(2 ** 33), 1: Fraction(1)}
     assert (rows @ np.array([2 ** 33, 1]) <= rhs).all()
     assert not angles._certified(c, rows, rhs, x, {1: Fraction(1)})
+
+
+def _limit_denominator_pairs(values):
+    return [(f.numerator, f.denominator) for f in (
+        Fraction(v).limit_denominator(angles._MAX_DENOMINATOR)
+        for v in values)]
+
+
+def _farey_neighbours(b, d):
+    """a/b < c/d with bc - ad = 1: no fraction of denominator below
+    b + d lies between them."""
+    c = pow(b, -1, d)
+    return Fraction((b * c - 1) // d, b), Fraction(c, d)
+
+
+def _floats_around(m):
+    """The float nearest the Fraction m and its two neighbours."""
+    x = float(m)
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# Floats at the midpoints of neighbouring fractions whose denominators
+# sum past _MAX_DENOMINATOR, the two candidates rounding chooses
+# between there, shifted by integers and mirrored.
+_HALFWAYS = [sign * v
+             for b, d in ((999_999, 10 ** 6), (10 ** 6, 999_999),
+                          (2, 999_999), (999_998, 3), (700_001, 300_000))
+             for lo, hi in [_farey_neighbours(b, d)]
+             for k in (0, 1, 37)
+             for v in _floats_around(k + (lo + hi) / 2)
+             for sign in (1, -1)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10 ** 6, 10 ** 6).map(float),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e15, -1e15, 1 / 3])),
+    min_size=1, max_size=12))
+def test_rationals_are_limit_denominator(values):
+    """The integer rounding is Fraction.limit_denominator, value for
+    value, in lowest terms; repeats share the memo."""
+    values = values + values[::-1]
+    assert (angles._rationals(np.array(values))
+            == _limit_denominator_pairs(values))
+
+
+def test_rationals_at_the_denominator_bound_and_halfway():
+    values = [sign * p / q
+              for q in (999_999, 10 ** 6, 10 ** 6 + 1, 2 * 10 ** 6)
+              for p in (1, 2, 7, 123_457, q - 1, q + 1, 3 * q + 7)
+              for sign in (1, -1)]
+    values += _HALFWAYS
+    assert (angles._rationals(np.array(values))
+            == _limit_denominator_pairs(values))
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 8])
+def test_rationals_break_exact_ties_like_limit_denominator(bound,
+                                                           monkeypatch):
+    """Under a small bound, dyadic values fall exactly halfway between
+    the two candidates, and the tie goes where limit_denominator sends
+    it."""
+    monkeypatch.setattr(angles, "_MAX_DENOMINATOR", bound)
+    values = [sign * k / 64 for k in range(1, 200) for sign in (1, -1)]
+    assert (angles._rationals(np.array(values))
+            == _limit_denominator_pairs(values))
 
 
 def test_feasibility_output_ignores_blas_threads():

@@ -227,3 +227,21 @@ def test_module_entry_point(paths):
         env=dict(os.environ, PYTHONPATH=path))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["faces"] == 6
+
+
+
+@pytest.mark.parametrize("command", ["realize", "feasible"])
+def test_unwritable_output_fails_typed(paths, capsys, command):
+    """An --output in a missing directory is reported as such, exit 2,
+    with no traceback: realize's answer here is an error record (the
+    cube at uniform 1 is infeasible), feasible's a verdict."""
+    argv = [command, "--input", paths["cube"],
+            "--output", str(paths["dir"] / "missing" / "out.json")]
+    if command == "realize":
+        obtuse = paths["dir"] / "obtuse.json"
+        obtuse.write_text(angles.to_json(
+            angles.AngleAssignment.uniform(catalog.cube().edge_count, 1)))
+        argv += ["--angles", str(obtuse)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and "out.json" in err

@@ -442,7 +442,7 @@ def reference_prismatic_circuits(ap, k):
     """The enumeration prismatic_circuits ran before it read the dual's
     triangle set: every k-cycle in order of (node set, cycle), kept when
     its crossed primal edges have 2k distinct endpoints.  No cache."""
-    cycles = sorted(complexes._simple_cycles(complexes.dual(ap), k),
+    cycles = sorted(complexes._simple_cycles(complexes.dual(ap).adjacency(), k),
                     key=lambda c: (tuple(sorted(c)), c))
     out = []
     for cycle in cycles:
