@@ -325,15 +325,6 @@ def _rationals(values: np.ndarray) -> List[Tuple[int, int]]:
 Scaled = Tuple[List[int], List[int], int]
 
 
-def _certified(c: np.ndarray, A: np.ndarray, b: np.ndarray,
-               x: Dict[int, Fraction], y: Dict[int, Fraction]) -> bool:
-    """`_proves` for x and y given as maps from indices of variables
-    and of rows to Fractions."""
-    return _proves(c, A, b, *(
-        (list(v), *_over_common_denominator(
-            [f.as_integer_ratio() for f in v.values()])) for v in (x, y)))
-
-
 def _proves(c: np.ndarray, A: np.ndarray, b: np.ndarray,
             x: Scaled, y: Scaled) -> bool:
     """Whether y proves x an optimum of max c.x subject to A x <= b,

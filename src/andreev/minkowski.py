@@ -18,11 +18,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from . import catalog, complexes
+from .angles import AngleAssignment
 from .complexes import AbstractPolyhedron
 
 CLASSIFY_TOL = 1e-9
@@ -348,10 +350,11 @@ def extract_combinatorics(normals: Sequence) -> Realization:
 
 
 def build_prism(n: int, polygon_angle: float, gap: float = 0.1
-                ) -> Realization:
-    """The prism with n faces over a regular (n-2)-gon whose vertex
-    angle is polygon_angle; the top and bottom faces meet the sides at
-    pi/2 - gap."""
+                ) -> np.ndarray:
+    """Unit normals of the prism with n faces over a regular (n-2)-gon
+    whose vertex angle is polygon_angle, in the face order of
+    catalog.prism(n): the bottom cap, the top cap, then the sides in
+    ring order.  The caps meet the sides at pi/2 - gap."""
     if n < 5:
         raise BadParameters("a prism needs at least 5 faces")
     if not (0 < polygon_angle <= math.pi / 2):
@@ -375,11 +378,7 @@ def build_prism(n: int, polygon_angle: float, gap: float = 0.1
                                math.cosh(d) * math.sin(phi), 0.0]))
     top = np.array([math.sinh(t), 0.0, 0.0, math.cosh(t)])
     bottom = np.array([math.sinh(t), 0.0, 0.0, -math.cosh(t)])
-    dc = complexes.DualComplex(node_count=n, triangles=tuple(sorted(
-        tuple(sorted((i, (i + 1) % k, cap)))
-        for i in range(k) for cap in (k, k + 1))))
-    return certify(complexes.primal(dc, name=f"prism_{n}_realized"),
-                   _unit_rows(np.array(sides + [top, bottom])))
+    return _unit_rows(np.array([bottom, top] + sides))
 
 
 def reflect(x, mirror) -> np.ndarray:
@@ -389,26 +388,21 @@ def reflect(x, mirror) -> np.ndarray:
     return x - 2 * mdot(x, m) * m
 
 
-def build_split_prism(n: int) -> Realization:
-    """The split prism with n faces, its faces in the node order of
-    catalog.split_prism_dual(n).  The glued prism catalog.prism(n-1) is
-    realized by the prism branch of realize.realize with pi/3 on the
+def build_split_prism(n: int) -> np.ndarray:
+    """Unit normals of the split prism with n >= 8 faces, in the face
+    order of catalog.split_prism(n).  The glued prism catalog.prism(n-1)
+    is realized by the prism branch of realize.realize with pi/3 on the
     edges of face 0, pi/4 on the edge between face 1 and face n-3 and
     pi/2 elsewhere, then doubled across face 1: the top (face 0) is the
     apex, the sides follow from face n-2 down to face 2, then come the
     mirror images of face n-3 and of the top.  The perpendicular sides
     merge with their mirror images; the pi/4 edge doubles to a right
     angle."""
-    if n < 7:
-        raise BadParameters("the split prism needs at least 7 faces")
-    if n == 7:
-        # Combinatorially the 7-face split prism is the prism itself.
-        return build_prism(7, math.pi / 3, math.pi / 10)
+    if n < 8:
+        raise BadParameters("the split prism needs at least 8 faces")
 
-    from fractions import Fraction
-
+    # Imported here: realize imports this module.
     from . import realize
-    from .angles import AngleAssignment
 
     quarter = n - 3
     glued = catalog.prism(n - 1)   # caps 0 and 1, sides 2..n-2 in a ring
@@ -419,7 +413,7 @@ def build_split_prism(n: int) -> Realization:
     X = realize.realize(glued, target).normals
     planes = np.vstack([X[:1], X[n - 2:1:-1], reflect(X[quarter], X[1]),
                         reflect(X[0], X[1])])
-    return certify(catalog.split_prism(n), _unit_rows(planes))
+    return _unit_rows(planes)
 
 
 # Export

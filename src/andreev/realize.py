@@ -591,15 +591,12 @@ def truncate_ideal(realization: Realization,
 
 
 def _essential_circuits(ap: AbstractPolyhedron) -> List[complexes.Circuit]:
-    dc = complexes.dual(ap)
-    adj = dc.adjacency()
-    out = []
-    for c in complexes.prismatic_circuits(ap, 3):
-        nodes = set(c.dual_nodes)
-        if any(adj[f] == nodes for f in adj):
-            continue  # the circuit just walls off a triangular face
-        out.append(c)
-    return out
+    """The prismatic 3-circuits of ap that do not just wall off a
+    triangular face, that is, differ from its three neighbours."""
+    walls = [{g for e in ap.face_edge_cycle(f) for g in ap.edges[e][2:]}
+             - {f} for f, cycle in enumerate(ap.faces) if len(cycle) == 3]
+    return [c for c in complexes.prismatic_circuits(ap, 3)
+            if set(c.dual_nodes) not in walls]
 
 
 def _collapse_base(ap: AbstractPolyhedron) -> Tuple[
@@ -815,15 +812,15 @@ def glue(realizations: Sequence[Realization], plan: CompoundPlan
 
 
 def _prism_labels(ap: AbstractPolyhedron) -> Optional[Tuple[int, ...]]:
-    """The faces of ap in the face order of `minkowski.build_prism(n)`
-    (sides 0..n-3 in cyclic order, then the two caps), or None when ap
-    is not a prism.
+    """The faces of ap in the face order of `catalog.prism(n)` (the two
+    caps, then sides 2..n-1 in cyclic order), or None when ap is not a
+    prism.
 
-    The labels are read off the edge cycle of one (n-2)-gon, taken as a
-    cap (on the cube any face is one); the other cap is the one face
-    left.  They are returned only when the prism's triangles (side i,
-    side i+1, cap) carry onto exactly the face triples of ap's vertices,
-    the triangles of dual(ap)."""
+    The labels are read off the edge cycle of one (n-2)-gon, taken as
+    the second cap (on the cube any face is one); the first cap is the
+    one face left.  They are returned only when the prism's triangles
+    (side i, side i+1, cap) carry onto exactly the face triples of ap's
+    vertices, the triangles of dual(ap)."""
     n = ap.face_count
     k = n - 2
     cap = next((f for f, cycle in enumerate(ap.faces) if len(cycle) == k),
@@ -835,9 +832,10 @@ def _prism_labels(ap: AbstractPolyhedron) -> Optional[Tuple[int, ...]]:
     rest = set(range(n)) - set(sides) - {cap}
     if len(rest) != 1:
         return None
-    labels = tuple(sides) + (cap, rest.pop())
-    moved = {tuple(sorted((labels[i], labels[(i + 1) % k], labels[c])))
-             for i in range(k) for c in (k, k + 1)}
+    labels = (rest.pop(), cap) + tuple(sides)
+    moved = {tuple(sorted((labels[2 + i], labels[2 + (i + 1) % k],
+                           labels[c])))
+             for i in range(k) for c in (0, 1)}
     if moved != {ap.vertex_faces(v) for v in range(ap.vertex_count)}:
         return None
     return labels
@@ -847,11 +845,10 @@ def _prism_seed(ap: AbstractPolyhedron, labels: Sequence[int]
                 ) -> Tuple[Fraction, AngleAssignment]:
     """The vertical angle of the regular prism _realize_prism seeds from
     (1/4 at five faces, 2/5 at six, 1/2 from seven on) and that prism's
-    angles on ap, whose faces in build_prism order are labels: the
+    angles on ap, whose faces in catalog.prism order are labels: the
     vertical angle on the side edges, 2/5 on the cap edges."""
-    n = ap.face_count
-    vertical = {5: Fraction(1, 4), 6: TWO_FIFTHS}.get(n, HALF)
-    caps = {labels[n - 2], labels[n - 1]}
+    vertical = {5: Fraction(1, 4), 6: TWO_FIFTHS}.get(ap.face_count, HALF)
+    caps = {labels[0], labels[1]}
     return vertical, AngleAssignment(tuple(
         vertical if fa not in caps and fb not in caps else TWO_FIFTHS
         for (_, _, fa, fb) in ap.edges))
@@ -859,16 +856,16 @@ def _prism_seed(ap: AbstractPolyhedron, labels: Sequence[int]
 
 def _realize_prism(ap: AbstractPolyhedron, a: AngleAssignment,
                    labels: Sequence[int]) -> Realization:
-    """Realize the prism ap, whose faces in build_prism order are labels,
-    from the regular prism.  Neither end of the walk is checked again:
-    realize has checked a, and the seed's angles lie in the angle set of
-    every prism (test_prism_seeds_are_members)."""
+    """Realize the prism ap, whose faces in catalog.prism order are
+    labels, from the regular prism, whose planes are certified once, on
+    ap.  Neither end of the walk is checked again: realize has checked
+    a, and the seed's angles lie in the angle set of every prism
+    (test_prism_seeds_are_members)."""
     n = ap.face_count
     vertical, start = _prism_seed(ap, labels)
-    built = minkowski.build_prism(n, float(vertical) * math.pi,
-                                  gap=math.pi / 10)
     normals_ap = np.empty((n, 4))
-    normals_ap[list(labels)] = built.normals
+    normals_ap[list(labels)] = minkowski.build_prism(
+        n, float(vertical) * math.pi, gap=math.pi / 10)
     return _walk(_bind(ap, normals_ap), _radians(a), _radians(start))
 
 
@@ -876,12 +873,13 @@ def _realize_simple(ap: AbstractPolyhedron, a: AngleAssignment) -> Realization:
     trace = whitehead.reduce_to_dn(complexes.dual(ap))
     n = ap.face_count
     # build_split_prism lists its planes in catalog.split_prism(n) order,
-    # onto which split_prism_labels labels the reduction's end.
+    # onto which split_prism_labels labels the reduction's end; this bind
+    # is their one certificate.
     labels = whitehead.split_prism_labels(trace.end)
     assert labels is not None
-    built = minkowski.build_split_prism(n)
     stage_ap = complexes.primal(trace.end, name=f"{ap.name}_stage")
-    current = _bind(stage_ap, built.normals[[labels[v] for v in range(n)]])
+    current = _bind(stage_ap, minkowski.build_split_prism(n)[
+        [labels[v] for v in range(n)]])
     # Neither leg checks its endpoints against the condition table again.
     # Uniform 2/5 lies in the angle set of every simple complex (see
     # _collapse_profile); ap is simple, and so is trace.end, since

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from andreev import catalog, complexes
+from andreev import catalog, complexes, minkowski
 
 
 def pytest_report_header(config):
@@ -54,6 +54,18 @@ def brute_prismatic(ap, k):
         if len(set(ends)) == 2 * k:
             out.append((cyc, tuple(crossed)))
     return out
+
+
+def built_prism(n, polygon_angle, gap=0.1):
+    """build_prism's planes, certified on catalog.prism(n)."""
+    return minkowski.certify(
+        catalog.prism(n), minkowski.build_prism(n, polygon_angle, gap))
+
+
+def built_split_prism(n):
+    """build_split_prism's planes, certified on catalog.split_prism(n)."""
+    return minkowski.certify(catalog.split_prism(n),
+                             minkowski.build_split_prism(n))
 
 
 def gram_residual(r, target):

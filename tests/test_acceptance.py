@@ -10,7 +10,8 @@ import pytest
 
 from andreev import angles, catalog, complexes, minkowski, realize, whitehead
 from andreev.angles import AngleAssignment
-from conftest import brute_prismatic, gram_residual
+from conftest import (brute_prismatic, built_prism, built_split_prism,
+                      gram_residual)
 
 
 def uniform(ap, r):
@@ -198,10 +199,11 @@ def test_08_coseqn_identity():
 
 
 def test_09_explicit_prism():
-    r = minkowski.build_prism(5, math.pi / 4, 0.01)
+    r = built_prism(5, math.pi / 4, 0.01)
     ap = r.complex
-    assert complexes.isomorphic(complexes.dual(ap),
-                                complexes.dual(catalog.prism(5))) is not None
+    ext = minkowski.extract_combinatorics(r.normals)
+    assert (complexes.dual(ext.complex).triangle_set
+            == complexes.dual(ap).triangle_set)
     for e, ang in enumerate(r.edge_angles()):
         fa, fb = ap.edges[e][2], ap.edges[e][3]
         if len(ap.faces[fa]) == 4 and len(ap.faces[fb]) == 4:
@@ -212,9 +214,10 @@ def test_09_explicit_prism():
 
 def test_10_split_prism():
     for n in range(8, 13):
-        r = minkowski.build_split_prism(n)
-        assert complexes.isomorphic(complexes.dual(r.complex),
-                                    catalog.split_prism_dual(n)) is not None
+        r = built_split_prism(n)
+        ext = minkowski.extract_combinatorics(r.normals)
+        assert (complexes.dual(ext.complex).triangle_set
+                == catalog.split_prism_dual(n).triangle_set)
         # every doubled edge lands on pi/3 or pi/2
         for ang in r.edge_angles():
             assert min(abs(ang - math.pi / 3), abs(ang - math.pi / 2)) < 1e-8
@@ -226,10 +229,9 @@ def _audit_split_prism_coplanarity(n):
     the faces that merge under the doubling are exactly perpendicular to
     the mirror plane."""
     m = n - 1
-    k = m - 2
-    seed = minkowski.build_prism(m, math.pi / 2, math.pi / 10)
+    seed = built_prism(m, math.pi / 2, math.pi / 10)
     ap = seed.complex
-    top, bottom = k, k + 1
+    bottom, top = 0, 1
     quarter = min(e for e, (_, _, fa, fb) in enumerate(ap.edges)
                   if bottom in (fa, fb))
     target = []
@@ -248,7 +250,7 @@ def _audit_split_prism_coplanarity(n):
     b = np.array(glued.normals[bottom])
     qa, qb = ap.edges[quarter][2], ap.edges[quarter][3]
     quarter_face = qa if qb == bottom else qb
-    for f in range(k):
+    for f in range(2, m):
         if f == quarter_face:
             assert abs(minkowski.mdot(glued.normals[f], b)) > 1e-3
         else:
@@ -298,7 +300,7 @@ def test_12_uniqueness_from_perturbed_seeds():
 def test_13_whitehead_replay_of_the_dodecahedron():
     ap = catalog.dodecahedron()
     trace = whitehead.reduce_to_dn(complexes.dual(ap))
-    base = minkowski.build_split_prism(12)
+    base = built_split_prism(12)
     mapping = complexes.isomorphic(complexes.dual(base.complex), trace.end)
     normals = [None] * 12
     for f, g in mapping.items():

@@ -611,11 +611,12 @@ def test_failed_certificate_falls_back_to_the_exact_answer(name, monkeypatch):
     assert calls == [name]
 
 
+# Vectors are given as _proves takes them: (indices, entries times D, D).
 # max x0 + x1 subject to x0 + 2 x1 <= 4, 3 x0 + x1 <= 6: the optimum is
 # x = (8/5, 6/5), proved by y = (2/5, 1/5), with c.x = b.y = 14/5.
 CERT_LP = ([1, 1], [[1, 2], [3, 1]], [4, 6])
-CERT_X = {0: Fraction(8, 5), 1: Fraction(6, 5)}
-CERT_Y = {0: Fraction(2, 5), 1: Fraction(1, 5)}
+CERT_X = ([0, 1], [8, 6], 5)
+CERT_Y = ([0, 1], [2, 1], 5)
 # max x0 subject to x0 + x1 <= 2, -x0 <= 1: the optimum is x = (2, 0),
 # proved by y = (1, 0), with c.x = b.y = 2.
 SIGN_LP = ([1, 0], [[1, 1], [-1, 0]], [2, 1])
@@ -625,21 +626,20 @@ SIGN_LP = ([1, 0], [[1, 1], [-1, 0]], [2, 1])
 @pytest.mark.parametrize("lp,x,y,ok", [
     (CERT_LP, CERT_X, CERT_Y, True),
     # 3 * 14/5 > 6 breaks the second row; c.x = 14/5 = b.y still.
-    (CERT_LP, {0: Fraction(14, 5)}, CERT_Y, False),
+    (CERT_LP, ([0], [14], 5), CERT_Y, False),
     # 7/15 < 1 breaks the second column; b.y = 6 * 7/15 = 14/5 = c.x still.
-    (CERT_LP, CERT_X, {1: Fraction(7, 15)}, False),
+    (CERT_LP, CERT_X, ([1], [7], 15), False),
     # Both feasible, but c.x = 2 < 14/5 = b.y.
-    (CERT_LP, {0: Fraction(1), 1: Fraction(1)}, CERT_Y, False),
-    (SIGN_LP, {0: Fraction(2)}, {0: Fraction(1)}, True),
+    (CERT_LP, ([0, 1], [1, 1], 1), CERT_Y, False),
+    (SIGN_LP, ([0], [2], 1), ([0], [1], 1), True),
     # Every other check passes on these two.
-    (SIGN_LP, {0: Fraction(2), 1: Fraction(-1)}, {0: Fraction(1)}, False),
-    (SIGN_LP, {0: Fraction(2)}, {0: Fraction(7, 6), 1: Fraction(-1, 3)},
-     False),
+    (SIGN_LP, ([0, 1], [2, -1], 1), ([0], [1], 1), False),
+    (SIGN_LP, ([0], [2], 1), ([0, 1], [7, -2], 6), False),
 ], ids=["optimal", "row", "column", "gap", "optimal_2", "negative_x",
         "negative_y"])
 def test_certificate_rejects_bad_pairs(lp, x, y, ok, dtype):
     c, rows, rhs = (np.array(v, dtype=dtype) for v in lp)
-    assert angles._certified(c, rows, rhs, x, y) is ok
+    assert angles._proves(c, rows, rhs, x, y) is ok
 
 
 def test_certificate_rejects_a_loose_nonbasic_slack_row():
@@ -650,9 +650,9 @@ def test_certificate_rejects_a_loose_nonbasic_slack_row():
     and the exact tableau answers."""
     lp = ([0, 1, 1], [[0, 1999999, 0], [1, 1, 1]], [2, 1])
     c, rows, rhs = (np.array(v, dtype=np.int64) for v in lp)
-    x = {1: Fraction(1, 1000000), 2: Fraction(999999, 1000000)}
-    assert not angles._certified(c, rows, rhs, x, {0: Fraction(0), 1: Fraction(1)})
-    assert angles._certified(c, rows, rhs, x, {1: Fraction(1)})
+    x = ([1, 2], [1, 999999], 1000000)
+    assert not angles._proves(c, rows, rhs, x, ([0, 1], [0, 1], 1))
+    assert angles._proves(c, rows, rhs, x, ([1], [1], 1))
     assert angles._simplex_max(*lp) == reference_simplex_max(*lp)
 
 
@@ -664,9 +664,9 @@ def test_certificate_rejects_a_pair_past_int64():
     big = 2 ** 31 - 1
     c, rows, rhs = (np.array(v, dtype=np.int64)
                     for v in ([0, 1], [[big, 0], [0, 1]], [1, 1]))
-    x = {0: Fraction(2 ** 33), 1: Fraction(1)}
+    x = ([0, 1], [2 ** 33, 1], 1)
     assert (rows @ np.array([2 ** 33, 1]) <= rhs).all()
-    assert not angles._certified(c, rows, rhs, x, {1: Fraction(1)})
+    assert not angles._proves(c, rows, rhs, x, ([1], [1], 1))
 
 
 def _limit_denominator_pairs(values):

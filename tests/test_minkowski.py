@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from andreev import catalog, complexes, minkowski, whitehead
+from conftest import built_prism, built_split_prism
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -100,8 +101,7 @@ def test_vertex_points_match_vertex_point():
     oracle refuses, with the same error, and its points agree with the
     oracle's within a few ulps of max|X|^2 / det."""
     import itertools
-    r = minkowski.build_prism(8, math.pi / 2, 0.05)
-    units = r.normals
+    units = minkowski.build_prism(8, math.pi / 2, 0.05)
     refused = set()
     finite, want = [], []
     for t in itertools.combinations(range(len(units)), 3):
@@ -136,8 +136,8 @@ def test_vertex_points_match_vertex_point():
 
 
 def _built_realizations():
-    built = [minkowski.build_prism(n, math.pi / 3, 0.1) for n in (5, 6, 8)]
-    built.append(minkowski.build_split_prism(9))
+    built = [built_prism(n, math.pi / 3, 0.1) for n in (5, 6, 8)]
+    built.append(built_split_prism(9))
     L = random_isometry(np.random.default_rng(5))
     r = built[-1]
     built.append(minkowski.Realization(complex=r.complex,
@@ -156,7 +156,7 @@ def test_edge_angles_match_dihedral(r):
 
 
 def test_edge_angles_name_the_first_tangent_edge():
-    r = minkowski.build_prism(6, math.pi / 3, 0.1)
+    r = built_prism(6, math.pi / 3, 0.1)
     normals = np.array(r.normals)
     _, _, fa, fb = r.complex.edges[3]
     # <v,w> = -1 with both unit: the planes touch at infinity
@@ -218,12 +218,21 @@ class TestPerpPlane:
             minkowski.perp_plane(*_corner_triple(math.pi / 3))
 
 
+def _triangles(ap):
+    return complexes.dual(ap).triangle_set
+
+
+def _bounded_triangles(planes):
+    """The triangles of the cell structure the planes bound."""
+    return _triangles(minkowski.extract_combinatorics(planes).complex)
+
+
 class TestBuildPrism:
     def test_pr5_angles(self):
-        r = minkowski.build_prism(5, math.pi / 4, 0.01)
-        ap = r.complex
-        assert complexes.isomorphic(
-            complexes.dual(ap), complexes.dual(catalog.prism(5))) is not None
+        planes = minkowski.build_prism(5, math.pi / 4, 0.01)
+        ap = catalog.prism(5)
+        assert _bounded_triangles(planes) == _triangles(ap)
+        r = minkowski.certify(ap, planes)
         for e, ang in enumerate(r.edge_angles()):
             fa, fb = ap.edges[e][2], ap.edges[e][3]
             if len(ap.faces[fa]) == 4 and len(ap.faces[fb]) == 4:
@@ -232,10 +241,9 @@ class TestBuildPrism:
                 assert 0 < ang < math.pi / 2
 
     def test_pr10(self):
-        r = minkowski.build_prism(10, math.pi / 5)
-        assert complexes.isomorphic(
-            complexes.dual(r.complex),
-            complexes.dual(catalog.prism(10))) is not None
+        planes = minkowski.build_prism(10, math.pi / 5)
+        assert planes.shape == (10, 4)
+        assert _bounded_triangles(planes) == _triangles(catalog.prism(10))
 
     def test_too_small(self):
         with pytest.raises(minkowski.BadParameters):
@@ -252,25 +260,28 @@ class TestBuildPrism:
 
 
 class TestSplitPrism:
-    def test_seven_faces_is_the_prism(self):
-        r = minkowski.build_split_prism(7)
-        assert complexes.isomorphic(
-            complexes.dual(r.complex), complexes.dual(catalog.prism(7))) is not None
+    def test_seven_faces_refused(self):
+        """The 7-face split prism would be the prism itself, which
+        build_prism builds."""
+        with pytest.raises(minkowski.BadParameters):
+            minkowski.build_split_prism(7)
 
     @pytest.mark.parametrize("n", [8, 9, 10, 11, 12])
     def test_matches_target_complex(self, n):
-        r = minkowski.build_split_prism(n)
-        assert complexes.isomorphic(
-            complexes.dual(r.complex), catalog.split_prism_dual(n)) is not None
+        planes = minkowski.build_split_prism(n)
+        assert (_bounded_triangles(planes)
+                == catalog.split_prism_dual(n).triangle_set)
+        r = minkowski.certify(catalog.split_prism(n), planes)
         for ang in r.edge_angles():
             near = min(abs(ang - math.pi / 3), abs(ang - math.pi / 2))
             assert near < 1e-8
 
     @pytest.mark.parametrize("n", range(8, 17))
     def test_planes_in_catalog_labels(self, n):
-        r = minkowski.build_split_prism(n)
-        assert r.complex.faces == catalog.split_prism(n).faces
-        labels = whitehead.split_prism_labels(complexes.dual(r.complex))
+        planes = minkowski.build_split_prism(n)
+        minkowski.certify(catalog.split_prism(n), planes)
+        ext = minkowski.extract_combinatorics(planes)
+        labels = whitehead.split_prism_labels(complexes.dual(ext.complex))
         assert labels == {v: v for v in range(n)}
 
     def test_too_small(self):
@@ -280,21 +291,24 @@ class TestSplitPrism:
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_builders_match_extraction(n):
-    """The prism builders certify the complex their construction predicts
-    instead of extracting it; extraction must find the same one."""
+    """The prism builders' planes in catalog order certify on the catalog
+    complex, and extraction finds the same cells and vertices."""
     angle = {5: math.pi / 4, 6: 2 * math.pi / 5}.get(n, math.pi / 2)
-    built = [minkowski.build_prism(n, angle, math.pi / 10)]
-    if n >= 7:
-        built.append(minkowski.build_split_prism(n))
+    built = [built_prism(n, angle, math.pi / 10)]
+    if n >= 8:
+        built.append(built_split_prism(n))
     for r in built:
         ext = minkowski.extract_combinatorics(r.normals)
-        assert ext.complex.vertex_count == r.complex.vertex_count
-        assert ext.complex.faces == r.complex.faces
-        assert np.allclose(ext.points, r.points, rtol=1e-9, atol=1e-9)
+        assert _triangles(ext.complex) == _triangles(r.complex)
+        at = {ext.complex.vertex_faces(v): p
+              for v, p in enumerate(ext.points)}
+        want = np.array([at[r.complex.vertex_faces(v)]
+                         for v in range(r.complex.vertex_count)])
+        assert np.allclose(want, r.points, rtol=1e-9, atol=1e-9)
 
 
 def test_realization_arrays_are_read_only():
-    r = minkowski.build_prism(5, math.pi / 4, 0.01)
+    r = built_prism(5, math.pi / 4, 0.01)
     assert r.normals.shape == (5, 4) and r.points.shape == (6, 4)
     assert r.normals.dtype == r.points.dtype == np.float64
     with pytest.raises(ValueError):
@@ -304,13 +318,13 @@ def test_realization_arrays_are_read_only():
 
 
 def test_extract_rejects_open_sets():
-    r = minkowski.build_prism(5, math.pi / 4, 0.01)
+    planes = minkowski.build_prism(5, math.pi / 4, 0.01)
     with pytest.raises(minkowski.GeometryError):
-        minkowski.extract_combinatorics(list(r.normals)[:-1])
+        minkowski.extract_combinatorics(list(planes)[1:])  # no bottom cap
 
 
 def test_extracted_vertices_exhaust_definite_triples():
-    r = minkowski.build_prism(6, math.pi / 3, 0.05)
+    r = built_prism(6, math.pi / 3, 0.05)
     ap = r.complex
     vs = [np.array(v) for v in r.normals]
     combos = set()
@@ -327,7 +341,7 @@ def test_extracted_vertices_exhaust_definite_triples():
 
 def test_lorentz_invariance():
     rng = np.random.default_rng(3)
-    r = minkowski.build_prism(7, math.pi / 3, 0.04)
+    r = built_prism(7, math.pi / 3, 0.04)
     base_angles = r.edge_angles()
     base_lengths = r.edge_lengths()
     for _ in range(3):
@@ -346,7 +360,7 @@ def test_lorentz_invariance():
 
 class TestExport:
     def test_off_counts(self):
-        r = minkowski.build_prism(5, math.pi / 4, 0.01)
+        r = built_prism(5, math.pi / 4, 0.01)
         text = minkowski.export(r, "off").decode()
         lines = [ln for ln in text.splitlines() if ln.strip()]
         assert lines[0] == "OFF"
@@ -365,6 +379,6 @@ class TestExport:
         assert minkowski._ball((1.0, 0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
 
     def test_byte_stability(self):
-        r = minkowski.build_prism(6, math.pi / 3, 0.02)
+        r = built_prism(6, math.pi / 3, 0.02)
         assert minkowski.export(r, "json") == minkowski.export(r, "json")
         assert minkowski.export(r, "ball_json") == minkowski.export(r, "ball_json")

@@ -11,7 +11,8 @@ import pytest
 
 from andreev import angles, catalog, complexes, minkowski, realize, whitehead
 from andreev.angles import AngleAssignment
-from conftest import cube_with_corner_cubes, gram_residual
+from conftest import (built_prism, built_split_prism, cube_with_corner_cubes,
+                      gram_residual)
 from test_complexes import relabelled
 
 
@@ -77,12 +78,8 @@ class TestNewtonSolve:
             lateral = len(ap.faces[fa]) == 4 and len(ap.faces[fb]) == 4
             vals.append(Fraction(1, 4) if lateral else Fraction(49, 100))
         a = AngleAssignment(tuple(vals))
-        seed = minkowski.build_prism(5, math.pi / 4, 0.01)
-        m = complexes.isomorphic(complexes.dual(seed.complex),
-                                 complexes.dual(ap))
-        normals = [None] * ap.face_count
-        for f, g in m.items():
-            normals[g] = seed.normals[f]
+        # build_prism lists its planes in catalog.prism(5) order.
+        normals = minkowski.build_prism(5, math.pi / 4, 0.01)
         r = realize.newton_solve(ap, a, normals)
         assert gram_residual(r, a) < 1e-10
         assert angle_error(r, a) < 1e-9
@@ -92,8 +89,7 @@ class TestNewtonSolve:
         ap = catalog.dodecahedron()
         seed = minkowski.build_prism(12, math.pi / 5, 0.05)
         with pytest.raises(realize.RealizeError):
-            realize.newton_solve(ap, uniform(ap, Fraction(2, 5)),
-                                 seed.normals)
+            realize.newton_solve(ap, uniform(ap, Fraction(2, 5)), seed)
 
     @pytest.mark.parametrize("shape", [(3, 4), (6, 3), (8, 4)])
     def test_seed_of_wrong_shape_refused(self, shape):
@@ -237,7 +233,7 @@ class TestContinuePath:
 
     def test_endpoint_checked_exactly(self):
         ap = catalog.prism(5)
-        seed = minkowski.build_prism(5, math.pi / 4, 0.01)
+        seed = built_prism(5, math.pi / 4, 0.01)
         with pytest.raises(angles.NotMember):
             realize.continue_path(seed, uniform(ap, Fraction(2, 5)))
 
@@ -347,7 +343,7 @@ class TestReplay:
         assert angle_error(back, uniform(back.complex, Fraction(2, 5))) < 1e-8
 
     def test_prism_stage_rejected(self):
-        seed = minkowski.build_prism(8, math.pi / 2, 0.1)
+        seed = built_prism(8, math.pi / 2, 0.1)
         dc = complexes.dual(seed.complex)
         a, b = min(dc.edges)
         mv = whitehead.move_on(dc, a, b)
@@ -759,9 +755,8 @@ AUDIT_CASES = {
     "random8": (lambda: _two_fifths(
         complexes.primal(whitehead.random_simple(8, seed=11))), True),
     "prism7": (lambda: _realization(
-        minkowski.build_prism(7, math.pi / 3, 0.04)), True),
-    "split_prism10": (lambda: _realization(
-        minkowski.build_split_prism(10)), True),
+        built_prism(7, math.pi / 3, 0.04)), True),
+    "split_prism10": (lambda: _realization(built_split_prism(10)), True),
     "corner_truncated_cube": (lambda: _witness(
         catalog.corner_truncated_cube()), True),
     "truncated_tetrahedron": (lambda: _witness(
@@ -922,7 +917,7 @@ def test_prism_seeds_are_members():
         vertical, profile = realize._prism_seed(ap, labels)
         assert vertical == {5: Fraction(1, 4), 6: Fraction(2, 5)}.get(
             n, Fraction(1, 2))
-        caps = set(labels[-2:])
+        caps = set(labels[:2])
         for (_, _, fa, fb), v in zip(ap.edges, profile):
             assert v == (Fraction(2, 5) if {fa, fb} & caps else vertical)
         assert angles.check_conditions(ap, profile).member, n
@@ -993,6 +988,59 @@ def test_split_prism_labels_twice_per_simple_realize(monkeypatch):
         calls.clear()
         realize.realize(ap, uniform(ap, Fraction(2, 5)))
         assert len(calls) == 2, (n, seed)
+
+
+def _spy_seed_checks(monkeypatch):
+    """Record each minkowski.certify call and each DualComplex made, with
+    the innermost of realize.realize, build_prism and build_split_prism
+    it runs in, and each walk's start with the certify count so far."""
+    calls = []
+    owners = {f.__code__: f.__name__ for f in (
+        realize.realize, minkowski.build_prism, minkowski.build_split_prism)}
+
+    def owner():
+        frame = sys._getframe(2)
+        while frame is not None and frame.f_code not in owners:
+            frame = frame.f_back
+        return frame and owners[frame.f_code]
+
+    def spy(kind, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((kind, owner()))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(minkowski, "certify",
+                        spy("certify", minkowski.certify))
+    monkeypatch.setattr(complexes.DualComplex, "__post_init__",
+                        spy("dual", complexes.DualComplex.__post_init__))
+    monkeypatch.setattr(realize, "_walk", spy("walk", realize._walk))
+    for name in ("build_prism", "build_split_prism"):
+        monkeypatch.setattr(minkowski, name,
+                            spy(name, getattr(minkowski, name)))
+    return calls
+
+
+def test_seeds_are_certified_once(monkeypatch):
+    """The prism builders return planes and certify nothing: a prism's
+    seed is certified once, on the caller's complex, before its walk,
+    and no dual is built; on a simple complex neither builder certifies
+    or builds a dual itself."""
+    prism = catalog.prism(7)
+    simple = complexes.primal(whitehead.random_simple(12, 0))
+    calls = _spy_seed_checks(monkeypatch)
+    r = realize.realize(prism, uniform(prism, Fraction(2, 5)))
+    assert r.complex is prism
+    kinds = [kind for kind, _ in calls]
+    assert "dual" not in kinds
+    assert kinds[:kinds.index("walk")] == ["build_prism", "certify"]
+
+    calls.clear()
+    realize.realize(simple, uniform(simple, Fraction(2, 5)))
+    kinds = {kind for kind, _ in calls}
+    assert {"build_prism", "build_split_prism"} <= kinds
+    assert not [(kind, owner) for kind, owner in calls
+                if kind in ("certify", "dual") and owner.startswith("build")]
 
 
 def test_rebuilds_per_realize_do_not_grow_with_moves(monkeypatch):
@@ -1281,7 +1329,7 @@ def _prism_label_inputs():
 
 def test_prism_labels_match_isomorphism():
     """_prism_labels finds a prism exactly where the canonical-form
-    search does, and its labels carry build_prism's triangles onto the
+    search does, and its labels carry catalog.prism's triangles onto the
     complex's own."""
     found = 0
     for ap in _prism_label_inputs():
@@ -1292,8 +1340,8 @@ def test_prism_labels_match_isomorphism():
         if labels is None:
             continue
         found += 1
-        built = complexes.dual(minkowski.build_prism(n, math.pi / 4).complex)
-        moved = {tuple(sorted(labels[x] for x in t)) for t in built.triangles}
+        prism = complexes.dual(catalog.prism(n))
+        moved = {tuple(sorted(labels[x] for x in t)) for t in prism.triangles}
         assert moved == complexes.dual(ap).triangle_set
     assert found == 17
 

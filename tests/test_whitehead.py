@@ -312,7 +312,8 @@ class TestSplitPrismLabels:
 
     def test_built_split_prisms(self):
         for n in range(8, 17):
-            dc = complexes.dual(minkowski.build_split_prism(n).complex)
+            planes = minkowski.build_split_prism(n)
+            dc = complexes.dual(minkowski.extract_combinatorics(planes).complex)
             assert _labels_carry(whitehead.split_prism_labels(dc), dc)
 
     def test_none_exactly_where_not_isomorphic(self):
