@@ -391,12 +391,10 @@ def build(vertex_count: int, faces: Sequence[Sequence[int]], name: str = "comple
             f"V-E+F = {vertex_count}-{n_edges}+{n_faces} != 2")
 
     # Dual (face-adjacency) graph must be connected for a sphere complex.
-    adj: Dict[int, set] = {i: set() for i in range(n_faces)}
-    for _, _, fa, fb in edges:
-        adj[fa].add(fb)
-        adj[fb].add(fa)
-    seen = {0}
-    stack = [0]
+    ap = AbstractPolyhedron(vertex_count=vertex_count, faces=faces_t,
+                            edges=edges, name=name)
+    adj = face_adjacency(ap)
+    seen, stack = {0}, [0]
     while stack:
         for nxt in adj[stack.pop()]:
             if nxt not in seen:
@@ -404,8 +402,17 @@ def build(vertex_count: int, faces: Sequence[Sequence[int]], name: str = "comple
                 stack.append(nxt)
     if len(seen) != n_faces:
         raise EulerViolation("face adjacency graph is disconnected")
+    return ap
 
-    return AbstractPolyhedron(vertex_count=vertex_count, faces=faces_t, edges=edges, name=name)
+
+def face_adjacency(ap: AbstractPolyhedron) -> Tuple[FrozenSet[int], ...]:
+    """Entry f: the faces sharing an edge with face f.  This is the
+    adjacency of dual(ap), read off ap's edges without building it."""
+    adj: List[set] = [set() for _ in range(ap.face_count)]
+    for _, _, fa, fb in ap.edges:
+        adj[fa].add(fb)
+        adj[fb].add(fa)
+    return tuple(map(frozenset, adj))
 
 
 def dual(ap: AbstractPolyhedron) -> DualComplex:
@@ -536,19 +543,15 @@ def prismatic_circuits(ap: AbstractPolyhedron, k: int) -> List[Circuit]:
     is prismatic iff it is not itself a triangle.
 
     The dual is read off the complex itself, and none is built: its
-    edges are the face pairs that share an edge, and its triangles the
-    face triples at each vertex.  The circuits are enumerated once per
-    complex object and k, cached on the complex; each call returns a
-    new list.
+    edges are face_adjacency(ap), and its triangles the face triples at
+    each vertex.  The circuits are enumerated once per complex object
+    and k, cached on the complex; each call returns a new list.
     """
     if k not in (3, 4):
         raise ValueError("k must be 3 or 4")
     cached = ap._circuits.get(k)
     if cached is None:
-        adj: List[set] = [set() for _ in range(ap.face_count)]
-        for a, b in ap._face_pair_edges:
-            adj[a].add(b)
-            adj[b].add(a)
+        adj = face_adjacency(ap)
         tris = set(ap._vertex_faces)
         if k == 3:
             kept = [c for c in _simple_cycles(adj, 3) if c not in tris]

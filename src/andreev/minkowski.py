@@ -83,16 +83,14 @@ def _mdot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _form(x.T, y.T).T
 
 
-def _unit_rows(V: np.ndarray) -> np.ndarray:
-    """Scale every vector along the last axis to <v,v> = 1."""
+def unit_spacelike(v) -> np.ndarray:
+    """v, one vector or a stack of them, with every vector along the
+    last axis scaled to <v,v> = 1."""
+    V = np.asarray(v, dtype=float)
     q = _mdot_rows(V, V)
     if not np.all(q > 0):
         raise OutOfRange("normal vector is not spacelike")
     return V / np.sqrt(q)[..., None]
-
-
-def unit_spacelike(v) -> np.ndarray:
-    return _unit_rows(np.asarray(v, dtype=float))
 
 
 def unit_timelike(p) -> np.ndarray:
@@ -223,8 +221,7 @@ def perp_plane(v1, v2, v3, interior=(1.0, 0.0, 0.0, 0.0)) -> np.ndarray:
     """The plane meeting all three given planes at right angles, which
     exists when they pairwise intersect but share no point, even at
     infinity.  Oriented away from the given interior point."""
-    p, det = vertex_cofactors(_unit_rows(np.array([v1, v2, v3], dtype=float)),
-                              [(0, 1, 2)])
+    p, det = vertex_cofactors(unit_spacelike([v1, v2, v3]), [(0, 1, 2)])
     if det[0] >= -CLASSIFY_TOL:
         raise CommonPoint("planes share a point (possibly ideal)")
     w = p[0] / math.sqrt(-det[0])
@@ -301,7 +298,7 @@ def certify(ap: AbstractPolyhedron, normals) -> Realization:
         raise WrongCells(
             f"{len(X)} planes for a complex with {ap.face_count} faces")
     faces = np.array([ap.vertex_faces(v) for v in range(ap.vertex_count)])
-    units = _unit_rows(X)
+    units = unit_spacelike(X)
     points = cell_points(units, faces, *vertex_cofactors(units, faces))
     return Realization(complex=ap, normals=X, points=points)
 
@@ -378,7 +375,7 @@ def build_prism(n: int, polygon_angle: float, gap: float = 0.1
                                math.cosh(d) * math.sin(phi), 0.0]))
     top = np.array([math.sinh(t), 0.0, 0.0, math.cosh(t)])
     bottom = np.array([math.sinh(t), 0.0, 0.0, -math.cosh(t)])
-    return _unit_rows(np.array([bottom, top] + sides))
+    return unit_spacelike([bottom, top] + sides)
 
 
 def reflect(x, mirror) -> np.ndarray:
@@ -413,7 +410,7 @@ def build_split_prism(n: int) -> np.ndarray:
     X = realize.realize(glued, target).normals
     planes = np.vstack([X[:1], X[n - 2:1:-1], reflect(X[quarter], X[1]),
                         reflect(X[0], X[1])])
-    return _unit_rows(planes)
+    return unit_spacelike(planes)
 
 
 # Export

@@ -593,8 +593,8 @@ def truncate_ideal(realization: Realization,
 def _essential_circuits(ap: AbstractPolyhedron) -> List[complexes.Circuit]:
     """The prismatic 3-circuits of ap that do not just wall off a
     triangular face, that is, differ from its three neighbours."""
-    walls = [{g for e in ap.face_edge_cycle(f) for g in ap.edges[e][2:]}
-             - {f} for f, cycle in enumerate(ap.faces) if len(cycle) == 3]
+    adj = complexes.face_adjacency(ap)
+    walls = [adj[f] for f, cycle in enumerate(ap.faces) if len(cycle) == 3]
     return [c for c in complexes.prismatic_circuits(ap, 3)
             if set(c.dual_nodes) not in walls]
 
@@ -607,26 +607,27 @@ def _collapse_base(ap: AbstractPolyhedron) -> Tuple[
     Returns the shrunken complex, the map from its faces to faces of ap,
     and each removed triangle (an ap face) keyed by the ap faces of its
     three neighbours.
-    """
-    dc = complexes.dual(ap)
-    labels = list(range(dc.node_count))
-    removed: Dict[FrozenSet[int], int] = {}
-    while dc.node_count > 5:
-        adj = dc.adjacency()
-        tset = dc.triangle_set
-        cand = [f for f in range(dc.node_count)
-                if len(adj[f]) == 3 and tuple(sorted(adj[f])) not in tset]
-        if not cand:
-            break
-        f = cand[0]
-        tri = tuple(sorted(adj[f]))
-        removed[frozenset(labels[x] for x in tri)] = labels[f]
-        tris = [t for t in dc.triangles if f not in t] + [tri]
-        shift = lambda x: x - 1 if x > f else x
-        tris = sorted(tuple(sorted(map(shift, t))) for t in tris)
-        dc = complexes.DualComplex(node_count=dc.node_count - 1,
-                                   triangles=tuple(tris))
-        del labels[f]
+
+    A truncated triangle is a triangular face whose neighbours meet at
+    no vertex.  All are read off ap, and the least of them, at most
+    N - 5 of N faces, are shrunk at once.  On the staged branch's
+    inputs that is what shrinking them one at a time gives: with more
+    than five faces no two are adjacent or share their neighbours, and
+    a face that shrinking one turns into a new truncated triangle is
+    walled off with it by a prismatic 3-circuit, which there surrounds
+    a triangle on its other side: six faces, of which one is shrunk."""
+    adj = complexes.face_adjacency(ap)
+    vertices = {ap.vertex_faces(v) for v in range(ap.vertex_count)}
+    walls = {f: tuple(sorted(adj[f])) for f, cycle in enumerate(ap.faces)
+             if len(cycle) == 3}
+    shrunk = [f for f in walls if walls[f] not in vertices][:ap.face_count - 5]
+    removed = {frozenset(walls[f]): f for f in shrunk}
+    labels = [f for f in range(ap.face_count) if f not in shrunk]
+    new = {f: i for i, f in enumerate(labels)}
+    triangles = [t for t in vertices if all(x in new for x in t)]
+    triangles += [walls[f] for f in shrunk]
+    dc = complexes.DualComplex(node_count=len(labels), triangles=tuple(
+        sorted(tuple(new[x] for x in t) for t in triangles)))
     base = complexes.primal(dc, name=f"{ap.name}_shrunk")
     assert complexes.is_simple(base) or base.face_count == 5
     return base, labels, removed
@@ -712,8 +713,10 @@ def decompose(ap: AbstractPolyhedron, a: AngleAssignment) -> CompoundPlan:
     fill the hole on each side with a triangle at pi/2 to the circuit's
     faces.  Each piece is one side of the circuit plus its three nodes;
     circuits left in a piece are cut when realize meets that piece.
-    The first piece is the side holding a node of the dual's first
-    triangle."""
+    The first piece is the side holding a face of ap's least vertex
+    triple, the dual's first triangle.  No dual of ap is built: the
+    sides are flooded over face_adjacency(ap), and each piece's dual
+    takes its triangles from ap's vertex triples."""
     if len(a) != ap.edge_count:
         raise angle_sets.SizeMismatch(
             f"assignment has {len(a)} angles, complex has {ap.edge_count} edges")
@@ -722,19 +725,19 @@ def decompose(ap: AbstractPolyhedron, a: AngleAssignment) -> CompoundPlan:
         raise NoEssentialCircuits(
             "every prismatic 3-circuit surrounds a triangular face")
     circuit = ess[0]
-    dc = complexes.dual(ap)
-    adj = dc.adjacency()
+    adj = complexes.face_adjacency(ap)
+    triangles = [ap.vertex_faces(v) for v in range(ap.vertex_count)]
     ring = set(circuit.dual_nodes)
     # The circuit is no dual triangle, so every dual triangle has a node
     # off it, on exactly one of the two sides the circuit splits the
     # sphere into; an essential circuit walls off no single face.
-    first = next(x for x in dc.triangles[0] if x not in ring)
+    first = next(x for x in min(triangles) if x not in ring)
     side, stack = {first}, [first]
     while stack:
         for y in adj[stack.pop()] - ring - side:
             side.add(y)
             stack.append(y)
-    sides = (side, set(range(dc.node_count)) - ring - side)
+    sides = (side, set(range(ap.face_count)) - ring - side)
 
     pieces = []
     for r, nodes_in in enumerate(sides):
@@ -742,7 +745,7 @@ def decompose(ap: AbstractPolyhedron, a: AngleAssignment) -> CompoundPlan:
         relabel = {x: i for i, x in enumerate(nodes)}
         fill = len(nodes)
         ca, cb, cc = (relabel[x] for x in circuit.dual_nodes)
-        tris = [tuple(sorted(relabel[x] for x in t)) for t in dc.triangles
+        tris = [tuple(relabel[x] for x in t) for t in triangles
                 if not nodes_in.isdisjoint(t)]
         tris += [tuple(sorted(pair + (fill,)))
                  for pair in ((ca, cb), (cb, cc), (ca, cc))]
@@ -883,8 +886,8 @@ def _realize_simple(ap: AbstractPolyhedron, a: AngleAssignment) -> Realization:
     # Neither leg checks its endpoints against the condition table again.
     # Uniform 2/5 lies in the angle set of every simple complex (see
     # _collapse_profile); ap is simple, and so is trace.end, since
-    # reduce_to_dn certified each move with _keeps_simple.  realize has
-    # already checked a exactly on ap.
+    # reduce_to_dn certified each move with flip_keeps_simple.  realize
+    # has already checked a exactly on ap.
     interior = np.full(ap.edge_count, float(TWO_FIFTHS) * math.pi)
     current = _walk(current, interior)
     for mv in reversed(trace.moves):

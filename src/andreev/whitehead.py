@@ -9,9 +9,10 @@ one vertex per episode until only two interior nodes remain.
 Every triangle that survives a move is still a triangle and XY is its
 only new edge, so a move keeps a simple complex simple exactly when
 every 3-cycle through XY is a triangle of the moved complex
-(`_keeps_simple`).  That one check certifies each move of the reduction
-and of `random_simple`; the reduction's end is certified by relabeling
-it exactly onto `catalog.split_prism_dual(n)` (`split_prism_labels`).
+(`complexes.flip_keeps_simple`).  That one check certifies each move of
+the reduction and of `random_simple`; the reduction's end is certified
+by relabeling it exactly onto `catalog.split_prism_dual(n)`
+(`split_prism_labels`).
 """
 
 from __future__ import annotations
@@ -99,13 +100,6 @@ def apply_move(dc: DualComplex, move: WhiteheadMove) -> DualComplex:
     except complexes.ComplexError:
         _check_move(dc, move)
         raise
-
-
-def _keeps_simple(after: DualComplex, move: WhiteheadMove) -> bool:
-    """Whether `move`, applied to a simple complex, left `after` simple
-    (`complexes.flip_keeps_simple`)."""
-    return complexes.flip_keeps_simple(after, *move.removed_edge,
-                                       *move.inserted_edge)
 
 
 def primal_after(ap: AbstractPolyhedron,
@@ -224,7 +218,8 @@ class _Reducer:
     def do(self, a: int, b: int) -> WhiteheadMove:
         move = move_on(self.current, a, b)
         after = apply_move(self.current, move)
-        if not _keeps_simple(after, move):
+        if not complexes.flip_keeps_simple(after, *move.removed_edge,
+                                           *move.inserted_edge):
             raise InternalInvariantBroken(
                 f"move {move} created a non-facial 3-cycle")
         if after.triangles in self.seen:
@@ -417,7 +412,8 @@ def random_simple(n: int, seed: int, moves: int = 20) -> DualComplex:
             after = apply_move(cur, move)
         except WhiteheadError:
             continue
-        if not _keeps_simple(after, move):
+        if not complexes.flip_keeps_simple(after, *move.removed_edge,
+                                           *move.inserted_edge):
             continue
         cur = after
         accepted += 1

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from andreev import catalog, complexes, whitehead
-from conftest import brute_prismatic
+from conftest import brute_prismatic, cube_with_corner_cubes
 
 
 class TestBuild:
@@ -83,6 +83,19 @@ class TestDual:
             back = complexes.primal(complexes.dual(ap))
             assert complexes.isomorphic(complexes.dual(back),
                                         complexes.dual(ap)) is not None
+
+    def test_face_adjacency_is_the_duals(self, corpus):
+        """face_adjacency, read off the edges, is the adjacency of the
+        dual, derived from the vertex triples of a copy with no dual
+        attached."""
+        aps = corpus + [cube_with_corner_cubes(c)
+                        for c in ((0,), (0, 2), (0, 2, 5))]
+        aps += [complexes.primal(whitehead.random_simple(n, s))
+                for n in range(8, 25) for s in (0, 1)]
+        for ap in aps:
+            copy = dataclasses.replace(ap)
+            assert (dict(enumerate(complexes.face_adjacency(copy)))
+                    == complexes.dual(copy).adjacency()), ap.name
 
 
 class TestCircuits:

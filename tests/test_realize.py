@@ -1,5 +1,6 @@
 """Newton solves, continuation, replay, truncation, and gluing."""
 
+import dataclasses
 import functools
 import math
 import sys
@@ -684,6 +685,79 @@ def test_staged_starts_are_members(ap):
     assert is_staged(ap)
     a = angles.feasible(ap).witness
     assert angles.check_conditions(ap, staged_start(ap, a)).member
+
+
+def collapse_base_one_at_a_time(ap):
+    """The reference for realize._collapse_base, as it was written
+    before it shrank all truncated triangles at once: shrink the least
+    truncated triangle of the current dual, relabel its nodes, build
+    the shrunken dual, and start again until none is left or five faces
+    are."""
+    dc = complexes.dual(ap)
+    labels = list(range(dc.node_count))
+    removed = {}
+    while dc.node_count > 5:
+        adj = dc.adjacency()
+        tset = dc.triangle_set
+        cand = [f for f in range(dc.node_count)
+                if len(adj[f]) == 3 and tuple(sorted(adj[f])) not in tset]
+        if not cand:
+            break
+        f = cand[0]
+        tri = tuple(sorted(adj[f]))
+        removed[frozenset(labels[x] for x in tri)] = labels[f]
+        tris = [t for t in dc.triangles if f not in t] + [tri]
+        shift = lambda x: x - 1 if x > f else x
+        tris = sorted(tuple(sorted(map(shift, t))) for t in tris)
+        dc = complexes.DualComplex(node_count=dc.node_count - 1,
+                                   triangles=tuple(tris))
+        del labels[f]
+    return dc, labels, removed
+
+
+def assert_collapses_as_reference(ap):
+    base, labels, removed = realize._collapse_base(ap)
+    dc, want_labels, want_removed = collapse_base_one_at_a_time(ap)
+    assert complexes.dual(base).triangles == dc.triangles
+    assert labels == want_labels
+    assert removed == want_removed
+
+
+@pytest.mark.parametrize("ap", STAGED_STARTS, ids=lambda ap: ap.name)
+def test_collapse_base_matches_one_at_a_time(ap):
+    assert_collapses_as_reference(ap)
+
+
+def realized_pieces(ap):
+    """ap and every piece realize cuts from it, in the order realize
+    meets them."""
+    out, todo = [], [(ap, angles.feasible(ap).witness)]
+    while todo:
+        whole, a = todo.pop(0)
+        out.append(whole)
+        if (realize._prism_labels(whole) is None
+                and not complexes.is_simple(whole)
+                and realize._essential_circuits(whole)):
+            todo += [(spec.complex, spec.angles)
+                     for spec in realize.decompose(whole, a).pieces]
+    return out
+
+
+@pytest.mark.parametrize("corners", [(0,), (0, 2), (0, 2, 5)], ids=str)
+def test_collapse_base_matches_one_at_a_time_on_glued_pieces(corners):
+    staged = [p for p in realized_pieces(cube_with_corner_cubes(corners))
+              if is_staged(p)]
+    # the cut cube, and a corner-truncated cube per corner
+    assert len(staged) == len(corners) + 1
+    for piece in staged:
+        assert_collapses_as_reference(piece)
+
+
+@pytest.mark.parametrize("ap", STAGED_STARTS, ids=lambda ap: ap.name)
+def test_face_adjacency_on_staged_cuts(ap):
+    copy = dataclasses.replace(ap)    # no dual attached
+    assert (dict(enumerate(complexes.face_adjacency(copy)))
+            == complexes.dual(copy).adjacency())
 
 
 def _schlafli_matrix(r):

@@ -42,7 +42,8 @@ class TestApplyMove:
         created = sorted(tuple(sorted((x, y, v))) for v in adj[x] & adj[y])
         assert len(created) == 2
         assert set(created) <= after.triangle_set
-        assert whitehead._keeps_simple(after, mv)
+        assert complexes.flip_keeps_simple(after, *mv.removed_edge,
+                                           *mv.inserted_edge)
 
     def test_missing_edge(self):
         dc = icosa()
@@ -177,15 +178,15 @@ def test_step_check_matches_primal_oracle(monkeypatch):
     """Every move random_simple tries, accepted or not, is judged by the
     one step check exactly as by the primal's prismatic 3-circuits."""
     verdicts = []
-    keeps_simple = whitehead._keeps_simple
+    keeps_simple = complexes.flip_keeps_simple
 
-    def checked(after, move):
-        got = keeps_simple(after, move)
-        assert got == complexes.is_simple(complexes.primal(after)), move
+    def checked(after, a, b, x, y):
+        got = keeps_simple(after, a, b, x, y)
+        assert got == complexes.is_simple(complexes.primal(after)), (a, b, x, y)
         verdicts.append(got)
         return got
 
-    monkeypatch.setattr(whitehead, "_keeps_simple", checked)
+    monkeypatch.setattr(complexes, "flip_keeps_simple", checked)
     for n in range(8, 25):
         for seed in range(3):
             whitehead.random_simple(n, seed, moves=30)
