@@ -112,11 +112,11 @@ def _run(args: argparse.Namespace) -> int:
             _emit(whitehead.trace_to_json(trace), args.output)
             return 0
 
-        if args.command == "realize":
-            a = _load_angles(args.angles)
-            r = realize.realize(ap, a)
-            _emit(minkowski.export(r, args.format).decode(), args.output)
-            return 0
+        # realize: argparse's required subparser admits no other command.
+        a = _load_angles(args.angles)
+        r = realize.realize(ap, a)
+        _emit(minkowski.export(r, args.format).decode(), args.output)
+        return 0
     except (OSError, ValueError) as exc:
         if isinstance(exc, angle_sets.SizeMismatch):
             print(f"bad angles: {exc}", file=sys.stderr)
@@ -133,9 +133,6 @@ def _run(args: argparse.Namespace) -> int:
         _emit(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
               args.output)
         return 1
-
-    print("unknown command", file=sys.stderr)
-    return 2
 
 
 if __name__ == "__main__":

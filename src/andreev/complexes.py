@@ -121,10 +121,12 @@ class AbstractPolyhedron:
 
     def vertex_faces(self, v: int) -> Tuple[int, ...]:
         """The three faces meeting at v, ascending."""
-        return self._vertex_faces[v]
+        return self.vertex_triples[v]
 
     @cached_property
-    def _vertex_faces(self) -> Tuple[Tuple[int, ...], ...]:
+    def vertex_triples(self) -> Tuple[Tuple[int, ...], ...]:
+        """vertex_faces(v) for every vertex v, in vertex order: the
+        triangles of the dual."""
         around: List[set] = [set() for _ in range(self.vertex_count)]
         for f, cycle in enumerate(self.faces):
             for v in cycle:
@@ -424,7 +426,7 @@ def dual(ap: AbstractPolyhedron) -> DualComplex:
     attached = ap.__dict__.get("_dual")
     if attached is not None:
         return attached
-    triangles = tuple(sorted(ap.vertex_faces(v) for v in range(ap.vertex_count)))
+    triangles = tuple(sorted(ap.vertex_triples))
     return DualComplex(node_count=ap.face_count, triangles=triangles)
 
 
@@ -459,7 +461,7 @@ def primal(dc: DualComplex, name: str = "complex") -> AbstractPolyhedron:
                              f"+{len(faces)} != 2")
     ap = AbstractPolyhedron(vertex_count=len(triangles), faces=tuple(faces),
                             edges=edges, name=name)
-    ap.__dict__["_vertex_faces"] = tuple(triangles)
+    ap.__dict__["vertex_triples"] = tuple(triangles)
     if list(dc.triangles) == triangles:
         ap.__dict__["_dual"] = dc
     return ap
@@ -552,7 +554,7 @@ def prismatic_circuits(ap: AbstractPolyhedron, k: int) -> List[Circuit]:
     cached = ap._circuits.get(k)
     if cached is None:
         adj = face_adjacency(ap)
-        tris = set(ap._vertex_faces)
+        tris = set(ap.vertex_triples)
         if k == 3:
             kept = [c for c in _simple_cycles(adj, 3) if c not in tris]
         else:

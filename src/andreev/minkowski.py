@@ -297,7 +297,7 @@ def certify(ap: AbstractPolyhedron, normals) -> Realization:
     if X.shape != (ap.face_count, 4):
         raise WrongCells(
             f"{len(X)} planes for a complex with {ap.face_count} faces")
-    faces = np.array([ap.vertex_faces(v) for v in range(ap.vertex_count)])
+    faces = np.array(ap.vertex_triples)
     units = unit_spacelike(X)
     points = cell_points(units, faces, *vertex_cofactors(units, faces))
     return Realization(complex=ap, normals=X, points=points)

@@ -9,18 +9,19 @@ continuation or one-off solve is first boosted so that the mean of its
 vertex points is the origin, so coordinates stay the size of the
 polyhedron.  Continuation moves the target angles along straight lines
 inside the angle polytope, whose membership is checked exactly at
-rational endpoints (or, for the Whitehead replay's profiles, the
-regular prism's angles and the staged branch's cut, known from a lemma:
-see `_collapse_profile`, `_prism_seed` and `_realize_truncated`).  On
-top of that sit the combinatorial pipelines: prisms are walked from the
-regular prism, simple complexes are reached by replaying a Whitehead
-reduction backwards from the split prism, complexes whose only
-prismatic 3-circuits are truncated triangles have their shrunken base
-walked until the would-be triangle vertices pass ideal and turn
-hyperideal, then cut off all at once onto the caller's complex, and
-everything else is cut along one essential 3-circuit, the two pieces
-realized by `realize` itself (which cuts any circuit left in them), and
-glued back with one Lorentz isometry.
+rational endpoints (or, for the Whitehead replay's profiles and the
+seeds' starts, known from a lemma: see `_collapse_profile`,
+`_prism_seed` and `_truncated_seed`).  On top of that sit the seeds,
+each of which hands `realize` planes in the caller's face order and the
+angles they hold at, certified once and walked once to the target:
+prisms start from the regular prism, simple complexes from a Whitehead
+reduction replayed backwards from the split prism, and complexes whose
+only prismatic 3-circuits are truncated triangles from their shrunken
+base, walked until the would-be triangle vertices pass ideal and turn
+hyperideal, then cut off all at once.  Everything else is cut along one
+essential 3-circuit, the two pieces realized by `realize` itself (which
+cuts any circuit left in them), and glued back with one Lorentz
+isometry.
 """
 
 from __future__ import annotations
@@ -144,9 +145,8 @@ def _centred(normals, points) -> np.ndarray:
 def _recentred(ap: AbstractPolyhedron, X: np.ndarray) -> np.ndarray:
     """X centred on its own vertex points, or X itself when one of them
     is not a finite point."""
-    faces = [ap.vertex_faces(v) for v in range(ap.vertex_count)]
     try:
-        return _centred(X, minkowski.vertex_points(X, faces))
+        return _centred(X, minkowski.vertex_points(X, ap.vertex_triples))
     except GeometryError:
         return X
 
@@ -164,8 +164,7 @@ class _GramSystem:
         N, E = ap.face_count, ap.edge_count
         self.ia = np.array([e[2] for e in ap.edges])
         self.ib = np.array([e[3] for e in ap.edges])
-        self.vertex_faces = np.array(
-            [ap.vertex_faces(v) for v in range(ap.vertex_count)])
+        self.vertex_faces = np.array(ap.vertex_triples)
         # Jacobian sparsity: per face row its four coordinates, per edge
         # row the coordinates of both faces; the slice rows are dense.
         n = 4 * N
@@ -261,8 +260,8 @@ def _solve_raw(ap: AbstractPolyhedron, target_rad: np.ndarray,
 
 def _vertex_dets(ap: AbstractPolyhedron, X: np.ndarray) -> np.ndarray:
     """The vertex dets of X's unit normals, as the walks decide events."""
-    faces = [ap.vertex_faces(v) for v in range(ap.vertex_count)]
-    return minkowski.vertex_cofactors(minkowski.unit_spacelike(X), faces)[1]
+    return minkowski.vertex_cofactors(minkowski.unit_spacelike(X),
+                                      ap.vertex_triples)[1]
 
 
 def _bind(ap: AbstractPolyhedron, X: np.ndarray) -> Realization:
@@ -534,7 +533,7 @@ def _interior_point(ap: AbstractPolyhedron, X: np.ndarray,
                     skip: Set[int]) -> np.ndarray:
     """The normalised sum of the vertex points outside skip; a
     GeometryError when one of them is not finite."""
-    kept = [ap.vertex_faces(v) for v in range(ap.vertex_count) if v not in skip]
+    kept = [t for v, t in enumerate(ap.vertex_triples) if v not in skip]
     return unit_timelike(minkowski.vertex_points(X, kept).sum(axis=0))
 
 
@@ -617,7 +616,7 @@ def _collapse_base(ap: AbstractPolyhedron) -> Tuple[
     walled off with it by a prismatic 3-circuit, which there surrounds
     a triangle on its other side: six faces, of which one is shrunk."""
     adj = complexes.face_adjacency(ap)
-    vertices = {ap.vertex_faces(v) for v in range(ap.vertex_count)}
+    vertices = set(ap.vertex_triples)
     walls = {f: tuple(sorted(adj[f])) for f, cycle in enumerate(ap.faces)
              if len(cycle) == 3}
     shrunk = [f for f in walls if walls[f] not in vertices][:ap.face_count - 5]
@@ -633,24 +632,25 @@ def _collapse_base(ap: AbstractPolyhedron) -> Tuple[
     return base, labels, removed
 
 
-def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realization:
-    """The staged pipeline for complexes whose prismatic 3-circuits all
+def _truncated_seed(ap: AbstractPolyhedron, a: AngleAssignment
+                    ) -> Tuple[np.ndarray, AngleAssignment]:
+    """The staged seed for complexes whose prismatic 3-circuits all
     surround triangular faces: realize the shrunken complex with padded
     angles, walk it once to beta, where every reinstated vertex has
     passed ideal and is hyperideal, and cut all of them off there with
     the planes perpendicular to their faces.  A hyperideal polyhedron is
     determined by its angles (Bao and Bonahon), so the cut is ap's
-    polyhedron at `start`: pi/2 on the reinstated triangles' edges, beta
-    elsewhere.  It is bound onto ap and walked to a, which realize has
-    checked; neither end is checked again, as start is a member.  An
-    edge reads pi/2 only when one of its faces is a triangle T.  A vertex
-    of T sums to pi + beta_e; every other vertex, and every circuit row
-    that avoids the T's, reads beta, a member (interior_path).  A 3- or
-    4-cycle through T has a consecutive triple (x, T, z) that spans a
-    dual triangle, so it is not prismatic.  A quad row needs all six
-    entries at pi/2, since beta < 1/2: two triangles on opposite sides
-    of the quad, which close up with its two other neighbours into the
-    triangular prism, and a prism takes the prism branch."""
+    polyhedron at the returned start: pi/2 on the reinstated triangles'
+    edges, beta elsewhere.  Returns the cut's planes in ap's face order
+    and that start, which is a member.  An edge reads pi/2 only when one
+    of its faces is a triangle T.  A vertex of T sums to pi + beta_e;
+    every other vertex, and every circuit row that avoids the T's, reads
+    beta, a member (interior_path).  A 3- or 4-cycle through T has a
+    consecutive triple (x, T, z) that spans a dual triangle, so it is
+    not prismatic.  A quad row needs all six entries at pi/2, since
+    beta < 1/2: two triangles on opposite sides of the quad, which close
+    up with its two other neighbours into the triangular prism, and a
+    prism takes the prism seed."""
     beta = angle_sets.interior_path(ap, a, Fraction(9, 10))
     base, labels, removed = _collapse_base(ap)
     base_edges = [ap.edge_between_faces(labels[g], labels[h])
@@ -668,8 +668,7 @@ def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realizatio
 
     # Each reinstated vertex's angle sum is linear along the walk from
     # padded to beta, so it crosses pi once and ends below it.
-    corners = [frozenset(labels[f] for f in base.vertex_faces(v))
-               for v in range(base.vertex_count)]
+    corners = [frozenset(labels[f] for f in t) for t in base.vertex_triples]
     cut = [v for v, corner in enumerate(corners) if corner in removed]
     for v in cut:
         edges = base.vertex_edges(v)
@@ -681,12 +680,11 @@ def _realize_truncated(ap: AbstractPolyhedron, a: AngleAssignment) -> Realizatio
                        expect_ideal=frozenset(cut))[0]
     labels += [removed[corners[v]] for v in cut]
     assert sorted(labels) == list(range(ap.face_count))
-    normals_ap = _cut_planes(base, X, cut)[np.argsort(labels)]
     triangles = set(removed.values())
     start = AngleAssignment(tuple(
         HALF if {g, h} & triangles else beta[e]
         for e, (_, _, g, h) in enumerate(ap.edges)))
-    return _walk(_bind(ap, normals_ap), _radians(a), _radians(start))
+    return _cut_planes(base, X, cut)[np.argsort(labels)], start
 
 
 # Decomposition along essential circuits and gluing
@@ -726,7 +724,7 @@ def decompose(ap: AbstractPolyhedron, a: AngleAssignment) -> CompoundPlan:
             "every prismatic 3-circuit surrounds a triangular face")
     circuit = ess[0]
     adj = complexes.face_adjacency(ap)
-    triangles = [ap.vertex_faces(v) for v in range(ap.vertex_count)]
+    triangles = ap.vertex_triples
     ring = set(circuit.dual_nodes)
     # The circuit is no dual triangle, so every dual triangle has a node
     # off it, on exactly one of the two sides the circuit splits the
@@ -839,40 +837,36 @@ def _prism_labels(ap: AbstractPolyhedron) -> Optional[Tuple[int, ...]]:
     moved = {tuple(sorted((labels[2 + i], labels[2 + (i + 1) % k],
                            labels[c])))
              for i in range(k) for c in (0, 1)}
-    if moved != {ap.vertex_faces(v) for v in range(ap.vertex_count)}:
+    if moved != set(ap.vertex_triples):
         return None
     return labels
 
 
 def _prism_seed(ap: AbstractPolyhedron, labels: Sequence[int]
-                ) -> Tuple[Fraction, AngleAssignment]:
-    """The vertical angle of the regular prism _realize_prism seeds from
-    (1/4 at five faces, 2/5 at six, 1/2 from seven on) and that prism's
-    angles on ap, whose faces in catalog.prism order are labels: the
-    vertical angle on the side edges, 2/5 on the cap edges."""
-    vertical = {5: Fraction(1, 4), 6: TWO_FIFTHS}.get(ap.face_count, HALF)
+                ) -> Tuple[np.ndarray, AngleAssignment]:
+    """The regular prism's planes in ap's face order, where labels lists
+    ap's faces in catalog.prism order, and its angles on ap: the vertical
+    angle (1/4 at five faces, 2/5 at six, 1/2 from seven on) on the side
+    edges, 2/5 on the cap edges.  They lie in the angle set of every
+    prism (test_prism_seeds_are_members)."""
+    n = ap.face_count
+    vertical = {5: Fraction(1, 4), 6: TWO_FIFTHS}.get(n, HALF)
     caps = {labels[0], labels[1]}
-    return vertical, AngleAssignment(tuple(
+    start = AngleAssignment(tuple(
         vertical if fa not in caps and fb not in caps else TWO_FIFTHS
         for (_, _, fa, fb) in ap.edges))
-
-
-def _realize_prism(ap: AbstractPolyhedron, a: AngleAssignment,
-                   labels: Sequence[int]) -> Realization:
-    """Realize the prism ap, whose faces in catalog.prism order are
-    labels, from the regular prism, whose planes are certified once, on
-    ap.  Neither end of the walk is checked again: realize has checked
-    a, and the seed's angles lie in the angle set of every prism
-    (test_prism_seeds_are_members)."""
-    n = ap.face_count
-    vertical, start = _prism_seed(ap, labels)
-    normals_ap = np.empty((n, 4))
-    normals_ap[list(labels)] = minkowski.build_prism(
+    planes = np.empty((n, 4))
+    planes[list(labels)] = minkowski.build_prism(
         n, float(vertical) * math.pi, gap=math.pi / 10)
-    return _walk(_bind(ap, normals_ap), _radians(a), _radians(start))
+    return planes, start
 
 
-def _realize_simple(ap: AbstractPolyhedron, a: AngleAssignment) -> Realization:
+def _simple_seed(ap: AbstractPolyhedron) -> Tuple[np.ndarray, AngleAssignment]:
+    """The simple complex ap at uniform 2/5, reached by replaying its
+    Whitehead reduction backwards from the split prism.  Uniform 2/5
+    lies in the angle set of every simple complex (see
+    _collapse_profile): of ap, and of every stage, since reduce_to_dn
+    certified each move with flip_keeps_simple; so no leg checks it."""
     trace = whitehead.reduce_to_dn(complexes.dual(ap))
     n = ap.face_count
     # build_split_prism lists its planes in catalog.split_prism(n) order,
@@ -883,24 +877,23 @@ def _realize_simple(ap: AbstractPolyhedron, a: AngleAssignment) -> Realization:
     stage_ap = complexes.primal(trace.end, name=f"{ap.name}_stage")
     current = _bind(stage_ap, minkowski.build_split_prism(n)[
         [labels[v] for v in range(n)]])
-    # Neither leg checks its endpoints against the condition table again.
-    # Uniform 2/5 lies in the angle set of every simple complex (see
-    # _collapse_profile); ap is simple, and so is trace.end, since
-    # reduce_to_dn certified each move with flip_keeps_simple.  realize
-    # has already checked a exactly on ap.
-    interior = np.full(ap.edge_count, float(TWO_FIFTHS) * math.pi)
-    current = _walk(current, interior)
+    start = AngleAssignment.uniform(ap.edge_count, TWO_FIFTHS)
+    current = _walk(current, _radians(start))
     for mv in reversed(trace.moves):
         current = replay_whitehead(current, mv.inverse())
-    # The replayed complex carries ap's face ids; rebind to ap's own
-    # vertex labels before the final leg.
-    final = _bind(ap, np.array(current.normals))
-    return _walk(final, _radians(a), interior)
+    # The replayed complex carries ap's face ids, so its planes are in
+    # ap's face order.
+    return current.normals, start
 
 
 def realize(ap: AbstractPolyhedron, a: AngleAssignment) -> Realization:
     """Produce the compact hyperbolic polyhedron with cell structure ap
-    and the requested dihedral angles."""
+    and the requested dihedral angles.  A complex with an essential
+    3-circuit is cut along it and glued back; every other one takes a
+    seed, whose planes (in ap's face order) are certified once, on ap,
+    and walked once from the seed's start to a.  Neither end is checked
+    again: a is checked here, and each seed's docstring says why its
+    start lies in ap's angle set."""
     if ap.face_count < 5:
         raise RealizeError(f"{ap.face_count} faces: Andreev's theorem "
                            f"needs N >= 5 faces")
@@ -910,12 +903,13 @@ def realize(ap: AbstractPolyhedron, a: AngleAssignment) -> Realization:
             f"angles violate the linear conditions: {report}")
     labels = _prism_labels(ap)
     if labels is not None:
-        return _realize_prism(ap, a, labels)
-    if complexes.is_simple(ap):
-        return _realize_simple(ap, a)
-    if _essential_circuits(ap):
+        planes, start = _prism_seed(ap, labels)
+    elif complexes.is_simple(ap):
+        planes, start = _simple_seed(ap)
+    elif _essential_circuits(ap):
         plan = decompose(ap, a)
         parts = [realize(spec.complex, spec.angles) for spec in plan.pieces]
-        merged = glue(parts, plan)
-        return newton_solve(ap, a, merged)
-    return _realize_truncated(ap, a)
+        return newton_solve(ap, a, glue(parts, plan))
+    else:
+        planes, start = _truncated_seed(ap, a)
+    return _walk(_bind(ap, planes), _radians(a), _radians(start))

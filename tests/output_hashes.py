@@ -9,13 +9,16 @@ and on the change and compares the two outputs:
     PYTHONPATH=<parent checkout>/src python tests/output_hashes.py > before.txt
     diff before.txt after.txt
 
-The corpus (52 inputs): the bench realize corpus at seeds 0 and 1, the
+The corpus (132 inputs): the bench realize corpus at seeds 0 and 1, the
 staged cuts of tests/test_realize.py (STAGED plus the four-vertex cut)
 and the cube with corner cubes glued on at (0), (0, 2) and (0, 2, 5),
-each at its feasible witness, and the truncated tetrahedron and the
-corner-truncated cube at theirs.  Every input is a fresh copy, as the
-bench hands them to its ops.  BLAS runs one thread, as in the bench:
-outputs can differ by thread count.  Not collected by pytest.
+each at its feasible witness, the truncated tetrahedron and the
+corner-truncated cube at theirs, and the 80 realizes of the census of
+tests/census.py up to nine faces: every cell structure with 5-9 faces
+at its witness, and at uniform 2/5 when simple.  Every input is a
+fresh copy, as the bench hands them to its ops.  BLAS runs one thread,
+as in the bench: outputs can differ by thread count.  Not collected by
+pytest.
 """
 
 import os
@@ -30,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
 from bench_workloads import fresh, realize_corpus  # noqa: E402
+from census import inputs  # noqa: E402
 from conftest import cube_with_corner_cubes  # noqa: E402
 from test_realize import STAGED, staged_cut  # noqa: E402
 
@@ -47,6 +51,7 @@ def corpus():
     aps += [catalog.truncated_tetrahedron(), catalog.corner_truncated_cube()]
     for ap in aps:
         yield ap.name, ap, angles.feasible(ap).witness
+    yield from inputs(9)
 
 
 def main():

@@ -629,7 +629,7 @@ def test_staged_corpus_realize(n, seed, vertices):
 
 def staged_start(ap, a):
     """The angles the staged branch's last leg starts from, rebuilt as
-    _realize_truncated builds them: pi/2 on the edges of the reinstated
+    _truncated_seed builds them: pi/2 on the edges of the reinstated
     triangles, beta elsewhere."""
     beta = angles.interior_path(ap, a, Fraction(9, 10))
     triangles = set(realize._collapse_base(ap)[2].values())
@@ -639,17 +639,26 @@ def staged_start(ap, a):
 
 
 def test_staged_branch_walks_and_cuts_once(monkeypatch):
-    """The staged branch walks its base once, through the ideal point of
+    """The staged seed walks its base once, through the ideal point of
     every reinstated vertex, cuts them all off together at the end, and
-    walks the cut once to the target: one continuation of the base, one
-    call of the planes helper, and one last leg from staged_start."""
-    calls = {"_continue_core": [], "_cut_planes": [], "_walk": []}
+    walks nothing else; realize walks the cut once to the target: one
+    continuation of the base, one call of the planes helper, and one
+    last leg from staged_start.  Every earlier walk called from realize
+    is the nested realize of the base."""
+    callers = {"_continue_core": "_truncated_seed",
+               "_cut_planes": "_truncated_seed", "_walk": "realize"}
+    calls = {name: [] for name in callers}
+    seed_walks = []
     for name, log in calls.items():
         original = getattr(realize, name)
 
-        def recording(*args, _original=original, _log=log, **kwargs):
-            if sys._getframe(1).f_code.co_name == "_realize_truncated":
+        def recording(*args, _original=original, _log=log,
+                      _caller=callers[name], **kwargs):
+            caller = sys._getframe(1).f_code.co_name
+            if caller == _caller:
                 _log.append(args)
+            elif caller == "_truncated_seed":
+                seed_walks.append(args)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(realize, name, recording)
@@ -660,7 +669,9 @@ def test_staged_branch_walks_and_cuts_once(monkeypatch):
     assert len(calls["_continue_core"]) == 1
     (cut,) = calls["_cut_planes"]
     assert len(cut[2]) == 2
-    ((bound, target, start_rad),) = calls["_walk"]
+    assert seed_walks == []
+    assert sum(args[0].complex is ap for args in calls["_walk"]) == 1
+    bound, target, start_rad = calls["_walk"][-1]
     assert bound.complex is ap
     assert np.array_equal(target, a.to_floats())
     assert np.array_equal(start_rad, staged_start(ap, a).to_floats())
@@ -681,7 +692,7 @@ STAGED_STARTS = ([staged_cut(n, s) for n, s in STAGED]
 @pytest.mark.parametrize("ap", STAGED_STARTS, ids=lambda ap: ap.name)
 def test_staged_starts_are_members(ap):
     """The staged branch's last leg starts in the angle set, which it
-    does not check (the lemma in _realize_truncated's docstring)."""
+    does not check (the lemma in _truncated_seed's docstring)."""
     assert is_staged(ap)
     a = angles.feasible(ap).witness
     assert angles.check_conditions(ap, staged_start(ap, a)).member
@@ -988,10 +999,13 @@ def test_prism_seeds_are_members():
     for n in range(5, 41):
         ap = catalog.prism(n)
         labels = realize._prism_labels(ap)
-        vertical, profile = realize._prism_seed(ap, labels)
+        planes, profile = realize._prism_seed(ap, labels)
+        assert planes.shape == (n, 4)
+        caps = set(labels[:2])
+        vertical = next(v for (_, _, fa, fb), v in zip(ap.edges, profile)
+                        if not {fa, fb} & caps)
         assert vertical == {5: Fraction(1, 4), 6: Fraction(2, 5)}.get(
             n, Fraction(1, 2))
-        caps = set(labels[:2])
         for (_, _, fa, fb), v in zip(ap.edges, profile):
             assert v == (Fraction(2, 5) if {fa, fb} & caps else vertical)
         assert angles.check_conditions(ap, profile).member, n
@@ -1019,8 +1033,8 @@ def test_condition_tables_per_realize_do_not_grow_with_moves(monkeypatch):
     """Each realize entry builds the condition table once, and nothing
     else does: a prism builds one, the caller's; a simple complex two,
     the caller's and that of the glued prism inside build_split_prism.
-    The walks of the prism branch and the two legs of _realize_simple
-    check nothing, and the replay's moves build no table."""
+    The prism's walk, and the simple complex's legs to and from uniform
+    2/5, check nothing, and the replay's moves build no table."""
     builds = []
     conditions = angles._conditions
 
@@ -1046,7 +1060,7 @@ def test_condition_tables_per_realize_do_not_grow_with_moves(monkeypatch):
 
 def test_split_prism_labels_twice_per_simple_realize(monkeypatch):
     """split_prism_labels runs twice per simple-branch realize: once as
-    reduce_to_dn certifies its end, once as _realize_simple reads the
+    reduce_to_dn certifies its end, once as _simple_seed reads the
     end's labels; build_split_prism's planes already come in catalog
     labels."""
     calls = []
